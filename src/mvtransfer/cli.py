@@ -22,16 +22,19 @@ from pathlib import Path
 from .dataset import DatasetError, load_dataset
 from .density import DensityError, evaluate_density_grid, load_density_model
 from .distance import DistanceError
-from .flow import FlowConfig, FlowTrainingError
-from .importance import NORM_KINDS, SamplingConfig, score_source_view
+from .flow import FlowTrainingError
+from .importance import NORM_KINDS, SamplingConfig
 from .networks import NetworkError
 from .pipeline import (
     EXPERIMENT_MODES,
     MEASURES,
+    ExperimentConfig,
     PipelineError,
     compute_schedule,
     load_experiment_config,
     run_experiment,
+    score_views,
+    scoring_seeds,
 )
 
 _RUNTIME_ERRORS = (
@@ -92,28 +95,21 @@ def cmd_importance(args) -> int:
             f"--target-view {args.target_view} out of range for "
             f"{dataset.n_views} views",
         )
-    sampling = SamplingConfig(
-        batch_size=args.batch_size,
-        seed=args.seed,
-        norm_kind=args.norm,
-        invert_importance=args.invert,
+    config = ExperimentConfig(
+        dataset_path=None,
+        target_view=args.target_view,
+        measure=args.measure,
+        density_override=args.density,
+        sampling=SamplingConfig(
+            batch_size=args.batch_size,
+            norm_kind=args.norm,
+            invert_importance=args.invert,
+        ),
+        base_seed=args.seed,
     )
-    sources = [v for v in range(dataset.n_views) if v != args.target_view]
     try:
-        scores = [
-            score_source_view(
-                dataset,
-                source,
-                args.target_view,
-                args.measure,
-                None,
-                args.density,
-                sampling,
-                flow_config=FlowConfig(seed=args.seed),
-            )
-            for source in sources
-        ]
-    except _RUNTIME_ERRORS as exc:
+        scores = score_views(config, dataset)
+    except (_RUNTIME_ERRORS + (ValueError,)) as exc:
         return _fail_runtime(str(exc))
     _write_json(
         _out_dir(args) / "scores.json",
@@ -122,9 +118,9 @@ def cmd_importance(args) -> int:
             "measure": args.measure,
             "norm": args.norm,
             "invert": args.invert,
-            "source_views": sources,
+            "source_views": [v for v in range(dataset.n_views) if v != args.target_view],
             "scores": scores,
-            "seeds": {"scoring": args.seed},
+            "seeds": scoring_seeds(config),
         },
     )
     return 0
@@ -133,8 +129,6 @@ def cmd_importance(args) -> int:
 def _load_config_for(args):
     """Shared config loading for schedule/train; returns (config, dataset)."""
     config_path = Path(args.config)
-    if not config_path.is_file():
-        raise FileNotFoundError(f"no experiment config at {config_path}")
     config = load_experiment_config(config_path)
     dataset = None
     if config.dataset_path is not None:

@@ -17,7 +17,7 @@ against finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -325,14 +325,7 @@ def flow_to_json_dict(model: FlowModel) -> dict:
         "params": {k: v.tolist() for k, v in model.params.items()},
         "standardize_mean": model.standardize_mean.tolist(),
         "standardize_scale": model.standardize_scale.tolist(),
-        "config": {
-            "layer_count": model.config.layer_count,
-            "coupling_net_width": model.config.coupling_net_width,
-            "training_iterations": model.config.training_iterations,
-            "learning_rate": model.config.learning_rate,
-            "perturbation": model.config.perturbation,
-            "seed": model.config.seed,
-        },
+        "config": asdict(model.config),
         "initial_log_likelihood": model.initial_log_likelihood,
         "final_log_likelihood": model.final_log_likelihood,
     }

@@ -18,15 +18,8 @@ import numpy as np
 from .density import DensityModel, fit_density, save_density_model
 from .distance import build_latent_set
 
-POWER_ITERATION_TOLERANCE = 1e-10
-POWER_ITERATION_MAX_STEPS = 10_000
-
 NORM_KINDS = ("frobenius", "spectral", "entrywise_l1")
 SAMPLING_MODES = ("vectors", "density_weights")
-
-
-class NormConvergenceError(RuntimeError):
-    """Raised when spectral power iteration exhausts its step budget."""
 
 
 @dataclass(frozen=True)
@@ -78,18 +71,13 @@ def draw_importance_matrix(model: DensityModel, config: SamplingConfig) -> np.nd
     return matrix
 
 
-def matrix_norm(
-    matrix,
-    kind: str = "frobenius",
-    *,
-    tolerance: float = POWER_ITERATION_TOLERANCE,
-    max_iterations: int = POWER_ITERATION_MAX_STEPS,
-) -> float:
+def matrix_norm(matrix, kind: str = "frobenius") -> float:
     """Reduce a matrix to a non-negative scalar.
 
     ``frobenius`` is the square root of the sum of squared entries,
     ``entrywise_l1`` the sum of absolute entries, and ``spectral`` the
-    largest singular value, found by power iteration on the Gram matrix.
+    largest singular value, the square root of the top eigenvalue of the
+    K-by-K Gram matrix.
     """
     values = np.asarray(matrix, dtype=float)
     if values.ndim != 2 or values.size == 0:
@@ -101,35 +89,9 @@ def matrix_norm(
     if kind == "entrywise_l1":
         return float(np.sum(np.abs(values)))
     if kind == "spectral":
-        return _spectral_norm(values, tolerance, max_iterations)
+        top = np.linalg.eigvalsh(values.T @ values)[-1]
+        return float(np.sqrt(max(top, 0.0)))
     raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
-
-
-def _spectral_norm(matrix: np.ndarray, tolerance: float, max_iterations: int) -> float:
-    """Largest singular value via power iteration on the K-by-K Gram matrix."""
-    gram = matrix.T @ matrix
-    rng = np.random.default_rng(0xA001)
-    vector = rng.standard_normal(gram.shape[0])
-    vector /= np.linalg.norm(vector)
-    eigenvalue = float(vector @ gram @ vector)
-    delta = np.inf
-    for _ in range(max_iterations):
-        product = gram @ vector
-        length = float(np.linalg.norm(product))
-        if length == 0.0:
-            # The iterate is annihilated, which only happens when the Gram
-            # matrix itself is (numerically) zero along every direction met.
-            return 0.0
-        vector = product / length
-        updated = float(vector @ gram @ vector)
-        delta = abs(updated - eigenvalue)
-        if delta <= tolerance * max(1.0, abs(updated)):
-            return float(np.sqrt(max(updated, 0.0)))
-        eigenvalue = updated
-    raise NormConvergenceError(
-        f"power iteration did not converge within {max_iterations} iterations "
-        f"(last eigenvalue change {delta:.3e}); the frobenius norm is a safe fallback"
-    )
 
 
 def allocate_epochs(scores, total_epochs: int) -> list[int]:

@@ -11,12 +11,12 @@ verify against finite differences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .optim import AdamState, adam_update, init_adam_state
+from .optim import adam_update, init_adam_state
 
 ARCHITECTURES = ("mlp", "fcn")
 MLP_HIDDEN_WIDTH = 128
@@ -449,22 +449,6 @@ def loss_and_gradients(
     return loss, grads
 
 
-def adam_step(
-    net: Network, gradients: dict, state: AdamState, config: TrainConfig
-) -> AdamState:
-    """Apply one bias-corrected update to every parameter in place."""
-    adam_update(
-        net.params,
-        gradients,
-        state,
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.adam_epsilon,
-    )
-    return state
-
-
 def evaluate(net: Network, batch, labels) -> float:
     """Fraction of argmax-correct predictions (ties pick the lower class)."""
     array = _check_batch(net, batch)
@@ -526,7 +510,15 @@ def train(
                 raise NetworkError(f"training aborted at epoch {epoch}: {exc}") from exc
             for name in frozen:
                 grads[name] = np.zeros_like(grads[name])
-            adam_step(net, grads, state, config)
+            adam_update(
+                net.params,
+                grads,
+                state,
+                learning_rate=config.learning_rate,
+                beta1=config.beta1,
+                beta2=config.beta2,
+                eps=config.adam_epsilon,
+            )
             total_loss += loss * len(chosen)
         accuracy = evaluate(net, array, targets)
         log.append(
@@ -584,15 +576,7 @@ def transfer_weights(source_net: Network, target_net: Network) -> Network:
 def network_to_json_dict(net: Network) -> dict:
     """JSON-ready checkpoint: config, parameters, running statistics."""
     return {
-        "config": {
-            "arch": net.config.arch,
-            "input_channels": net.config.input_channels,
-            "input_length": net.config.input_length,
-            "class_count": net.config.class_count,
-            "dropout_rate": net.config.dropout_rate,
-            "fcn_kernel_sizes": list(net.config.fcn_kernel_sizes),
-            "seed": net.config.seed,
-        },
+        "config": asdict(net.config),
         "params": {name: tensor.tolist() for name, tensor in net.params.items()},
         "running_stats": {
             name: tensor.tolist() for name, tensor in net.running_stats.items()
@@ -604,16 +588,8 @@ def network_to_json_dict(net: Network) -> dict:
 def network_from_json_dict(payload: dict) -> Network:
     """Rebuild a network from its checkpoint payload."""
     try:
-        raw = dict(payload["config"])
-        config = NetworkConfig(
-            arch=raw["arch"],
-            input_channels=raw["input_channels"],
-            input_length=raw["input_length"],
-            class_count=raw["class_count"],
-            dropout_rate=raw["dropout_rate"],
-            fcn_kernel_sizes=tuple(raw["fcn_kernel_sizes"]),
-            seed=raw["seed"],
-        )
+        raw = payload["config"]
+        config = NetworkConfig(**{f.name: raw[f.name] for f in fields(NetworkConfig)})
         params = {name: np.asarray(value, dtype=float) for name, value in payload["params"].items()}
         stats = {
             name: np.asarray(value, dtype=float)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -207,13 +207,23 @@ def _load_config_dataset(config: ExperimentConfig) -> MultiViewDataset:
     return load_dataset(config.dataset_path)
 
 
-def _prepare(dataset: MultiViewDataset, config: ExperimentConfig) -> _Prepared:
+def _source_views(config: ExperimentConfig, dataset: MultiViewDataset) -> list:
     if config.target_view >= dataset.n_views:
         raise PipelineError(
             f"target_view {config.target_view} out of range for {dataset.n_views} views"
         )
+    return [v for v in range(dataset.n_views) if v != config.target_view]
+
+
+def _aligned(dataset: MultiViewDataset, config: ExperimentConfig) -> MultiViewDataset:
     if any(not dataset.is_aligned(v) for v in range(dataset.n_views)):
         dataset = align_lengths(dataset, config.align_strategy)
+    return dataset
+
+
+def _prepare(dataset: MultiViewDataset, config: ExperimentConfig) -> _Prepared:
+    source_views = _source_views(config, dataset)
+    dataset = _aligned(dataset, config)
     shapes = [dataset.view_shape(v) for v in range(dataset.n_views)]
     if len(set(shapes)) != 1:
         raise PipelineError(
@@ -231,7 +241,7 @@ def _prepare(dataset: MultiViewDataset, config: ExperimentConfig) -> _Prepared:
     train_part, test_part = split_dataset(dataset, split)
     return _Prepared(
         target_view=config.target_view,
-        source_views=[v for v in range(dataset.n_views) if v != config.target_view],
+        source_views=source_views,
         channels=channels,
         length=length,
         class_count=len(classes),
@@ -241,6 +251,42 @@ def _prepare(dataset: MultiViewDataset, config: ExperimentConfig) -> _Prepared:
         train_labels=np.array([class_index[l] for l in train_part.labels], dtype=np.int64),
         test_labels=np.array([class_index[l] for l in test_part.labels], dtype=np.int64),
     )
+
+
+def scoring_seeds(config: ExperimentConfig) -> dict:
+    """The base seed and the scoring and flow seeds derived from it."""
+    return {
+        "base": config.base_seed,
+        "scoring": config.base_seed + SCORING_SEED_OFFSET,
+        "flow": config.base_seed + FLOW_SEED_OFFSET,
+    }
+
+
+def score_views(config: ExperimentConfig, dataset: MultiViewDataset) -> list:
+    """Score every source view against the target view, in ascending order.
+
+    Ragged views are first aligned with ``config.align_strategy``, as
+    training aligns them, and the sampling and flow seeds are derived from
+    ``base_seed``.
+    """
+    sources = _source_views(config, dataset)
+    dataset = _aligned(dataset, config)
+    seeds = scoring_seeds(config)
+    sampling = replace(config.sampling, seed=seeds["scoring"])
+    params = _measure_params(config.measure, config.measure_params)
+    return [
+        score_source_view(
+            dataset,
+            source,
+            config.target_view,
+            config.measure,
+            params,
+            config.density_override,
+            sampling,
+            flow_config=FlowConfig(seed=seeds["flow"]),
+        )
+        for source in sources
+    ]
 
 
 def compute_schedule(
@@ -255,13 +301,7 @@ def compute_schedule(
     """
     if dataset is None:
         dataset = _load_config_dataset(config)
-    if config.target_view >= dataset.n_views:
-        raise PipelineError(
-            f"target_view {config.target_view} out of range for {dataset.n_views} views"
-        )
-    sources = [v for v in range(dataset.n_views) if v != config.target_view]
-    scoring_seed = config.base_seed + SCORING_SEED_OFFSET
-    flow_seed = config.base_seed + FLOW_SEED_OFFSET
+    sources = _source_views(config, dataset)
     if config.forced_epochs is not None:
         if len(config.forced_epochs) != len(sources):
             raise PipelineError(
@@ -282,23 +322,8 @@ def compute_schedule(
             target_view=config.target_view,
         )
     else:
-        sampling = replace(config.sampling, seed=scoring_seed)
-        params = _measure_params(config.measure, config.measure_params)
-        scores = [
-            score_source_view(
-                dataset,
-                source,
-                config.target_view,
-                config.measure,
-                params,
-                config.density_override,
-                sampling,
-                flow_config=FlowConfig(seed=flow_seed),
-            )
-            for source in sources
-        ]
         schedule = build_transfer_schedule(
-            scores, config.total_pretrain_epochs, config.target_view
+            score_views(config, dataset), config.total_pretrain_epochs, config.target_view
         )
     if out_path is not None:
         write_schedule_json(
@@ -306,7 +331,7 @@ def compute_schedule(
             schedule,
             config.measure,
             config.sampling.norm_kind,
-            {"base": config.base_seed, "scoring": scoring_seed, "flow": flow_seed},
+            scoring_seeds(config),
         )
     return schedule
 
@@ -322,7 +347,9 @@ def _train_config(config: ExperimentConfig, seed: int) -> TrainConfig:
     )
 
 
-def _run_single(prepared, config, schedule, repeat_index, mode):
+def _run_single(prepared, config, schedule, repeat_index):
+    """One repeat: a transfer run when given a schedule, else a baseline."""
+    mode = "baseline" if schedule is None else "transfer"
     seeds = _repeat_seeds(config.base_seed, repeat_index)
     net_config = NetworkConfig(
         arch=config.arch,
@@ -335,9 +362,7 @@ def _run_single(prepared, config, schedule, repeat_index, mode):
     )
     rows = []
     epoch_counter = 0
-    if mode == "transfer":
-        if schedule is None:
-            raise PipelineError("transfer mode requires a schedule")
+    if schedule is not None:
         source_net = init_network(net_config)
         positions = list(range(len(prepared.source_views)))
         if config.shuffle_view_order:
@@ -397,6 +422,14 @@ def _run_single(prepared, config, schedule, repeat_index, mode):
     return net, accuracy, rows
 
 
+def _run_once(config, schedule, dataset, repeat_index):
+    if dataset is None:
+        dataset = _load_config_dataset(config)
+    prepared = _prepare(dataset, config)
+    net, accuracy, rows = _run_single(prepared, config, schedule, repeat_index)
+    return net, {"accuracy": accuracy, "curves": rows}
+
+
 def run_transfer(
     config: ExperimentConfig,
     schedule: TransferSchedule,
@@ -412,11 +445,9 @@ def run_transfer(
     target test split.  Returns ``(network, metrics)`` where metrics holds
     the test accuracy and per-epoch curve rows.
     """
-    if dataset is None:
-        dataset = _load_config_dataset(config)
-    prepared = _prepare(dataset, config)
-    net, accuracy, rows = _run_single(prepared, config, schedule, repeat_index, "transfer")
-    return net, {"accuracy": accuracy, "curves": rows}
+    if schedule is None:
+        raise PipelineError("transfer mode requires a schedule")
+    return _run_once(config, schedule, dataset, repeat_index)
 
 
 def run_baseline(
@@ -425,11 +456,7 @@ def run_baseline(
     repeat_index: int = 0,
 ):
     """One baseline run: fine-tune a fresh network on the target view only."""
-    if dataset is None:
-        dataset = _load_config_dataset(config)
-    prepared = _prepare(dataset, config)
-    net, accuracy, rows = _run_single(prepared, config, None, repeat_index, "baseline")
-    return net, {"accuracy": accuracy, "curves": rows}
+    return _run_once(config, None, dataset, repeat_index)
 
 
 def run_experiment(
@@ -451,10 +478,9 @@ def run_experiment(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    want_baseline = config.mode in ("baseline", "both")
-    want_transfer = config.mode in ("transfer", "both")
+    modes = [m for m in ("baseline", "transfer") if config.mode in (m, "both")]
     schedule = None
-    if want_transfer:
+    if "transfer" in modes:
         schedule = compute_schedule(
             config,
             dataset=prepared.aligned,
@@ -462,47 +488,25 @@ def run_experiment(
         )
     rows = []
     timings = {}
-    baseline_accuracies = None
-    transfer_accuracies = None
-    if want_baseline:
-        accuracies, durations = [], []
+    accuracies = {}
+    for mode in modes:
+        accuracies[mode], timings[mode] = [], []
         for repeat in range(config.repeats):
             started = time.perf_counter()
             try:
                 _, accuracy, repeat_rows = _run_single(
-                    prepared, config, None, repeat, "baseline"
+                    prepared, config, schedule if mode == "transfer" else None, repeat
                 )
             except PipelineError:
                 raise
             except Exception as exc:
-                raise PipelineError(f"baseline repeat {repeat} failed: {exc}") from exc
-            durations.append(time.perf_counter() - started)
-            accuracies.append(accuracy)
+                raise PipelineError(f"{mode} repeat {repeat} failed: {exc}") from exc
+            timings[mode].append(time.perf_counter() - started)
+            accuracies[mode].append(accuracy)
             rows.extend(repeat_rows)
-        baseline_accuracies = accuracies
-        timings["baseline"] = durations
-    if want_transfer:
-        accuracies, durations = [], []
-        for repeat in range(config.repeats):
-            started = time.perf_counter()
-            try:
-                _, accuracy, repeat_rows = _run_single(
-                    prepared, config, schedule, repeat, "transfer"
-                )
-            except PipelineError:
-                raise
-            except Exception as exc:
-                raise PipelineError(f"transfer repeat {repeat} failed: {exc}") from exc
-            durations.append(time.perf_counter() - started)
-            accuracies.append(accuracy)
-            rows.extend(repeat_rows)
-        transfer_accuracies = accuracies
-        timings["transfer"] = durations
     timings["total"] = time.perf_counter() - experiment_start
     seeds = {
-        "base": config.base_seed,
-        "scoring": config.base_seed + SCORING_SEED_OFFSET,
-        "flow": config.base_seed + FLOW_SEED_OFFSET,
+        **scoring_seeds(config),
         "split": config.base_seed + SPLIT_SEED_OFFSET,
         "per_repeat": [
             {
@@ -514,22 +518,15 @@ def run_experiment(
             for repeat in range(config.repeats)
         ],
     }
+    means = {mode: sum(values) / len(values) for mode, values in accuracies.items()}
     report = ExperimentReport(
         mode=config.mode,
         target_view=config.target_view,
         repeats=config.repeats,
-        baseline_accuracies=baseline_accuracies,
-        transfer_accuracies=transfer_accuracies,
-        baseline_mean=(
-            sum(baseline_accuracies) / len(baseline_accuracies)
-            if baseline_accuracies is not None
-            else None
-        ),
-        transfer_mean=(
-            sum(transfer_accuracies) / len(transfer_accuracies)
-            if transfer_accuracies is not None
-            else None
-        ),
+        baseline_accuracies=accuracies.get("baseline"),
+        transfer_accuracies=accuracies.get("transfer"),
+        baseline_mean=means.get("baseline"),
+        transfer_mean=means.get("transfer"),
         schedule=schedule,
         seeds=seeds,
         wall_clock_seconds=timings,
@@ -588,75 +585,26 @@ def write_curves_csv(path, rows) -> None:
 # Config file round-trip
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    "dataset_path",
-    "target_view",
-    "measure",
-    "measure_params",
-    "density_override",
-    "sampling",
-    "total_pretrain_epochs",
-    "finetune_epochs",
-    "forced_epochs",
-    "arch",
-    "dropout_rate",
-    "fcn_kernel_sizes",
-    "train_batch_size",
-    "learning_rate",
-    "beta1",
-    "beta2",
-    "adam_epsilon",
-    "repeats",
-    "base_seed",
-    "mode",
-    "train_fraction",
-    "align_strategy",
-    "shuffle_view_order",
-    "freeze_conv",
-)
-
-
 def experiment_config_to_json_dict(config: ExperimentConfig) -> dict:
-    payload = {}
-    for key in _CONFIG_KEYS:
-        value = getattr(config, key)
-        if key == "sampling":
-            value = {
-                "batch_size": value.batch_size,
-                "seed": value.seed,
-                "norm_kind": value.norm_kind,
-                "invert_importance": value.invert_importance,
-                "sampling_mode": value.sampling_mode,
-            }
-        elif isinstance(value, tuple):
-            value = list(value)
-        payload[key] = value
-    return payload
+    return asdict(config)
 
 
 def experiment_config_from_json_dict(payload: dict) -> ExperimentConfig:
     if not isinstance(payload, dict):
         raise ValueError("experiment config must be a JSON object")
-    unknown = set(payload) - set(_CONFIG_KEYS)
+    unknown = set(payload) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
     if "target_view" not in payload:
         raise ValueError("experiment config requires target_view")
-    kwargs = dict(payload)
-    kwargs.setdefault("dataset_path", None)
-    sampling = kwargs.get("sampling")
-    if sampling is not None:
-        if not isinstance(sampling, dict):
+    kwargs = {"dataset_path": None, **payload}
+    for key in ("sampling", "fcn_kernel_sizes"):
+        if kwargs.get(key) is None:
+            kwargs.pop(key, None)
+    if "sampling" in kwargs:
+        if not isinstance(kwargs["sampling"], dict):
             raise ValueError("sampling must be a JSON object")
-        kwargs["sampling"] = SamplingConfig(**sampling)
-    else:
-        kwargs.pop("sampling", None)
-    if kwargs.get("fcn_kernel_sizes") is not None:
-        kwargs["fcn_kernel_sizes"] = tuple(kwargs["fcn_kernel_sizes"])
-    elif "fcn_kernel_sizes" in kwargs:
-        del kwargs["fcn_kernel_sizes"]
-    if kwargs.get("forced_epochs") is not None:
-        kwargs["forced_epochs"] = tuple(kwargs["forced_epochs"])
+        kwargs["sampling"] = SamplingConfig(**kwargs["sampling"])
     return ExperimentConfig(**kwargs)
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line driver: flags, exit codes, persisted files."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -205,6 +206,34 @@ class TestScheduleCommand:
         assert (tmp_path / "a" / "scores.json").read_bytes() == (
             tmp_path / "b" / "scores.json"
         ).read_bytes()
+
+    def test_scores_equal_importance_scores(self, dataset_dir, tmp_path):
+        """`schedule` and `importance` score views through one routine."""
+        config = write_config(
+            tmp_path / "config.json",
+            dataset_dir,
+            sampling=SamplingConfig(batch_size=128, invert_importance=True),
+            base_seed=3,
+        )
+        assert run_cli(["schedule", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
+        code = run_cli(
+            [
+                "importance",
+                "--dataset", str(dataset_dir),
+                "--target-view", "2",
+                "--measure", "dtw",
+                "--norm", "frobenius",
+                "--batch-size", "128",
+                "--invert",
+                "--seed", "3",
+                "--out", str(tmp_path / "i"),
+            ]
+        )
+        assert code == 0
+        schedule = json.loads((tmp_path / "s" / "scores.json").read_text(encoding="utf-8"))
+        importance = json.loads((tmp_path / "i" / "scores.json").read_text(encoding="utf-8"))
+        assert importance["scores"] == schedule["scores"]
+        assert importance["seeds"] == schedule["seeds"]
 
 
 class TestTrainCommand:
@@ -464,6 +493,8 @@ class TestEntryPoint:
             ],
             capture_output=True,
             text=True,
+            # The child imports the package from wherever this process did.
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["valid"] is True

@@ -11,7 +11,6 @@ from mvtransfer.networks import (
     NetworkConfig,
     NetworkError,
     TrainConfig,
-    adam_step,
     batchnorm_backward,
     batchnorm_forward,
     conv1d_backward,
@@ -30,7 +29,7 @@ from mvtransfer.networks import (
     transfer_weights,
     write_training_log,
 )
-from mvtransfer.optim import init_adam_state
+from mvtransfer.optim import adam_update, init_adam_state
 
 
 def mlp_config(channels=2, length=5, classes=3, seed=0):
@@ -426,18 +425,19 @@ class TestLossAndGradients:
 
 
 class TestAdamStep:
+    """The optimizer step ``train`` takes; its defaults equal TrainConfig's."""
+
     def test_zero_gradients_leave_parameters_unchanged(self):
         net = init_network(mlp_config())
         before = {k: v.copy() for k, v in net.params.items()}
         state = init_adam_state(net.params)
         zero = {k: np.zeros_like(v) for k, v in net.params.items()}
-        adam_step(net, zero, state, TrainConfig())
+        adam_update(net.params, zero, state)
         for name in before:
             assert np.array_equal(net.params[name], before[name])
         assert state.step == 1
 
     def test_matches_scalar_recurrence_by_hand(self):
-        config = TrainConfig()
         net = Network(config=mlp_config(), params={"w": np.array([1.0, -2.0])})
         state = init_adam_state(net.params)
         gradient = np.array([0.5, -1.5])
@@ -445,7 +445,7 @@ class TestAdamStep:
         v = np.zeros(2)
         expected = net.params["w"].copy()
         for step in (1, 2):
-            adam_step(net, {"w": gradient}, state, config)
+            adam_update(net.params, {"w": gradient}, state)
             m = 0.9 * m + 0.1 * gradient
             v = 0.999 * v + 0.001 * gradient**2
             m_hat = m / (1.0 - 0.9**step)
@@ -454,10 +454,9 @@ class TestAdamStep:
             assert np.allclose(net.params["w"], expected, atol=1e-15)
 
     def test_large_gradient_limit_is_signed_learning_rate(self):
-        config = TrainConfig()
         net = Network(config=mlp_config(), params={"w": np.zeros(2)})
         state = init_adam_state(net.params)
-        adam_step(net, {"w": np.array([1e9, -1e9])}, state, config)
+        adam_update(net.params, {"w": np.array([1e9, -1e9])}, state)
         assert np.allclose(net.params["w"], [-1e-3, 1e-3], atol=1e-9)
 
 

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mvtransfer.dataset import MultiViewDataset, load_dataset
+from conftest import make_random_dataset
+from mvtransfer.dataset import MultiViewDataset, align_lengths, load_dataset
 from mvtransfer.importance import SamplingConfig, TransferSchedule
 from mvtransfer.networks import init_network, NetworkConfig
 from mvtransfer.pipeline import (
@@ -276,6 +277,15 @@ class TestComputeSchedule:
         ds = tiny_dataset()
         with pytest.raises(PipelineError, match="out of range"):
             compute_schedule(tiny_config(target_view=3), dataset=ds)
+
+    def test_ragged_views_scored_after_alignment(self):
+        """Scoring aligns ragged views the way training does."""
+        ds = make_random_dataset(np.random.default_rng(7), n_samples=12, ragged=True)
+        config = tiny_config(target_view=1)
+        assert not ds.is_aligned(0)
+        assert compute_schedule(config, dataset=ds) == compute_schedule(
+            config, dataset=align_lengths(ds, config.align_strategy)
+        )
 
 
 class TestRunTransfer:
