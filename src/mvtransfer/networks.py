@@ -162,6 +162,18 @@ def parameter_count(net: Network) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _channel_major(x: np.ndarray, kernel: int, pad_left: int) -> np.ndarray:
+    """``x`` (batch, channels, length) as a zero-padded (channels, batch·padded) matrix.
+
+    Each sample occupies ``length + kernel - 1`` consecutive columns: its
+    left padding, its series, then its right padding.
+    """
+    batch, channels, length = x.shape
+    padded = np.zeros((channels, batch, length + kernel - 1))
+    padded[:, :, pad_left : pad_left + length] = x.transpose(1, 0, 2)
+    return padded.reshape(channels, -1)
+
+
 def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
     """Stride-1 same-padded 1-D convolution.
 
@@ -169,30 +181,57 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
     (out_channels, in_channels, kernel).  The time axis is zero-padded with
     (kernel-1)//2 positions on the left and the remainder on the right, so
     the output length equals the input length.
+
+    The padded batch is laid out as one (in_channels, batch·padded_length)
+    matrix, and each kernel tap adds one matrix product over a shifted view
+    of it: column ``n`` of the result is output step ``n mod padded_length``
+    of sample ``n // padded_length``.  Columns past a sample's last output
+    step straddle two samples and are discarded.  The cache holds only the
+    padded input.
     """
-    kernel = weights.shape[2]
+    batch, _, length = x.shape
+    out_channels, _, kernel = weights.shape
     pad_left = (kernel - 1) // 2
-    pad_right = kernel - 1 - pad_left
-    padded = np.pad(x, ((0, 0), (0, 0), (pad_left, pad_right)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=2)
-    out = np.einsum("ocj,bctj->bot", weights, windows) + bias[None, :, None]
-    cache = (windows, weights, x.shape, pad_left)
+    padded = _channel_major(x, kernel, pad_left)
+    columns = padded.shape[1] - kernel + 1
+    acc = np.empty((out_channels, padded.shape[1]))
+    np.matmul(weights[:, :, 0], padded[:, :columns], out=acc[:, :columns])
+    tap = np.empty((out_channels, columns))
+    for offset in range(1, kernel):
+        np.matmul(weights[:, :, offset], padded[:, offset : offset + columns], out=tap)
+        acc[:, :columns] += tap
+    per_sample = acc.reshape(out_channels, batch, -1)[:, :, :length]
+    out = per_sample.transpose(1, 0, 2) + bias[None, :, None]
+    cache = (padded, weights, x.shape, pad_left)
     return out, cache
 
 
 def conv1d_backward(grad_output: np.ndarray, cache):
-    """Gradients of a same-padded convolution w.r.t. input, weights, bias."""
-    windows, weights, x_shape, pad_left = cache
+    """Gradients of a same-padded convolution w.r.t. input, weights, bias.
+
+    ``grad_output`` is laid out like the forward pass's padded input, with
+    zeros in the discarded columns.  The input gradient is then the col2im
+    sum of one matrix product per tap, and each tap's weight gradient is
+    one matrix product with a shifted view of the cached input.
+    """
+    padded, weights, x_shape, pad_left = cache
+    batch, in_channels, length = x_shape
     kernel = weights.shape[2]
-    length = x_shape[2]
-    grad_weights = np.einsum("bot,bctj->ocj", grad_output, windows)
+    columns = padded.shape[1] - kernel + 1
+    grad = _channel_major(grad_output, kernel, 0)[:, :columns]
     grad_bias = grad_output.sum(axis=(0, 2))
-    padded_grad = np.zeros((x_shape[0], x_shape[1], length + kernel - 1))
+    padded_grad = np.zeros_like(padded)
+    tap = np.empty((in_channels, columns))
     for offset in range(kernel):
-        padded_grad[:, :, offset : offset + length] += np.einsum(
-            "bot,oc->bct", grad_output, weights[:, :, offset]
-        )
-    grad_input = padded_grad[:, :, pad_left : pad_left + length]
+        np.matmul(weights[:, :, offset].T, grad, out=tap)
+        padded_grad[:, offset : offset + columns] += tap
+    # Freed before the weight gradient is allocated, to keep the peak low.
+    del tap
+    grad_weights = np.empty_like(weights)
+    for offset in range(kernel):
+        grad_weights[:, :, offset] = grad @ padded[:, offset : offset + columns].T
+    per_sample = padded_grad.reshape(in_channels, batch, -1)
+    grad_input = per_sample[:, :, pad_left : pad_left + length].transpose(1, 0, 2)
     return grad_input, grad_weights, grad_bias
 
 
@@ -479,7 +518,7 @@ def train(
     the sample-weighted mean loss plus end-of-epoch training accuracy.  A
     budget of 0 leaves the network untouched and returns an empty log.
     Parameters named in ``frozen_params`` keep their current values (their
-    gradients are zeroed before each optimizer step).  The network is left
+    gradients are left out of each optimizer step).  The network is left
     in eval mode when training finishes.
     """
     budget = config.epochs if epoch_budget is None else int(epoch_budget)
@@ -509,7 +548,7 @@ def train(
                 net.mode = "eval"
                 raise NetworkError(f"training aborted at epoch {epoch}: {exc}") from exc
             for name in frozen:
-                grads[name] = np.zeros_like(grads[name])
+                del grads[name]
             adam_update(
                 net.params,
                 grads,

@@ -1,10 +1,12 @@
 """End-to-end experiment orchestration.
 
-An experiment scores every source view against the target view, converts
-the scores into an integer pretraining-epoch schedule, trains one network
-sequentially across the source views, transfers its weights, fine-tunes on
-the target view, and evaluates on the held-out target split — repeating the
-training portion R times with derived seeds and aggregating accuracies.
+An experiment scores every source view against the target view on the
+training split, converts the scores into an integer pretraining-epoch
+schedule, trains one network sequentially across the source views,
+transfers its weights, fine-tunes on the target view, and evaluates on the
+held-out target split — repeating the training portion R times with derived
+seeds and aggregating accuracies.  Held-out samples never shape the
+schedule they are evaluated under.
 
 All persisted outputs (scores.json, report.json, curves.csv) are
 byte-deterministic given the configuration; wall-clock timings go to a
@@ -194,7 +196,6 @@ class _Prepared:
     channels: int
     length: int
     class_count: int
-    aligned: MultiViewDataset
     train_inputs: list
     test_inputs: list
     train_labels: np.ndarray
@@ -221,7 +222,14 @@ def _aligned(dataset: MultiViewDataset, config: ExperimentConfig) -> MultiViewDa
     return dataset
 
 
-def _prepare(dataset: MultiViewDataset, config: ExperimentConfig) -> _Prepared:
+def _prepare(
+    dataset: MultiViewDataset, config: ExperimentConfig
+) -> tuple[_Prepared, MultiViewDataset]:
+    """Align, split and encode ``dataset``; returns ``(prepared, train_part)``.
+
+    ``train_part`` is the training split as a dataset, the input of
+    scoring; the held-out split is kept only as the arrays evaluation reads.
+    """
     source_views = _source_views(config, dataset)
     dataset = _aligned(dataset, config)
     shapes = [dataset.view_shape(v) for v in range(dataset.n_views)]
@@ -239,18 +247,18 @@ def _prepare(dataset: MultiViewDataset, config: ExperimentConfig) -> _Prepared:
         seed=config.base_seed + SPLIT_SEED_OFFSET,
     )
     train_part, test_part = split_dataset(dataset, split)
-    return _Prepared(
+    prepared = _Prepared(
         target_view=config.target_view,
         source_views=source_views,
         channels=channels,
         length=length,
         class_count=len(classes),
-        aligned=dataset,
         train_inputs=[np.stack(train_part.views[v]) for v in range(dataset.n_views)],
         test_inputs=[np.stack(test_part.views[v]) for v in range(dataset.n_views)],
         train_labels=np.array([class_index[l] for l in train_part.labels], dtype=np.int64),
         test_labels=np.array([class_index[l] for l in test_part.labels], dtype=np.int64),
     )
+    return prepared, train_part
 
 
 def scoring_seeds(config: ExperimentConfig) -> dict:
@@ -425,7 +433,7 @@ def _run_single(prepared, config, schedule, repeat_index):
 def _run_once(config, schedule, dataset, repeat_index):
     if dataset is None:
         dataset = _load_config_dataset(config)
-    prepared = _prepare(dataset, config)
+    prepared, _ = _prepare(dataset, config)
     net, accuracy, rows = _run_single(prepared, config, schedule, repeat_index)
     return net, {"accuracy": accuracy, "curves": rows}
 
@@ -473,7 +481,7 @@ def run_experiment(
     experiment_start = time.perf_counter()
     if dataset is None:
         dataset = _load_config_dataset(config)
-    prepared = _prepare(dataset, config)
+    prepared, train_part = _prepare(dataset, config)
     out = None
     if out_dir is not None:
         out = Path(out_dir)
@@ -483,9 +491,11 @@ def run_experiment(
     if "transfer" in modes:
         schedule = compute_schedule(
             config,
-            dataset=prepared.aligned,
+            dataset=train_part,
             out_path=(out / "scores.json") if out is not None else None,
         )
+    # Scoring is the train part's only use; the repeats read prepared's arrays.
+    del train_part
     rows = []
     timings = {}
     accuracies = {}

@@ -119,6 +119,57 @@ class TestConvolution:
                     out[b, o, t] = acc
         return out
 
+    def conv_backward_reference(self, grad_output, x, weights):
+        """Adjoint of ``conv_reference``: every product it sums, routed back."""
+        batch, channels, length = x.shape
+        out_channels, _, kernel = weights.shape
+        left = (kernel - 1) // 2
+        grad_input = np.zeros_like(x)
+        grad_weights = np.zeros_like(weights)
+        grad_bias = np.zeros(out_channels)
+        for b in range(batch):
+            for o in range(out_channels):
+                for t in range(length):
+                    g = grad_output[b, o, t]
+                    grad_bias[o] += g
+                    for c in range(channels):
+                        for j in range(kernel):
+                            src = t + j - left
+                            if 0 <= src < length:
+                                grad_input[b, c, src] += weights[o, c, j] * g
+                                grad_weights[o, c, j] += x[b, c, src] * g
+        return grad_input, grad_weights, grad_bias
+
+    @pytest.mark.parametrize(
+        "kernel,length",
+        [(1, 9), (2, 9), (3, 9), (5, 9), (8, 9), (2, 2), (5, 5), (8, 8)],
+    )
+    def test_backward_matches_direct_adjoint(self, kernel, length):
+        rng = np.random.default_rng(113 + kernel * length)
+        x = rng.normal(size=(3, 2, length))
+        weights = rng.normal(size=(4, 2, kernel))
+        grad_output = rng.normal(size=(3, 4, length))
+        _, cache = conv1d_forward(x, weights, rng.normal(size=4))
+        got = conv1d_backward(grad_output, cache)
+        expected = self.conv_backward_reference(grad_output, x, weights)
+        for name, value, reference in zip(("input", "weights", "bias"), got, expected):
+            assert value.shape == reference.shape, name
+            assert np.allclose(value, reference, rtol=0.0, atol=1e-12), name
+
+    def test_cache_holds_no_window_copies(self):
+        """The backward cache keeps the padded input, never a k-fold
+        windowed (im2col) array or a view onto one."""
+        rng = np.random.default_rng(114)
+        batch, channels, length, kernel = 3, 4, 10, 5
+        x = rng.normal(size=(batch, channels, length))
+        weights = rng.normal(size=(6, channels, kernel))
+        _, cache = conv1d_forward(x, weights, np.zeros(6))
+        padded_size = batch * channels * (length + kernel - 1)
+        arrays = [item for item in cache if isinstance(item, np.ndarray)]
+        assert arrays
+        for array in arrays:
+            assert array.size <= max(padded_size, weights.size)
+
     def test_matches_direct_definition(self):
         rng = np.random.default_rng(110)
         for kernel in (1, 2, 3, 5, 8):

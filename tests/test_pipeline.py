@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 
 from conftest import make_random_dataset
-from mvtransfer.dataset import MultiViewDataset, align_lengths, load_dataset
+from mvtransfer.dataset import (
+    MultiViewDataset,
+    SplitSpec,
+    align_lengths,
+    load_dataset,
+    split_dataset,
+)
 from mvtransfer.importance import SamplingConfig, TransferSchedule
 from mvtransfer.networks import init_network, NetworkConfig
 from mvtransfer.pipeline import (
+    SPLIT_SEED_OFFSET,
     ExperimentConfig,
     ExperimentReport,
     PipelineError,
@@ -444,6 +451,31 @@ class TestRunExperiment:
         for name in ("report.json", "curves.csv", "scores.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
         assert (first / "timings.json").exists()
+
+    def test_scores_ignore_held_out_series(self, tmp_path):
+        """Scoring sees the training split only: perturbing the held-out
+        samples' target-view series leaves scores.json byte-identical."""
+        ds = tiny_dataset()
+        config = tiny_config(mode="transfer", repeats=1)
+        split = SplitSpec(
+            mode="fraction",
+            train_fraction=config.train_fraction,
+            seed=config.base_seed + SPLIT_SEED_OFFSET,
+        )
+        _, test_part = split_dataset(ds, split)
+        held_out = {ds.sample_ids.index(sid) for sid in test_part.sample_ids}
+        rng = np.random.default_rng(7)
+        target = [
+            series + 3.0 * rng.normal(size=series.shape) if i in held_out else series
+            for i, series in enumerate(ds.views[TARGET_VIEW])
+        ]
+        views = list(ds.views)
+        views[TARGET_VIEW] = target
+        perturbed = MultiViewDataset(views=views, labels=ds.labels, sample_ids=ds.sample_ids)
+        run_experiment(config, dataset=ds, out_dir=tmp_path / "clean")
+        run_experiment(config, dataset=perturbed, out_dir=tmp_path / "perturbed")
+        clean = (tmp_path / "clean" / "scores.json").read_bytes()
+        assert clean == (tmp_path / "perturbed" / "scores.json").read_bytes()
 
     def test_report_json_has_no_wall_clock(self, tmp_path):
         """Timings live in timings.json so report.json stays deterministic."""
