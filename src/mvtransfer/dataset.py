@@ -365,7 +365,8 @@ def split_dataset(dataset: MultiViewDataset, spec: SplitSpec) -> tuple[MultiView
             i for i, sid in enumerate(dataset.sample_ids)
             if assignment[sid] in spec.train_groups
         ]
-        test_idx = [i for i in range(n) if i not in set(train_idx)]
+        chosen = set(train_idx)
+        test_idx = [i for i in range(n) if i not in chosen]
         if not train_idx or not test_idx:
             raise DatasetError("by-group split leaves an empty partition")
     return _take(dataset, train_idx), _take(dataset, test_idx)

@@ -5,8 +5,9 @@ Two univariate distance measures are provided: dynamic time warping
 distance built on a windowed truncated Fourier transform with
 equi-depth coefficient binning.  ``channel_pairwise_distances`` applies
 either measure channel-by-channel to a pair of multivariate samples,
-and ``build_latent_set`` collects those distance vectors over every
-corresponding sample pair of a source/target view pair.
+and ``build_latent_set`` stacks those distance vectors over every
+corresponding sample pair of a source/target view pair into one (N, K)
+array.
 
 The windowed Fourier transform is computed by direct definition with
 sequential accumulation (no FFT): window counts are tiny at this scale
@@ -288,60 +289,55 @@ class BossParams:
 # latent distance vectors
 
 
-@dataclass
-class ImportanceVector:
-    """Per-channel distances between one source/target sample pair."""
-
-    components: np.ndarray
-    sample_id: str = ""
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=np.float64)
-        if self.components.ndim != 1:
-            raise DistanceError("components must be a flat vector")
-        if not np.all(np.isfinite(self.components)) or np.any(self.components < 0):
-            raise DistanceError(
-                f"components must be non-negative and finite, got {self.components}"
-            )
-
-    @property
-    def dimension(self) -> int:
-        return self.components.shape[0]
+def _distance_rows(values, name: str) -> np.ndarray:
+    """``values`` as an (N, K) float array of non-negative finite distances."""
+    try:
+        rows = np.asarray(values, dtype=np.float64)
+    except ValueError as exc:  # ragged rows
+        raise DistanceError(f"{name} rows differ in length: {exc}") from None
+    if rows.ndim != 2:
+        raise DistanceError(f"{name} must be 2-D (samples x channels), got shape {rows.shape}")
+    if rows.shape[0] < 2:
+        raise DistanceError(f"need at least 2 vectors, got {rows.shape[0]}")
+    if not np.all(np.isfinite(rows)) or np.any(rows < 0):
+        raise DistanceError(f"{name} must be non-negative and finite")
+    return rows
 
 
 @dataclass
 class ImportanceLatentSet:
     """All per-sample distance vectors for one source/target view pair.
 
-    ``vectors`` hold the values actually consumed downstream (length-
-    normalized when ``normalize`` is on); ``raw_vectors`` always keep the
-    unnormalized distances for inspection.
+    ``vectors`` is the (N, K) array of values actually consumed downstream
+    (length-normalized when ``normalize`` is on), one row per sample pair;
+    ``raw_vectors``, of the same shape, keeps the unnormalized distances for
+    inspection.
     """
 
     measure: str
     source_view: int
     target_view: int
-    vectors: list[ImportanceVector]
+    vectors: np.ndarray
     normalize: bool = True
-    raw_vectors: list[ImportanceVector] | None = None
+    raw_vectors: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.vectors) < 2:
-            raise DistanceError(f"need at least 2 vectors, got {len(self.vectors)}")
-        dims = {v.dimension for v in self.vectors}
-        if len(dims) != 1:
-            raise DistanceError(f"vectors mix dimensions {sorted(dims)}")
+        self.vectors = _distance_rows(self.vectors, "vectors")
+        if self.raw_vectors is not None:
+            self.raw_vectors = _distance_rows(self.raw_vectors, "raw_vectors")
+            if self.raw_vectors.shape != self.vectors.shape:
+                raise DistanceError(
+                    f"raw_vectors shape {self.raw_vectors.shape} differs from "
+                    f"vectors shape {self.vectors.shape}"
+                )
 
     @property
     def dimension(self) -> int:
-        return self.vectors[0].dimension
+        return self.vectors.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.vectors)
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([v.components for v in self.vectors], axis=0)
+        return self.vectors.shape[0]
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -349,13 +345,11 @@ class ImportanceLatentSet:
             "source_view": self.source_view,
             "target_view": self.target_view,
             "K": self.dimension,
-            "vectors": [[float(c) for c in v.components] for v in self.vectors],
+            "vectors": self.vectors.tolist(),
             "normalize": self.normalize,
         }
         if self.raw_vectors is not None:
-            payload["vectors_raw"] = [
-                [float(c) for c in v.components] for v in self.raw_vectors
-            ]
+            payload["vectors_raw"] = self.raw_vectors.tolist()
         return payload
 
 
@@ -363,23 +357,13 @@ def latent_set_from_json(payload: dict) -> ImportanceLatentSet:
     for key in ("measure", "source_view", "target_view", "K", "vectors"):
         if key not in payload:
             raise DistanceError(f"latent-set payload missing key {key!r}")
-    vectors = [
-        ImportanceVector(components=np.array(row, dtype=np.float64), sample_id=str(i))
-        for i, row in enumerate(payload["vectors"])
-    ]
-    raw = None
-    if payload.get("vectors_raw") is not None:
-        raw = [
-            ImportanceVector(components=np.array(row, dtype=np.float64), sample_id=str(i))
-            for i, row in enumerate(payload["vectors_raw"])
-        ]
     latent = ImportanceLatentSet(
         measure=str(payload["measure"]),
         source_view=int(payload["source_view"]),
         target_view=int(payload["target_view"]),
-        vectors=vectors,
+        vectors=payload["vectors"],
         normalize=bool(payload.get("normalize", True)),
-        raw_vectors=raw,
+        raw_vectors=payload.get("vectors_raw"),
     )
     if latent.dimension != int(payload["K"]):
         raise DistanceError(
@@ -388,48 +372,44 @@ def latent_set_from_json(payload: dict) -> ImportanceLatentSet:
     return latent
 
 
-def _raw_channel_distances(source_sample, target_sample, measure, measure_params):
-    source = np.asarray(source_sample, dtype=np.float64)
-    target = np.asarray(target_sample, dtype=np.float64)
-    if source.ndim != 2 or target.ndim != 2:
-        raise DistanceError("samples must be 2-D (channels x time)")
-    if source.shape[0] != target.shape[0]:
-        raise DistanceError(
-            f"channel counts differ: source {source.shape[0]} vs target {target.shape[0]}"
-        )
-    k = source.shape[0]
-    values = np.empty(k, dtype=np.float64)
+def _resolve_params(measure: str, params, shortest: int):
+    """Check ``params`` against ``measure`` and fill in the defaults.
+
+    Returns ``DtwParams`` for dtw and ``BossParams`` for boss; boss without
+    params takes the default symbolic settings for the ``shortest`` series.
+    """
     if measure == "dtw":
-        params = measure_params or DtwParams()
+        params = DtwParams() if params is None else params
         if not isinstance(params, DtwParams):
             raise DistanceError(f"dtw measure expects DtwParams, got {type(params).__name__}")
-        for c in range(k):
-            values[c] = dtw_distance(source[c], target[c], params)
-    elif measure == "boss":
-        params = measure_params
-        if params is None:
-            params = default_sfa_params(min(source.shape[1], target.shape[1]))
+        return params
+    if measure == "boss":
+        params = default_sfa_params(shortest) if params is None else params
         if isinstance(params, SfaParams):
-            params = BossParams(sfa=params, channel_bins=None)
+            params = BossParams(sfa=params)
         if not isinstance(params, BossParams):
             raise DistanceError(
                 f"boss measure expects BossParams or SfaParams, got {type(params).__name__}"
             )
-        if params.channel_bins is not None and len(params.channel_bins) != k:
-            raise DistanceError(
-                f"{len(params.channel_bins)} channel bin matrices for {k} channels"
-            )
-        for c in range(k):
-            if params.channel_bins is not None:
-                bins = params.channel_bins[c]
-            else:
-                bins = sfa_fit([source[c], target[c]], params.sfa)
-            hist_s = sfa_transform(source[c], bins, params.sfa)
-            hist_t = sfa_transform(target[c], bins, params.sfa)
-            values[c] = boss_distance(hist_s, hist_t)
-    else:
-        raise DistanceError(f"unknown measure {measure!r} (expected 'dtw' or 'boss')")
-    return values, source.shape[1], target.shape[1]
+        return params
+    raise DistanceError(f"unknown measure {measure!r} (expected 'dtw' or 'boss')")
+
+
+def _raw_channel_distances(source, target, params) -> np.ndarray:
+    """(K,) distances between the matching channels of two (K, length)
+    samples under resolved params.  Boss without bins fits breakpoints on
+    each channel's own two series."""
+    if isinstance(params, DtwParams):
+        return np.array([dtw_distance(s, t, params) for s, t in zip(source, target)])
+    bins = params.channel_bins
+    if bins is None:
+        bins = [sfa_fit([s, t], params.sfa) for s, t in zip(source, target)]
+    elif len(bins) != len(source):
+        raise DistanceError(f"{len(bins)} channel bin matrices for {len(source)} channels")
+    return np.array([
+        boss_distance(sfa_transform(s, b, params.sfa), sfa_transform(t, b, params.sfa))
+        for s, t, b in zip(source, target, bins)
+    ])
 
 
 def channel_pairwise_distances(
@@ -438,19 +418,26 @@ def channel_pairwise_distances(
     measure: str,
     measure_params=None,
     normalize: bool = True,
-    sample_id: str = "",
-) -> ImportanceVector:
-    """Per-channel distance vector between two matched multivariate samples.
+) -> np.ndarray:
+    """Per-channel (K,) distance vector between two matched multivariate samples.
 
     With ``normalize`` each component is divided by the mean of the two
     series lengths, so series duration does not dominate the comparison.
     """
-    values, m_source, m_target = _raw_channel_distances(
-        source_sample, target_sample, measure, measure_params
-    )
+    source = np.asarray(source_sample, dtype=np.float64)
+    target = np.asarray(target_sample, dtype=np.float64)
+    if source.ndim != 2 or target.ndim != 2:
+        raise DistanceError("samples must be 2-D (channels x time)")
+    if source.shape[0] != target.shape[0]:
+        raise DistanceError(
+            f"channel counts differ: source {source.shape[0]} vs target {target.shape[0]}"
+        )
+    m_source, m_target = source.shape[1], target.shape[1]
+    params = _resolve_params(measure, measure_params, min(m_source, m_target))
+    values = _raw_channel_distances(source, target, params)
     if normalize:
         values = values / ((m_source + m_target) / 2.0)
-    return ImportanceVector(components=values, sample_id=sample_id)
+    return values
 
 
 def build_latent_set(
@@ -463,8 +450,9 @@ def build_latent_set(
 ) -> ImportanceLatentSet:
     """Distance vectors for every corresponding sample pair, in sample order.
 
-    For the histogram measure, breakpoints are fitted once per channel on
-    the pooled channel series of both views, then reused for every pair.
+    For the histogram measure without given bins, breakpoints are fitted
+    once per channel on the pooled channel series of both views, then
+    reused for every pair.
     """
     v = dataset.n_views
     for name, idx in (("source_view", source_view), ("target_view", target_view)):
@@ -479,51 +467,28 @@ def build_latent_set(
             f"views disagree on channel count: {k_source} vs {k_target}"
         )
 
-    if measure == "boss":
-        measure_params = _fit_boss_params(dataset, source_view, target_view, measure_params)
+    sources, targets = dataset.views[source_view], dataset.views[target_view]
+    shortest = min(min(dataset.lengths(source_view)), min(dataset.lengths(target_view)))
+    params = _resolve_params(measure, measure_params, shortest)
+    if isinstance(params, BossParams) and params.channel_bins is None:
+        pooled = [
+            sfa_fit([sample[c] for sample in [*sources, *targets]], params.sfa)
+            for c in range(k_source)
+        ]
+        params = BossParams(sfa=params.sfa, channel_bins=pooled)
 
-    vectors = []
-    raw_vectors = []
-    for i, sid in enumerate(dataset.sample_ids):
-        values, m_s, m_t = _raw_channel_distances(
-            dataset.views[source_view][i], dataset.views[target_view][i],
-            measure, measure_params,
-        )
-        raw_vectors.append(ImportanceVector(components=values.copy(), sample_id=sid))
-        if normalize:
-            values = values / ((m_s + m_t) / 2.0)
-        vectors.append(ImportanceVector(components=values, sample_id=sid))
+    pairs = list(zip(sources, targets))
+    raw = np.stack([_raw_channel_distances(s, t, params) for s, t in pairs])
+    if normalize:
+        mean_lengths = np.array([(s.shape[1] + t.shape[1]) / 2.0 for s, t in pairs])
+        vectors = raw / mean_lengths[:, None]
+    else:
+        vectors = raw.copy()
     return ImportanceLatentSet(
         measure=measure,
         source_view=source_view,
         target_view=target_view,
         vectors=vectors,
         normalize=normalize,
-        raw_vectors=raw_vectors,
+        raw_vectors=raw,
     )
-
-
-def _fit_boss_params(dataset, source_view, target_view, measure_params) -> BossParams:
-    """Resolve histogram-distance params, fitting pooled per-channel bins."""
-    if isinstance(measure_params, BossParams) and measure_params.channel_bins is not None:
-        return measure_params
-    if isinstance(measure_params, BossParams):
-        sfa = measure_params.sfa
-    elif isinstance(measure_params, SfaParams):
-        sfa = measure_params
-    elif measure_params is None:
-        shortest = min(
-            min(dataset.lengths(source_view)), min(dataset.lengths(target_view))
-        )
-        sfa = default_sfa_params(shortest)
-    else:
-        raise DistanceError(
-            f"boss measure expects BossParams or SfaParams, got {type(measure_params).__name__}"
-        )
-    k = dataset.channel_count(source_view)
-    channel_bins = []
-    for c in range(k):
-        corpus = [sample[c] for sample in dataset.views[source_view]]
-        corpus += [sample[c] for sample in dataset.views[target_view]]
-        channel_bins.append(sfa_fit(corpus, sfa))
-    return BossParams(sfa=sfa, channel_bins=channel_bins)

@@ -68,11 +68,8 @@ class FlowModel:
 
 
 def as_data_array(latent) -> np.ndarray:
-    """Accept either a latent distance set or a plain (n, d) array."""
-    if hasattr(latent, "as_array"):
-        data = latent.as_array()
-    else:
-        data = np.asarray(latent, dtype=np.float64)
+    """``latent`` as a finite (n, d) float array."""
+    data = np.asarray(latent, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError(f"expected a 2-D data array, got shape {data.shape}")
     if not np.all(np.isfinite(data)):

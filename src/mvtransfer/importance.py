@@ -227,7 +227,7 @@ def score_source_view(
     config = sampling if sampling is not None else SamplingConfig()
     latent = build_latent_set(dataset, source_view, target_view, measure, measure_params)
     model = fit_density(
-        latent,
+        latent.vectors,
         override=density_override,
         kde_bandwidth=kde_bandwidth,
         flow_config=flow_config,

@@ -193,9 +193,7 @@ class _Prepared:
 
     target_view: int
     source_views: list
-    channels: int
-    length: int
-    class_count: int
+    net_config: NetworkConfig
     train_inputs: list
     test_inputs: list
     train_labels: np.ndarray
@@ -240,6 +238,17 @@ def _prepare(
         )
     channels, length = shapes[0]
     classes = dataset.classes
+    try:
+        net_config = NetworkConfig(
+            arch=config.arch,
+            input_channels=channels,
+            input_length=length,
+            class_count=len(classes),
+            dropout_rate=config.dropout_rate,
+            fcn_kernel_sizes=config.fcn_kernel_sizes,
+        )
+    except ValueError as exc:
+        raise PipelineError(f"invalid network config: {exc}") from exc
     class_index = {label: i for i, label in enumerate(classes)}
     split = SplitSpec(
         mode="fraction",
@@ -250,9 +259,7 @@ def _prepare(
     prepared = _Prepared(
         target_view=config.target_view,
         source_views=source_views,
-        channels=channels,
-        length=length,
-        class_count=len(classes),
+        net_config=net_config,
         train_inputs=[np.stack(train_part.views[v]) for v in range(dataset.n_views)],
         test_inputs=[np.stack(test_part.views[v]) for v in range(dataset.n_views)],
         train_labels=np.array([class_index[l] for l in train_part.labels], dtype=np.int64),
@@ -359,15 +366,7 @@ def _run_single(prepared, config, schedule, repeat_index):
     """One repeat: a transfer run when given a schedule, else a baseline."""
     mode = "baseline" if schedule is None else "transfer"
     seeds = _repeat_seeds(config.base_seed, repeat_index)
-    net_config = NetworkConfig(
-        arch=config.arch,
-        input_channels=prepared.channels,
-        input_length=prepared.length,
-        class_count=prepared.class_count,
-        dropout_rate=config.dropout_rate,
-        fcn_kernel_sizes=config.fcn_kernel_sizes,
-        seed=seeds["init"],
-    )
+    net_config = replace(prepared.net_config, seed=seeds["init"])
     rows = []
     epoch_counter = 0
     if schedule is not None:

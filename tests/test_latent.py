@@ -1,18 +1,26 @@
 """Tests for channel-wise distance vectors and latent-set assembly."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mvtransfer.dataset import MultiViewDataset
 from mvtransfer.distance import (
+    BossParams,
     DistanceError,
     DtwParams,
-    ImportanceVector,
+    ImportanceLatentSet,
     SfaParams,
     build_latent_set,
     channel_pairwise_distances,
+    default_sfa_params,
     dtw_distance,
     latent_set_from_json,
+    sfa_fit,
 )
 
 from conftest import make_random_dataset
@@ -24,8 +32,8 @@ class TestChannelPairwiseDistances:
         sample = rng.normal(size=(3, 10))
         for measure in ("dtw", "boss"):
             vec = channel_pairwise_distances(sample, sample.copy(), measure)
-            assert vec.dimension == 3
-            assert np.all(vec.components == 0.0)
+            assert vec.shape == (3,)
+            assert np.all(vec == 0.0)
 
     def test_componentwise_equals_scalar_op(self):
         """Each component must equal the scalar distance on that channel."""
@@ -33,7 +41,7 @@ class TestChannelPairwiseDistances:
         target = np.array([[5.0, 5.0], [1.0, 1.0]])
         vec = channel_pairwise_distances(source, target, "dtw", normalize=False)
         for k in range(2):
-            assert vec.components[k] == dtw_distance(source[k], target[k])
+            assert vec[k] == dtw_distance(source[k], target[k])
 
     def test_normalization_divides_by_mean_length(self):
         rng = np.random.default_rng(21)
@@ -41,7 +49,7 @@ class TestChannelPairwiseDistances:
         target = rng.normal(size=(2, 6))
         raw = channel_pairwise_distances(source, target, "dtw", normalize=False)
         norm = channel_pairwise_distances(source, target, "dtw", normalize=True)
-        assert np.allclose(norm.components, raw.components / 6.0)
+        assert np.allclose(norm, raw / 6.0)
 
     def test_normalization_unequal_lengths(self):
         rng = np.random.default_rng(22)
@@ -49,7 +57,7 @@ class TestChannelPairwiseDistances:
         target = rng.normal(size=(1, 8))
         raw = channel_pairwise_distances(source, target, "dtw", normalize=False)
         norm = channel_pairwise_distances(source, target, "dtw", normalize=True)
-        assert np.allclose(norm.components, raw.components / 6.0)
+        assert np.allclose(norm, raw / 6.0)
 
     def test_mismatched_channels_rejected(self):
         with pytest.raises(DistanceError, match="channel counts"):
@@ -66,11 +74,19 @@ class TestChannelPairwiseDistances:
                 measure_params=SfaParams(window_length=4),
             )
 
+    def test_bin_count_must_match_channels(self):
+        params = SfaParams(window_length=4, word_length=2, alphabet_size=2)
+        bins = BossParams(params, channel_bins=[np.zeros((2, 1))])
+        with pytest.raises(DistanceError, match="1 channel bin matrices for 2 channels"):
+            channel_pairwise_distances(np.zeros((2, 6)), np.ones((2, 6)), "boss", bins)
+
     def test_vector_invariants(self):
-        with pytest.raises(DistanceError, match="non-negative"):
-            ImportanceVector(components=np.array([1.0, -0.5]))
-        with pytest.raises(DistanceError, match="non-negative"):
-            ImportanceVector(components=np.array([np.nan, 0.0]))
+        for bad in (-0.5, np.nan):
+            rows = np.array([[1.0, bad], [0.0, 0.0]])
+            with pytest.raises(DistanceError, match="non-negative"):
+                ImportanceLatentSet("dtw", 0, 1, vectors=rows)
+            with pytest.raises(DistanceError, match="non-negative"):
+                ImportanceLatentSet("dtw", 0, 1, vectors=np.ones((2, 2)), raw_vectors=rows)
 
 
 def two_view_dataset(rng, n=4, k=2, m=12, copy_target=False):
@@ -86,13 +102,24 @@ def two_view_dataset(rng, n=4, k=2, m=12, copy_target=False):
     )
 
 
+@st.composite
+def distance_arrays(draw):
+    """Two (N, K) arrays of finite non-negative distances, N >= 2, K >= 1."""
+    shape = (draw(st.integers(2, 6)), draw(st.integers(1, 4)))
+    distances = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+    return (
+        draw(arrays(np.float64, shape, elements=distances)),
+        draw(arrays(np.float64, shape, elements=distances)),
+    )
+
+
 class TestBuildLatentSet:
     def test_identical_views_all_zero(self):
         rng = np.random.default_rng(23)
         ds = two_view_dataset(rng, copy_target=True)
         for measure in ("dtw", "boss"):
             latent = build_latent_set(ds, 0, 1, measure)
-            assert np.all(latent.as_array() == 0.0)
+            assert np.all(latent.vectors == 0.0)
 
     def test_compositional_oracle(self):
         """Each vector equals channel_pairwise_distances on that pair."""
@@ -105,8 +132,7 @@ class TestBuildLatentSet:
             expected = channel_pairwise_distances(
                 ds.views[0][i], ds.views[1][i], "dtw", normalize=True
             )
-            assert np.array_equal(latent.vectors[i].components, expected.components)
-            assert latent.vectors[i].sample_id == ds.sample_ids[i]
+            assert np.array_equal(latent.vectors[i], expected)
 
     def test_permutation_gives_same_multiset(self):
         rng = np.random.default_rng(25)
@@ -119,8 +145,8 @@ class TestBuildLatentSet:
             sample_ids=[ds.sample_ids[i] for i in order],
         )
         latent_p = build_latent_set(permuted, 0, 1, "dtw")
-        original = sorted(map(tuple, latent.as_array().tolist()))
-        shuffled = sorted(map(tuple, latent_p.as_array().tolist()))
+        original = sorted(map(tuple, latent.vectors.tolist()))
+        shuffled = sorted(map(tuple, latent_p.vectors.tolist()))
         assert original == shuffled
 
     def test_boss_uses_shared_pooled_bins(self):
@@ -131,7 +157,35 @@ class TestBuildLatentSet:
         params = SfaParams(window_length=8, word_length=4, alphabet_size=3)
         latent = build_latent_set(ds, 0, 1, "boss", measure_params=params)
         assert latent.size == 4
-        assert np.all(latent.as_array() >= 0.0)
+        assert np.all(latent.vectors >= 0.0)
+
+    @pytest.mark.parametrize("given", ["sfa", "boss_without_bins", "none"])
+    def test_boss_rows_match_pooled_bin_oracle(self, given):
+        """Each row equals the pairwise distance under breakpoints fitted
+        per channel on the pooled channel series of both views."""
+        rng = np.random.default_rng(33)
+        n, k, m = 5, 2, 20
+        ds = two_view_dataset(rng, n=n, k=k, m=m)
+        sfa = SfaParams(window_length=8, word_length=4, alphabet_size=3)
+        measure_params = {"sfa": sfa, "boss_without_bins": BossParams(sfa), "none": None}[given]
+        if given == "none":
+            sfa = default_sfa_params(m)
+        latent = build_latent_set(ds, 0, 1, "boss", measure_params=measure_params)
+        pooled = BossParams(sfa, channel_bins=[
+            sfa_fit([sample[c] for view in ds.views for sample in view], sfa)
+            for c in range(k)
+        ])
+        per_pair_differs = False
+        for i in range(n):
+            pair = (ds.views[0][i], ds.views[1][i])
+            expected = channel_pairwise_distances(*pair, "boss", pooled)
+            assert np.array_equal(latent.vectors[i], expected)
+            raw = channel_pairwise_distances(*pair, "boss", pooled, normalize=False)
+            assert np.array_equal(latent.raw_vectors[i], raw)
+            own_bins = channel_pairwise_distances(*pair, "boss", sfa)
+            per_pair_differs |= not np.array_equal(own_bins, expected)
+        # The oracle would not tell pooled from per-pair bins otherwise.
+        assert per_pair_differs
 
     def test_bad_view_indices(self):
         rng = np.random.default_rng(27)
@@ -151,8 +205,7 @@ class TestBuildLatentSet:
         rng = np.random.default_rng(29)
         ds = two_view_dataset(rng, m=10)
         latent = build_latent_set(ds, 0, 1, "dtw", normalize=True)
-        raw = np.stack([v.components for v in latent.raw_vectors])
-        assert np.allclose(latent.as_array(), raw / 10.0)
+        assert np.allclose(latent.vectors, latent.raw_vectors / 10.0)
 
     def test_band_parameter_threads_through(self):
         rng = np.random.default_rng(30)
@@ -162,7 +215,7 @@ class TestBuildLatentSet:
             np.abs(ds.views[0][i] - ds.views[1][i]).sum(axis=1) / 8.0
             for i in range(ds.n_samples)
         ])
-        assert np.allclose(latent.as_array(), expected)
+        assert np.allclose(latent.vectors, expected)
 
 
 class TestLatentSerialization:
@@ -176,7 +229,43 @@ class TestLatentSerialization:
         assert back.measure == latent.measure
         assert back.source_view == 0 and back.target_view == 1
         assert back.dimension == latent.dimension
-        assert np.array_equal(back.as_array(), latent.as_array())
+        assert np.array_equal(back.vectors, latent.vectors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=distance_arrays(), with_raw=st.booleans())
+    def test_json_bytes_round_trip(self, data, with_raw):
+        vectors, raw = data
+        latent = ImportanceLatentSet(
+            "boss", 1, 0, vectors=vectors, raw_vectors=raw if with_raw else None
+        )
+        text = json.dumps(latent.to_json_dict())
+        back = latent_set_from_json(json.loads(text))
+        assert json.dumps(back.to_json_dict()) == text
+        assert back.vectors.tobytes() == vectors.tobytes()
+        if with_raw:
+            assert back.raw_vectors.tobytes() == raw.tobytes()
+        else:
+            assert back.raw_vectors is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=distance_arrays(),
+        bad=st.floats(max_value=0.0, exclude_max=True) | st.just(math.nan),
+        in_raw=st.booleans(),
+        where=st.tuples(st.integers(0, 1_000), st.integers(0, 1_000)),
+    )
+    def test_negative_or_nan_entry_rejected(self, data, bad, in_raw, where):
+        vectors, raw = data
+        target = raw if in_raw else vectors
+        target[where[0] % target.shape[0], where[1] % target.shape[1]] = bad
+        payload = {
+            "measure": "dtw", "source_view": 0, "target_view": 1,
+            "K": vectors.shape[1], "vectors": vectors.tolist(), "vectors_raw": raw.tolist(),
+        }
+        with pytest.raises(DistanceError, match="non-negative"):
+            ImportanceLatentSet("dtw", 0, 1, vectors=vectors, raw_vectors=raw)
+        with pytest.raises(DistanceError, match="non-negative"):
+            latent_set_from_json(payload)
 
     def test_dimension_mismatch_rejected(self):
         payload = {
@@ -185,6 +274,9 @@ class TestLatentSerialization:
         }
         with pytest.raises(DistanceError, match="K"):
             latent_set_from_json(payload)
+        ragged = {**payload, "K": 2, "vectors": [[0.0, 1.0], [1.0]]}
+        with pytest.raises(DistanceError, match="differ in length"):
+            latent_set_from_json(ragged)
 
     def test_missing_key_rejected(self):
         with pytest.raises(DistanceError, match="missing key"):

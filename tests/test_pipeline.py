@@ -523,6 +523,22 @@ class TestRunExperiment:
             with pytest.raises(PipelineError, match="baseline repeat 0 failed"):
                 run_experiment(config, dataset=ds)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(arch="fcn", fcn_kernel_sizes=(8, 5, 3)),
+            dict(dropout_rate=1.0),
+        ],
+        ids=["kernel_longer_than_series", "dropout_out_of_range"],
+    )
+    def test_bad_network_config_fails_before_scoring(self, tmp_path, overrides):
+        """An unbuildable network is rejected, naming the network config,
+        before any score is computed or written."""
+        ds = tiny_dataset(length=6)
+        with pytest.raises(PipelineError, match="network config"):
+            run_experiment(tiny_config(**overrides), dataset=ds, out_dir=tmp_path)
+        assert not (tmp_path / "scores.json").exists()
+
     def test_report_validation(self):
         with pytest.raises(ValueError, match="expected 2 accuracies"):
             ExperimentReport(
