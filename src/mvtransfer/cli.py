@@ -184,8 +184,6 @@ def cmd_density_grid(args) -> int:
         maxs = _parse_floats(args.maxs, "--maxs")
     except ValueError as exc:
         return _fail_usage(args, str(exc))
-    if args.resolution < 2:
-        return _fail_usage(args, "--resolution must be at least 2")
     project = None
     if args.project is not None:
         try:
@@ -204,12 +202,6 @@ def cmd_density_grid(args) -> int:
             f"model has {model.dimension} dimensions; grids are 1-D/2-D only, "
             "use --project to pick the swept dimensions",
         )
-    if len(mins) != len(maxs):
-        return _fail_usage(
-            args, f"--mins has {len(mins)} values but --maxs has {len(maxs)}"
-        )
-    if any(lo >= hi for lo, hi in zip(mins, maxs)):
-        return _fail_usage(args, f"grid bounds reversed or empty: mins {mins}, maxs {maxs}")
     try:
         points, densities = evaluate_density_grid(
             model, mins, maxs, args.resolution, project_dims=project

@@ -383,25 +383,3 @@ def _take(dataset: MultiViewDataset, indices: list[int]) -> MultiViewDataset:
         sample_ids=ids,
         groups=groups,
     )
-
-
-def standardize_per_channel(dataset: MultiViewDataset) -> MultiViewDataset:
-    """Z-score each view's channels using statistics pooled over all samples.
-
-    Channels with zero variance are only mean-centred.  Off by default in
-    the pipeline; provided for inputs that are not already normalized.
-    """
-    new_views = []
-    for v in range(dataset.n_views):
-        samples = dataset.views[v]
-        pooled = np.concatenate(samples, axis=1)
-        mean = pooled.mean(axis=1, keepdims=True)
-        std = pooled.std(axis=1, keepdims=True)
-        std = np.where(std > 0, std, 1.0)
-        new_views.append([(s - mean) / std for s in samples])
-    return MultiViewDataset(
-        views=new_views,
-        labels=list(dataset.labels),
-        sample_ids=list(dataset.sample_ids),
-        groups=dict(dataset.groups) if dataset.groups is not None else None,
-    )

@@ -24,6 +24,7 @@ import numpy as np
 from mvtransfer.optim import adam_update, init_adam_state
 
 SCALE_BOUND = 5.0
+MIN_TRAINING_POINTS = 8
 DUPLICATE_DISTANCE_THRESHOLD = 1e-8
 
 
@@ -114,17 +115,22 @@ def init_flow_model(latent, config: FlowConfig | None = None) -> FlowModel:
     )
 
 
-def _layer_forward(model: FlowModel, i: int, x: np.ndarray):
+def _coupling(model: FlowModel, i: int, u: np.ndarray):
+    """Layer ``i``'s bounded log-scale and shift for the masked input ``u``,
+    plus the two hidden activations the backward pass reuses."""
     p = model.params
-    mask = model.masks[i]
-    u = x * mask
     h1 = np.tanh(u @ p[f"layer{i}.W1"] + p[f"layer{i}.b1"])
     h2 = np.tanh(h1 @ p[f"layer{i}.W2"] + p[f"layer{i}.b2"])
     out = h2 @ p[f"layer{i}.W3"] + p[f"layer{i}.b3"]
     d = model.dimension
-    raw_scale = out[:, :d]
-    shift = out[:, d:]
-    log_scale = SCALE_BOUND * np.tanh(raw_scale / SCALE_BOUND)
+    log_scale = SCALE_BOUND * np.tanh(out[:, :d] / SCALE_BOUND)
+    return log_scale, out[:, d:], h1, h2
+
+
+def _layer_forward(model: FlowModel, i: int, x: np.ndarray):
+    mask = model.masks[i]
+    u = x * mask
+    log_scale, shift, h1, h2 = _coupling(model, i, u)
     grown = np.exp(log_scale)
     inv = 1.0 - mask
     y = u + inv * (x * grown + shift)
@@ -134,15 +140,9 @@ def _layer_forward(model: FlowModel, i: int, x: np.ndarray):
 
 
 def _layer_inverse(model: FlowModel, i: int, y: np.ndarray) -> np.ndarray:
-    p = model.params
     mask = model.masks[i]
     u = y * mask  # masked coordinates pass through unchanged
-    h1 = np.tanh(u @ p[f"layer{i}.W1"] + p[f"layer{i}.b1"])
-    h2 = np.tanh(h1 @ p[f"layer{i}.W2"] + p[f"layer{i}.b2"])
-    out = h2 @ p[f"layer{i}.W3"] + p[f"layer{i}.b3"]
-    d = model.dimension
-    log_scale = SCALE_BOUND * np.tanh(out[:, :d] / SCALE_BOUND)
-    shift = out[:, d:]
+    log_scale, shift, _, _ = _coupling(model, i, u)
     inv = 1.0 - mask
     return u + inv * ((y - shift) * np.exp(-log_scale))
 
@@ -272,8 +272,8 @@ def fit_flow(latent, config: FlowConfig | None = None) -> FlowModel:
     config = config or FlowConfig()
     data = as_data_array(latent)
     n, d = data.shape
-    if n < 8:
-        raise ValueError(f"need at least 8 training points, got {n}")
+    if n < MIN_TRAINING_POINTS:
+        raise ValueError(f"need at least {MIN_TRAINING_POINTS} training points, got {n}")
     if d < 2:
         raise ValueError(f"coupling layers need dimension >= 2, got {d}")
 

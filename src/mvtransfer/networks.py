@@ -31,7 +31,11 @@ class NetworkError(RuntimeError):
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Architecture hyperparameters shared by init, forward, and transfer."""
+    """Architecture hyperparameters shared by init, forward, and transfer.
+
+    ``dropout_rate`` applies to the FCN only: the MLP has no dropout layer,
+    so its training does not depend on the rate.
+    """
 
     arch: str
     input_channels: int
@@ -150,11 +154,6 @@ def init_network(config: NetworkConfig) -> Network:
         params["head.W"] = uniform((FCN_FILTERS[-1], config.class_count), FCN_FILTERS[-1])
         params["head.b"] = np.zeros(config.class_count)
     return Network(config=config, params=params, running_stats=stats, mode="train")
-
-
-def parameter_count(net: Network) -> int:
-    """Total number of trainable scalars (running statistics excluded)."""
-    return int(sum(tensor.size for tensor in net.params.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -467,25 +466,30 @@ def _check_labels(labels, count: int, class_count: int) -> np.ndarray:
 def loss_and_gradients(
     net: Network, batch, labels, rng: np.random.Generator | None = None
 ):
-    """Mean cross-entropy loss and parameter gradients for one batch.
+    """Loss, parameter gradients and argmax-correct count for one batch.
 
-    In train mode, batch-norm uses batch statistics (updating the running
-    averages) and dropout draws a fresh mask shared between the forward and
-    backward passes; in eval mode both are deterministic.
+    Returns ``(loss, grads, correct)``: the mean cross-entropy, the
+    gradient of every parameter, and how many rows the forward pass
+    classified correctly (ties pick the lower class, as in
+    :func:`evaluate`).  In train mode, batch-norm uses batch statistics
+    (updating the running averages) and dropout draws a fresh mask shared
+    between the forward and backward passes; in eval mode both are
+    deterministic.
     """
     array = _check_batch(net, batch)
     targets = _check_labels(labels, array.shape[0], net.config.class_count)
     logits, cache = _forward_logits(
         net, array, rng=rng, update_stats=net.mode == "train"
     )
-    loss, _, grad_logits = softmax_cross_entropy(logits, targets)
+    loss, probs, grad_logits = softmax_cross_entropy(logits, targets)
     if not np.isfinite(loss):
         raise NetworkError("non-finite loss")
+    correct = int((probs.argmax(axis=1) == targets).sum())
     if net.config.arch == "mlp":
         grads = _backward_mlp(net, grad_logits, cache)
     else:
         grads = _backward_fcn(net, grad_logits, cache)
-    return loss, grads
+    return loss, grads, correct
 
 
 def evaluate(net: Network, batch, labels) -> float:
@@ -508,15 +512,16 @@ def train(
     labels,
     config: TrainConfig,
     epoch_budget: int | None = None,
-    log_path=None,
     frozen_params=(),
 ) -> list:
     """Mini-batch training for ``epoch_budget`` epochs (default: config).
 
     Each epoch shuffles the samples with a generator seeded once from
     ``config.seed``, walks batches of ``config.batch_size``, and records
-    the sample-weighted mean loss plus end-of-epoch training accuracy.  A
-    budget of 0 leaves the network untouched and returns an empty log.
+    the sample-weighted mean loss and the running training accuracy: the
+    fraction of samples each batch's train-mode forward pass classified
+    correctly before its optimizer step.  A budget of 0 leaves the network
+    untouched and returns an empty log.
     Parameters named in ``frozen_params`` keep their current values (their
     gradients are left out of each optimizer step).  The network is left
     in eval mode when training finishes.
@@ -540,10 +545,13 @@ def train(
     for epoch in range(1, budget + 1):
         order = rng.permutation(count)
         total_loss = 0.0
+        total_correct = 0
         for start in range(0, count, config.batch_size):
             chosen = order[start : start + config.batch_size]
             try:
-                loss, grads = loss_and_gradients(net, array[chosen], targets[chosen], rng)
+                loss, grads, correct = loss_and_gradients(
+                    net, array[chosen], targets[chosen], rng
+                )
             except NetworkError as exc:
                 net.mode = "eval"
                 raise NetworkError(f"training aborted at epoch {epoch}: {exc}") from exc
@@ -559,29 +567,16 @@ def train(
                 eps=config.adam_epsilon,
             )
             total_loss += loss * len(chosen)
-        accuracy = evaluate(net, array, targets)
+            total_correct += correct
         log.append(
             {
                 "epoch": epoch,
                 "loss": total_loss / count,
-                "train_accuracy": accuracy,
+                "train_accuracy": total_correct / count,
             }
         )
     net.mode = "eval"
-    if log_path is not None:
-        write_training_log(log_path, log)
     return log
-
-
-def write_training_log(path, log: list) -> None:
-    """Write per-epoch records as a `epoch,loss,train_accuracy` CSV."""
-    lines = ["epoch,loss,train_accuracy"]
-    for entry in log:
-        lines.append(
-            f"{entry['epoch']},{float(entry['loss'])!r},{float(entry['train_accuracy'])!r}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
 
 
 def transfer_weights(source_net: Network, target_net: Network) -> Network:

@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import MultiViewDataset, SplitSpec, align_lengths, load_dataset, split_dataset
+from .density import select_density_method
 from .distance import BossParams, DtwParams, SfaParams
-from .flow import FlowConfig
+from .flow import MIN_TRAINING_POINTS, FlowConfig
 from .importance import (
     SamplingConfig,
     TransferSchedule,
@@ -67,7 +68,8 @@ class ExperimentConfig:
     init, per-view pretraining, and fine-tuning; the importance-scoring
     seed, the flow seed, and the train/test split seed are derived once per
     experiment (the ``seed`` field of ``sampling`` is replaced by the
-    derived scoring seed).
+    derived scoring seed).  ``dropout_rate`` applies to the FCN only; the
+    MLP has no dropout layer.
     """
 
     dataset_path: str | None
@@ -282,9 +284,20 @@ def score_views(config: ExperimentConfig, dataset: MultiViewDataset) -> list:
 
     Ragged views are first aligned with ``config.align_strategy``, as
     training aligns them, and the sampling and flow seeds are derived from
-    ``base_seed``.
+    ``base_seed``.  A flow density needs one latent point per sample and
+    at least ``MIN_TRAINING_POINTS`` of them; too few samples fail here,
+    before any distance is computed.
     """
     sources = _source_views(config, dataset)
+    channels = dataset.channel_count(config.target_view)
+    if (
+        select_density_method(channels, config.density_override) == "flow"
+        and dataset.n_samples < MIN_TRAINING_POINTS
+    ):
+        raise PipelineError(
+            f"scoring with the flow density needs at least {MIN_TRAINING_POINTS} "
+            f"samples, got {dataset.n_samples}"
+        )
     dataset = _aligned(dataset, config)
     seeds = scoring_seeds(config)
     sampling = replace(config.sampling, seed=seeds["scoring"])
@@ -367,8 +380,7 @@ def _run_single(prepared, config, schedule, repeat_index):
     mode = "baseline" if schedule is None else "transfer"
     seeds = _repeat_seeds(config.base_seed, repeat_index)
     net_config = replace(prepared.net_config, seed=seeds["init"])
-    rows = []
-    epoch_counter = 0
+    logs = []
     if schedule is not None:
         source_net = init_network(net_config)
         positions = list(range(len(prepared.source_views)))
@@ -384,18 +396,7 @@ def _run_single(prepared, config, schedule, repeat_index):
                 _train_config(config, seeds["pretrain"] + view),
                 epoch_budget=schedule.epochs[position],
             )
-            for entry in log:
-                epoch_counter += 1
-                rows.append(
-                    (
-                        mode,
-                        repeat_index,
-                        epoch_counter,
-                        f"pretrain_view_{view}",
-                        float(entry["loss"]),
-                        float(entry["train_accuracy"]),
-                    )
-                )
+            logs.append((f"pretrain_view_{view}", log))
         net = init_network(net_config)
         transfer_weights(source_net, net)
     else:
@@ -411,18 +412,12 @@ def _run_single(prepared, config, schedule, repeat_index):
         epoch_budget=config.finetune_epochs,
         frozen_params=frozen,
     )
-    for entry in log:
-        epoch_counter += 1
-        rows.append(
-            (
-                mode,
-                repeat_index,
-                epoch_counter,
-                "finetune",
-                float(entry["loss"]),
-                float(entry["train_accuracy"]),
-            )
-        )
+    logs.append(("finetune", log))
+    entries = [(phase, entry) for phase, log in logs for entry in log]
+    rows = [
+        (mode, repeat_index, epoch, phase, float(entry["loss"]), float(entry["train_accuracy"]))
+        for epoch, (phase, entry) in enumerate(entries, start=1)
+    ]
     accuracy = evaluate(
         net, prepared.test_inputs[prepared.target_view], prepared.test_labels
     )

@@ -161,7 +161,7 @@ def network_fd_error(net, batch, labels, probes_per_tensor=6, step=1e-5, seed=0)
     """Max relative error between analytic and central-difference gradients
     over a seeded subsample of entries in every parameter tensor."""
     rng = np.random.default_rng(seed)
-    _, grads = loss_and_gradients(net, batch, labels)
+    _, grads, _ = loss_and_gradients(net, batch, labels)
     worst = 0.0
     for name in sorted(net.params):
         tensor = net.params[name]
@@ -171,9 +171,9 @@ def network_fd_error(net, batch, labels, probes_per_tensor=6, step=1e-5, seed=0)
         for index in picks:
             original = flat[index]
             flat[index] = original + step
-            loss_plus, _ = loss_and_gradients(net, batch, labels)
+            loss_plus, _, _ = loss_and_gradients(net, batch, labels)
             flat[index] = original - step
-            loss_minus, _ = loss_and_gradients(net, batch, labels)
+            loss_minus, _, _ = loss_and_gradients(net, batch, labels)
             flat[index] = original
             numeric = (loss_plus - loss_minus) / (2.0 * step)
             analytic = grads[name].reshape(-1)[index]

@@ -14,7 +14,6 @@ from mvtransfer.dataset import (
     emit_dataset,
     load_dataset,
     split_dataset,
-    standardize_per_channel,
 )
 
 from conftest import make_random_dataset
@@ -380,23 +379,3 @@ class TestValidation:
         ds = make_random_dataset(rng, n_samples=6, n_classes=3)
         idx = ds.label_indices()
         assert idx.tolist() == [0, 1, 2, 0, 1, 2]
-
-
-class TestStandardize:
-    def test_pooled_moments(self):
-        rng = np.random.default_rng(21)
-        ds = make_random_dataset(rng, n_samples=10, length=30)
-        out = standardize_per_channel(ds)
-        for v in range(out.n_views):
-            pooled = np.concatenate(out.views[v], axis=1)
-            assert np.allclose(pooled.mean(axis=1), 0.0, atol=1e-12)
-            assert np.allclose(pooled.std(axis=1), 1.0, atol=1e-12)
-
-    def test_constant_channel_only_centered(self):
-        rng = np.random.default_rng(22)
-        ds = make_random_dataset(rng, n_samples=4, length=6)
-        for sample in ds.views[0]:
-            sample[0, :] = 7.0
-        out = standardize_per_channel(ds)
-        for sample in out.views[0]:
-            assert np.allclose(sample[0, :], 0.0)

@@ -22,12 +22,10 @@ from mvtransfer.networks import (
     init_network,
     load_network,
     loss_and_gradients,
-    parameter_count,
     save_network,
     softmax_cross_entropy,
     train,
     transfer_weights,
-    write_training_log,
 )
 from mvtransfer.optim import adam_update, init_adam_state
 
@@ -64,7 +62,7 @@ class TestInit:
     def test_mlp_parameter_count(self):
         """Dense 10->128, 128->128, 128->3 with biases totals 18,307."""
         net = init_network(mlp_config(channels=2, length=5, classes=3))
-        assert parameter_count(net) == 18_307
+        assert sum(p.size for p in net.params.values()) == 18_307
 
     def test_same_seed_is_bit_identical(self):
         first = init_network(fcn_config(seed=4))
@@ -383,7 +381,7 @@ class TestForward:
 def max_param_fd_error(net, batch, labels, probes_per_tensor=6, step=1e-5, seed=0):
     """Worst relative disagreement between analytic and central-difference
     gradients over a seeded subsample of entries in every tensor."""
-    _, grads = loss_and_gradients(net, batch, labels)
+    _, grads, _ = loss_and_gradients(net, batch, labels)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name, tensor in net.params.items():
@@ -395,9 +393,9 @@ def max_param_fd_error(net, batch, labels, probes_per_tensor=6, step=1e-5, seed=
         for idx in indices:
             keep = flat[idx]
             flat[idx] = keep + step
-            plus, _ = loss_and_gradients(net, batch, labels)
+            plus, _, _ = loss_and_gradients(net, batch, labels)
             flat[idx] = keep - step
-            minus, _ = loss_and_gradients(net, batch, labels)
+            minus, _, _ = loss_and_gradients(net, batch, labels)
             flat[idx] = keep
             numeric = (plus - minus) / (2 * step)
             analytic = grads[name].reshape(-1)[idx]
@@ -412,7 +410,7 @@ class TestLossAndGradients:
         net = init_network(mlp_config(classes=3))
         net.params["dense3.W"][:] = 0.0
         net.params["dense3.b"][:] = [40.0, 0.0, 0.0]
-        loss, _ = loss_and_gradients(net, rng.normal(size=(4, 2, 5)), np.zeros(4, dtype=int))
+        loss, _, _ = loss_and_gradients(net, rng.normal(size=(4, 2, 5)), np.zeros(4, dtype=int))
         assert loss < 1e-12
 
     def test_uniform_network_loss_is_log_class_count(self):
@@ -420,7 +418,7 @@ class TestLossAndGradients:
         net = init_network(mlp_config(classes=5))
         net.params["dense3.W"][:] = 0.0
         net.params["dense3.b"][:] = 0.0
-        loss, _ = loss_and_gradients(
+        loss, _, _ = loss_and_gradients(
             net, rng.normal(size=(6, 2, 5)), rng.integers(0, 5, size=6)
         )
         assert loss == pytest.approx(math.log(5.0))
@@ -460,8 +458,8 @@ class TestLossAndGradients:
         net = init_network(fcn_config(dropout=0.5))
         batch = rng_data.normal(size=(4, 2, 12))
         labels = rng_data.integers(0, 2, size=4)
-        loss_a, grads_a = loss_and_gradients(net, batch, labels, np.random.default_rng(7))
-        loss_b, grads_b = loss_and_gradients(net, batch, labels, np.random.default_rng(7))
+        loss_a, grads_a, _ = loss_and_gradients(net, batch, labels, np.random.default_rng(7))
+        loss_b, grads_b, _ = loss_and_gradients(net, batch, labels, np.random.default_rng(7))
         assert loss_a == loss_b
         for name in grads_a:
             assert np.array_equal(grads_a[name], grads_b[name])
@@ -473,6 +471,29 @@ class TestLossAndGradients:
             loss_and_gradients(net, batch, np.array([0.5, 1.0]))
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
             loss_and_gradients(net, batch, np.array([0, 3]))
+
+    @pytest.mark.parametrize("arch", ["mlp", "fcn"])
+    def test_correct_is_argmax_count(self, arch):
+        """``correct`` counts the rows whose argmax probability is the label."""
+        rng = np.random.default_rng(139)
+        config = mlp_config(classes=3) if arch == "mlp" else fcn_config(classes=3)
+        net = init_network(config)
+        net.mode = "eval"
+        batch = rng.normal(size=(9, 2, config.input_length))
+        labels = rng.integers(0, 3, size=9)
+        labels[:4] = forward(net, batch[:4]).argmax(axis=1)
+        _, _, correct = loss_and_gradients(net, batch, labels)
+        assert correct == np.count_nonzero(forward(net, batch).argmax(axis=1) == labels)
+
+    def test_correct_breaks_ties_to_lower_class(self):
+        """All-equal logits predict class 0, as in :func:`evaluate`."""
+        rng = np.random.default_rng(140)
+        net = init_network(mlp_config(classes=3))
+        net.params["dense3.W"][:] = 0.0
+        net.params["dense3.b"][:] = 0.0
+        labels = np.array([0, 2, 0, 1, 0, 2, 1])
+        _, _, correct = loss_and_gradients(net, rng.normal(size=(7, 2, 5)), labels)
+        assert correct == 3
 
 
 class TestAdamStep:
@@ -580,18 +601,56 @@ class TestTraining:
             with pytest.raises(NetworkError, match="epoch"):
                 train(net, inputs, labels, config, epoch_budget=5)
 
-    def test_log_written_as_csv(self, tmp_path):
-        rng = np.random.default_rng(134)
-        inputs, labels = separable_fixture(rng, count=10)
-        net = init_network(mlp_config(channels=2, length=5, classes=2))
-        path = tmp_path / "log.csv"
-        log = train(net, inputs, labels, TrainConfig(), epoch_budget=3, log_path=path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "epoch,loss,train_accuracy"
-        assert len(lines) == 4
-        first = lines[1].split(",")
-        assert first[0] == "1"
-        assert float(first[1]) == log[0]["loss"]
+    def test_one_batch_accuracy_is_untrained_accuracy(self):
+        """With the whole set in one batch, an epoch's logged accuracy is
+        that batch's forward pass before the only step: the untrained net's."""
+        rng = np.random.default_rng(141)
+        inputs = rng.normal(size=(10, 2, 5))
+        labels = rng.integers(0, 3, size=10)
+        untrained = init_network(mlp_config(classes=3, seed=2))
+        expected = evaluate(untrained, inputs, labels)
+        net = init_network(mlp_config(classes=3, seed=2))
+        config = TrainConfig(batch_size=16, learning_rate=0.5)
+        (entry,) = train(net, inputs, labels, config, epoch_budget=1)
+        assert entry["train_accuracy"] == expected
+        assert evaluate(net, inputs, labels) != expected
+
+    def test_no_separate_evaluation_pass(self, monkeypatch):
+        """The logged accuracy comes from the training forward passes."""
+        import mvtransfer.networks as networks
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("train called evaluate")
+
+        monkeypatch.setattr(networks, "evaluate", refuse)
+        rng = np.random.default_rng(142)
+        inputs, labels = separable_fixture(rng, count=12, length=12)
+        net = init_network(fcn_config(kernels=(3, 3, 3), dropout=0.2))
+        log = train(net, inputs, labels, TrainConfig(batch_size=5), epoch_budget=2)
+        for entry in log:
+            assert entry["train_accuracy"] in {k / 12 for k in range(13)}
+
+    def test_mlp_ignores_dropout_rate(self):
+        """The MLP has no dropout layer: rates 0.0 and 0.5 train identically."""
+        rng = np.random.default_rng(143)
+        inputs, labels = separable_fixture(rng, count=12)
+        runs = []
+        for rate in (0.0, 0.5):
+            config = NetworkConfig(
+                arch="mlp",
+                input_channels=2,
+                input_length=5,
+                class_count=2,
+                dropout_rate=rate,
+                seed=1,
+            )
+            net = init_network(config)
+            log = train(net, inputs, labels, TrainConfig(batch_size=5, seed=3), epoch_budget=3)
+            runs.append((net, log))
+        (first, first_log), (second, second_log) = runs
+        assert first_log == second_log
+        for name in first.params:
+            assert np.array_equal(first.params[name], second.params[name])
 
     def test_network_left_in_eval_mode(self):
         rng = np.random.default_rng(135)

@@ -539,6 +539,27 @@ class TestRunExperiment:
             run_experiment(tiny_config(**overrides), dataset=ds, out_dir=tmp_path)
         assert not (tmp_path / "scores.json").exists()
 
+    @pytest.mark.parametrize(
+        "channels, density_override", [(4, None), (1, "flow")], ids=["four_channels", "override"]
+    )
+    def test_flow_with_too_few_samples_fails_before_distances(
+        self, monkeypatch, channels, density_override
+    ):
+        """Seven training samples cannot fit a flow: scoring fails naming
+        the flow density and the count before any distance is computed."""
+        import mvtransfer.importance as importance
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a latent set was built")
+
+        monkeypatch.setattr(importance, "build_latent_set", refuse)
+        ds = make_synthetic_dataset(n_samples=10, channels=channels, length=16)
+        config = tiny_config(base_seed=1, density_override=density_override)
+        with pytest.raises(
+            PipelineError, match="scoring with the flow density needs at least 8 samples, got 7"
+        ):
+            run_experiment(config, dataset=ds)
+
     def test_report_validation(self):
         with pytest.raises(ValueError, match="expected 2 accuracies"):
             ExperimentReport(
