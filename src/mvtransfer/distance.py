@@ -7,7 +7,8 @@ equi-depth coefficient binning.  ``channel_pairwise_distances`` applies
 either measure channel-by-channel to a pair of multivariate samples,
 and ``build_latent_set`` stacks those distance vectors over every
 corresponding sample pair of a source/target view pair into one (N, K)
-array.
+array.  Both run every warping channel pair through one batched
+anti-diagonal kernel, bit-equal to the single-pair ``dtw_distance``.
 
 The windowed Fourier transform is computed by direct definition with
 sequential accumulation (no FFT): window counts are tiny at this scale
@@ -44,24 +45,31 @@ class DtwParams:
             raise DistanceError(f"band_radius must be >= 0, got {self.band_radius}")
 
 
+def _check_dtw_lengths(n: int, m: int, r: int | None) -> None:
+    if n == 0 or m == 0:
+        raise DistanceError("dtw_distance requires non-empty series")
+    if r is not None and abs(n - m) > r:
+        raise DistanceError(
+            f"band radius {r} admits no warp path between lengths {n} and {m}"
+        )
+
+
 def dtw_distance(x, y, params: DtwParams | None = None) -> float:
     """Minimum cumulative absolute-difference cost over monotone warp paths.
 
     Paths start at the first observation pair, end at the last, and move by
     unit steps in either or both series.  With a band radius r only cells
     with |i - j| <= r participate.
+
+    This is the single-pair reference; the pipeline runs ``_dtw_many``,
+    which gives bit-equal results for many pairs at once.
     """
     params = params or DtwParams()
     xs = [float(v) for v in np.asarray(x, dtype=np.float64).ravel()]
     ys = [float(v) for v in np.asarray(y, dtype=np.float64).ravel()]
     n, m = len(xs), len(ys)
-    if n == 0 or m == 0:
-        raise DistanceError("dtw_distance requires non-empty series")
     r = params.band_radius
-    if r is not None and abs(n - m) > r:
-        raise DistanceError(
-            f"band radius {r} admits no warp path between lengths {n} and {m}"
-        )
+    _check_dtw_lengths(n, m, r)
     inf = math.inf
     prev = [inf] * m
     for i in range(n):
@@ -84,6 +92,45 @@ def dtw_distance(x, y, params: DtwParams | None = None) -> float:
         prev = cur
     result = prev[m - 1]
     if not math.isfinite(result):
+        raise DistanceError("no feasible warp path (band too narrow)")
+    return result
+
+
+def _dtw_many(x: np.ndarray, y: np.ndarray, band_radius: int | None = None) -> np.ndarray:
+    """(P,) DTW distances between the rows of float64 ``x`` (P, n) and ``y`` (P, m).
+
+    Sweeps the anti-diagonals d = i + j of every pair's cost grid at once.
+    Column ``k`` of each (P, n + 1) diagonal buffer holds cell
+    (k - 1, d - k + 1), so column 0 is a permanent inf border; only the
+    valid cells of a diagonal are written, and the stale cells a reused
+    buffer keeps from three diagonals back are never read.  Each cell is the minimum of its three
+    predecessors plus its cost, as in ``dtw_distance``, so the two agree
+    bit for bit.  Cells outside the band, |2i - d| > r, are set to inf.
+    """
+    p, n = x.shape
+    m = y.shape[1]
+    _check_dtw_lengths(n, m, band_radius)
+    y_reversed = y[:, ::-1].copy()  # cell (i, d - i) reads column m - 1 - d + i
+    diag2, diag1, diag0 = (np.full((p, n + 1), np.inf) for _ in range(3))
+    diag1[:, 1] = np.abs(x[:, 0] - y[:, 0])
+    best = np.empty((p, n))
+    cost = np.empty((p, n))
+    for d in range(1, n + m - 1):
+        lo, hi = max(0, d - m + 1), min(n - 1, d)
+        width = hi - lo + 1
+        c = cost[:, :width]
+        np.subtract(x[:, lo:hi + 1], y_reversed[:, m - 1 - d + lo:m - d + hi], out=c)
+        np.abs(c, out=c)
+        b = best[:, :width]
+        np.minimum(diag1[:, lo:hi + 1], diag1[:, lo + 1:hi + 2], out=b)  # step in x, in y
+        np.minimum(b, diag2[:, lo:hi + 1], out=b)  # diagonal step
+        np.add(b, c, out=diag0[:, lo + 1:hi + 2])
+        if band_radius is not None:
+            diag0[:, lo + 1:max(lo, (d - band_radius + 1) // 2) + 1] = np.inf
+            diag0[:, max(lo, (d + band_radius) // 2 + 1) + 1:hi + 2] = np.inf
+        diag2, diag1, diag0 = diag1, diag0, diag2
+    result = diag1[:, n]
+    if not np.all(np.isfinite(result)):
         raise DistanceError("no feasible warp path (band too narrow)")
     return result
 
@@ -400,7 +447,7 @@ def _raw_channel_distances(source, target, params) -> np.ndarray:
     samples under resolved params.  Boss without bins fits breakpoints on
     each channel's own two series."""
     if isinstance(params, DtwParams):
-        return np.array([dtw_distance(s, t, params) for s, t in zip(source, target)])
+        return _dtw_many(source, target, params.band_radius)
     bins = params.channel_bins
     if bins is None:
         bins = [sfa_fit([s, t], params.sfa) for s, t in zip(source, target)]
@@ -438,6 +485,21 @@ def channel_pairwise_distances(
     if normalize:
         values = values / ((m_source + m_target) / 2.0)
     return values
+
+
+def _latent_dtw(sources, targets, band_radius: int | None) -> np.ndarray:
+    """(N, K) DTW distances between matching channels of every sample
+    pair: one ``_dtw_many`` call per (source length, target length) group,
+    scattered back in sample order."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (s, t) in enumerate(zip(sources, targets)):
+        groups.setdefault((s.shape[1], t.shape[1]), []).append(i)
+    raw = np.empty((len(sources), sources[0].shape[0]))
+    for index in groups.values():
+        x = np.concatenate([sources[i] for i in index], dtype=np.float64)
+        y = np.concatenate([targets[i] for i in index], dtype=np.float64)
+        raw[index] = _dtw_many(x, y, band_radius).reshape(len(index), -1)
+    return raw
 
 
 def build_latent_set(
@@ -478,7 +540,10 @@ def build_latent_set(
         params = BossParams(sfa=params.sfa, channel_bins=pooled)
 
     pairs = list(zip(sources, targets))
-    raw = np.stack([_raw_channel_distances(s, t, params) for s, t in pairs])
+    if isinstance(params, DtwParams):
+        raw = _latent_dtw(sources, targets, params.band_radius)
+    else:
+        raw = np.stack([_raw_channel_distances(s, t, params) for s, t in pairs])
     if normalize:
         mean_lengths = np.array([(s.shape[1] + t.shape[1]) / 2.0 for s, t in pairs])
         vectors = raw / mean_lengths[:, None]

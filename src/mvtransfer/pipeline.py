@@ -286,10 +286,19 @@ def score_views(config: ExperimentConfig, dataset: MultiViewDataset) -> list:
     training aligns them, and the sampling and flow seeds are derived from
     ``base_seed``.  A flow density needs one latent point per sample and
     at least ``MIN_TRAINING_POINTS`` of them; too few samples fail here,
-    before any distance is computed.
+    before any distance is computed.  So does a source view whose channel
+    count differs from the target view's.
     """
     sources = _source_views(config, dataset)
     channels = dataset.channel_count(config.target_view)
+    mismatched = {
+        v: dataset.channel_count(v) for v in sources if dataset.channel_count(v) != channels
+    }
+    if mismatched:
+        raise PipelineError(
+            f"scoring needs every source view to have target view {config.target_view}'s "
+            f"{channels} channels; channels by source view: {mismatched}"
+        )
     if (
         select_density_method(channels, config.density_override) == "flow"
         and dataset.n_samples < MIN_TRAINING_POINTS

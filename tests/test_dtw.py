@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mvtransfer.distance import DistanceError, DtwParams, dtw_distance
+from mvtransfer.distance import DistanceError, DtwParams, _dtw_many, dtw_distance
 
 
 def enumerate_warp_paths(x, y, band=None):
@@ -131,3 +132,78 @@ class TestDtwEnumerationOracle:
             x = rng.normal(size=int(rng.integers(1, 7))).tolist()
             y = rng.normal(size=int(rng.integers(1, 7))).tolist()
             assert dtw_distance(x, y) == enumerate_warp_paths(x, y)
+
+
+def per_pair(x, y, band=None):
+    return np.array([dtw_distance(a, b, DtwParams(band_radius=band)) for a, b in zip(x, y)])
+
+
+class TestDtwKernel:
+    """The batched wavefront is bit-equal to the single-pair reference."""
+
+    @pytest.mark.parametrize(
+        "p, n, m, band",
+        [
+            (7, 9, 5, None),
+            (7, 4, 11, None),
+            (5, 1, 6, None),
+            (5, 6, 1, None),
+            (3, 1, 1, None),
+            (6, 10, 10, 0),
+            (6, 9, 7, 2),
+            (6, 7, 10, 3),
+            (8, 12, 12, 1),
+            (8, 12, 12, 2),
+            (6, 9, 7, 50),
+            (1, 12, 9, None),
+            (1, 12, 9, 4),
+        ],
+    )
+    def test_bit_equal_to_reference(self, p, n, m, band):
+        rng = np.random.default_rng(100 + 13 * n + m)
+        x = rng.normal(size=(p, n))
+        y = rng.normal(size=(p, m))
+        assert np.array_equal(_dtw_many(x, y, band), per_pair(x, y, band))
+
+    def test_band_narrower_than_length_gap_rejected(self):
+        x, y = np.zeros((2, 5)), np.zeros((2, 1))
+        for call in (lambda: _dtw_many(x, y, 1), lambda: per_pair(x, y, 1)):
+            with pytest.raises(DistanceError, match="band radius 1 admits no warp path"):
+                call()
+
+    def test_empty_series_rejected(self):
+        for x, y in ((np.zeros((2, 0)), np.zeros((2, 3))), (np.zeros((2, 3)), np.zeros((2, 0)))):
+            for call in (lambda: _dtw_many(x, y), lambda: per_pair(x, y)):
+                with pytest.raises(DistanceError, match="non-empty"):
+                    call()
+
+
+series = st.lists(st.integers(-9, 9), min_size=1, max_size=8)
+
+
+class TestDtwHypothesis:
+    @settings(max_examples=80, deadline=None)
+    @given(x=series, y=series)
+    def test_symmetric(self, x, y):
+        assert dtw_distance(x, y) == dtw_distance(y, x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(x=series, y=series, band=st.integers(0, 8), extra=st.integers(1, 3))
+    def test_wider_band_never_costs_more(self, x, y, band, extra):
+        band = max(band, abs(len(x) - len(y)))
+        narrow = dtw_distance(x, y, DtwParams(band_radius=band))
+        assert dtw_distance(x, y, DtwParams(band_radius=band + extra)) <= narrow
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)),
+        band=st.one_of(st.none(), st.integers(0, 10)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_equals_reference(self, shape, band, seed):
+        p, n, m = shape
+        if band is not None:
+            band = max(band, abs(n - m))
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(p, n)), rng.normal(size=(p, m))
+        assert np.array_equal(_dtw_many(x, y, band), per_pair(x, y, band))

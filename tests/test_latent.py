@@ -187,6 +187,31 @@ class TestBuildLatentSet:
         # The oracle would not tell pooled from per-pair bins otherwise.
         assert per_pair_differs
 
+    def test_dtw_does_not_run_the_single_pair_reference(self, monkeypatch):
+        """Every channel pair goes through the batched kernel."""
+        import mvtransfer.distance as distance
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dtw_distance was called")
+
+        monkeypatch.setattr(distance, "dtw_distance", refuse)
+        ds = make_random_dataset(np.random.default_rng(34), n_samples=5, ragged=True)
+        assert build_latent_set(ds, 0, 1, "dtw").size == 5
+        assert channel_pairwise_distances(ds.views[0][0], ds.views[1][0], "dtw").shape == (2,)
+
+    @pytest.mark.parametrize("band", [None, 8], ids=["free", "band"])
+    def test_ragged_dtw_rows_equal_per_pair_reference(self, band):
+        """Pairs grouped by length come back in sample order, bit-equal to
+        one ``dtw_distance`` per channel pair."""
+        ds = make_random_dataset(np.random.default_rng(35), n_samples=12, channels=3, ragged=True)
+        params = DtwParams(band_radius=band)
+        latent = build_latent_set(ds, 0, 1, "dtw", measure_params=params)
+        assert len({(s.shape[1], t.shape[1]) for s, t in zip(*ds.views)}) > 1
+        for i, (s, t) in enumerate(zip(*ds.views)):
+            raw = np.array([dtw_distance(a, b, params) for a, b in zip(s, t)])
+            assert np.array_equal(latent.raw_vectors[i], raw)
+            assert np.array_equal(latent.vectors[i], raw / ((s.shape[1] + t.shape[1]) / 2.0))
+
     def test_bad_view_indices(self):
         rng = np.random.default_rng(27)
         ds = two_view_dataset(rng)

@@ -285,6 +285,25 @@ class TestComputeSchedule:
         with pytest.raises(PipelineError, match="out of range"):
             compute_schedule(tiny_config(target_view=3), dataset=ds)
 
+    def test_channel_mismatch_fails_before_distances(self, monkeypatch):
+        """View 0 matches the target but view 1 does not: scoring fails
+        naming the views before view 0's distances are computed."""
+        import mvtransfer.importance as importance
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a latent set was built")
+
+        monkeypatch.setattr(importance, "build_latent_set", refuse)
+        ds = make_random_dataset(
+            np.random.default_rng(3), n_views=3, n_samples=12, channels=(2, 3, 2)
+        )
+        with pytest.raises(
+            PipelineError,
+            match=r"scoring needs every source view to have target view 2's 2 channels; "
+            r"channels by source view: \{1: 3\}",
+        ):
+            compute_schedule(tiny_config(target_view=2), dataset=ds)
+
     def test_ragged_views_scored_after_alignment(self):
         """Scoring aligns ragged views the way training does."""
         ds = make_random_dataset(np.random.default_rng(7), n_samples=12, ragged=True)
