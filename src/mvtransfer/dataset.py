@@ -87,6 +87,19 @@ class MultiViewDataset:
             )
         return self.views[view][0].shape
 
+    def take(self, indices: list[int]) -> MultiViewDataset:
+        """The samples at ``indices``, in that order, as a new dataset."""
+        ids = [self.sample_ids[i] for i in indices]
+        groups = None
+        if self.groups is not None:
+            groups = {sid: self.groups[sid] for sid in ids}
+        return MultiViewDataset(
+            views=[[view[i].copy() for i in indices] for view in self.views],
+            labels=[self.labels[i] for i in indices],
+            sample_ids=ids,
+            groups=groups,
+        )
+
     def label_indices(self) -> np.ndarray:
         """Labels as integer class indices into the sorted class list."""
         index = {c: i for i, c in enumerate(self.classes)}
@@ -335,9 +348,15 @@ def _resize_sample(sample: np.ndarray, target: int, pad_mode: str) -> np.ndarray
 
 
 def split_dataset(dataset: MultiViewDataset, spec: SplitSpec) -> tuple[MultiViewDataset, MultiViewDataset]:
-    """Partition samples into (train, test), identically across all views.
+    """Partition samples into (train, test), identically across all views."""
+    train_idx, test_idx = split_indices(dataset, spec)
+    return dataset.take(train_idx), dataset.take(test_idx)
 
-    Both parts keep the original sample order.  Fraction mode is driven
+
+def split_indices(dataset: MultiViewDataset, spec: SplitSpec) -> tuple[list[int], list[int]]:
+    """The (train, test) sample indices of :func:`split_dataset`.
+
+    Both lists keep the original sample order.  Fraction mode is driven
     entirely by ``spec.seed`` and is bit-reproducible.
     """
     n = dataset.n_samples
@@ -369,17 +388,4 @@ def split_dataset(dataset: MultiViewDataset, spec: SplitSpec) -> tuple[MultiView
         test_idx = [i for i in range(n) if i not in chosen]
         if not train_idx or not test_idx:
             raise DatasetError("by-group split leaves an empty partition")
-    return _take(dataset, train_idx), _take(dataset, test_idx)
-
-
-def _take(dataset: MultiViewDataset, indices: list[int]) -> MultiViewDataset:
-    ids = [dataset.sample_ids[i] for i in indices]
-    groups = None
-    if dataset.groups is not None:
-        groups = {sid: dataset.groups[sid] for sid in ids}
-    return MultiViewDataset(
-        views=[[view[i].copy() for i in indices] for view in dataset.views],
-        labels=[dataset.labels[i] for i in indices],
-        sample_ids=ids,
-        groups=groups,
-    )
+    return train_idx, test_idx

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from mvtransfer.optim import adam_update, init_adam_state
+from mvtransfer.optim import adam_update
 
 SCALE_BOUND = 5.0
 MIN_TRAINING_POINTS = 8
@@ -285,12 +285,18 @@ def fit_flow(latent, config: FlowConfig | None = None) -> FlowModel:
     )
     noise_rng = np.random.default_rng(config.seed + 1)
 
+    # Parameters become views into one buffer: one Adam block, one-copy snapshots.
+    theta = np.concatenate([p.ravel() for p in model.params.values()])
+    pieces = np.split(theta, np.cumsum([p.size for p in model.params.values()])[:-1])
+    model.params = {k: x.reshape(p.shape) for (k, p), x in zip(model.params.items(), pieces)}
+    grad = np.empty_like(theta)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+
     initial_ll = float(_log_density_batch(model, data).mean())
     model.initial_log_likelihood = initial_ll
     best_ll = initial_ll
-    best_params = {k: v.copy() for k, v in model.params.items()}
+    best = theta.copy()
 
-    state = init_adam_state(model.params)
     for iteration in range(1, config.training_iterations + 1):
         batch = data
         if perturb:
@@ -302,14 +308,13 @@ def fit_flow(latent, config: FlowConfig | None = None) -> FlowModel:
             # batch == clean data, so batch_ll is the pre-update training
             # likelihood of the current parameters
             best_ll = batch_ll
-            best_params = {k: v.copy() for k, v in model.params.items()}
-        state = adam_update(
-            model.params, grads, state, learning_rate=config.learning_rate
-        )
+            best[...] = theta
+        np.concatenate([grads[k] for k in model.params], axis=None, out=grad)
+        adam_update([theta], [grad], [m], [v], iteration, learning_rate=config.learning_rate)
 
     final_ll = float(_log_density_batch(model, data).mean())
     if final_ll < best_ll:
-        model.params = {k: v.copy() for k, v in best_params.items()}
+        theta[...] = best
         final_ll = float(_log_density_batch(model, data).mean())
     model.final_log_likelihood = final_ll
     return model

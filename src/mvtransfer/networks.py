@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .optim import adam_update, init_adam_state
+from .optim import adam_update
 
 ARCHITECTURES = ("mlp", "fcn")
 MLP_HIDDEN_WIDTH = 128
@@ -522,9 +522,9 @@ def train(
     fraction of samples each batch's train-mode forward pass classified
     correctly before its optimizer step.  A budget of 0 leaves the network
     untouched and returns an empty log.
-    Parameters named in ``frozen_params`` keep their current values (their
-    gradients are left out of each optimizer step).  The network is left
-    in eval mode when training finishes.
+    Parameters named in ``frozen_params`` keep their current values: each
+    optimizer step, and its moment estimates, cover only the other tensors.
+    The network is left in eval mode when training finishes.
     """
     budget = config.epochs if epoch_budget is None else int(epoch_budget)
     if budget < 0:
@@ -539,7 +539,11 @@ def train(
     if unknown:
         raise ValueError(f"frozen_params name unknown parameters: {sorted(unknown)}")
     rng = np.random.default_rng(config.seed)
-    state = init_adam_state(net.params)
+    trained = [name for name in net.params if name not in frozen]
+    params = [net.params[name] for name in trained]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    step = 0
     log = []
     net.mode = "train"
     for epoch in range(1, budget + 1):
@@ -555,16 +559,11 @@ def train(
             except NetworkError as exc:
                 net.mode = "eval"
                 raise NetworkError(f"training aborted at epoch {epoch}: {exc}") from exc
-            for name in frozen:
-                del grads[name]
+            step += 1
             adam_update(
-                net.params,
-                grads,
-                state,
-                learning_rate=config.learning_rate,
-                beta1=config.beta1,
-                beta2=config.beta2,
-                eps=config.adam_epsilon,
+                params, [grads[name] for name in trained], m, v, step,
+                learning_rate=config.learning_rate, beta1=config.beta1,
+                beta2=config.beta2, eps=config.adam_epsilon,
             )
             total_loss += loss * len(chosen)
             total_correct += correct

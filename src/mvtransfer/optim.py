@@ -1,64 +1,47 @@
-"""Adam optimizer over flat dictionaries of named parameter arrays.
+"""One fused, in-place Adam step over contiguous parameter blocks.
 
-Shared by the normalizing-flow trainer and the neural network trainer.
-State is explicit and serializable: first/second moment estimates per
-parameter plus the step counter, so training runs are bit-reproducible.
+Shared by the normalizing-flow trainer, which passes its whole parameter
+vector as one flat block, and the neural network trainer, which passes
+one block per unfrozen parameter tensor.  The caller owns the state: the
+first and second moment blocks and the step count.  Every update runs as
+in-place ufunc calls with ``out=``, in the per-element operation order of
+the textbook expression, so training runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
-@dataclass
-class AdamState:
-    """Per-parameter moment estimates and the shared step count."""
-
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
-
-
-def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-        step=0,
-    )
-
-
 def adam_update(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
-    """One Adam step with bias correction, applied to ``params`` in place.
+    params, grads, m, v, step: int, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8
+) -> None:
+    """Adam step number ``step`` (1-based), with bias correction.
 
-    ``grads`` may omit parameters that received no gradient this step
-    (their moments still decay on later steps only when updated; omitted
-    keys are simply skipped, matching sparse-update semantics).
+    ``params``, ``grads``, ``m`` and ``v`` are equal-length sequences of
+    float64 blocks; block ``i`` of ``params`` and of the moments ``m`` and
+    ``v`` is updated in place from block ``i`` of ``grads``.  The gradients
+    are consumed: each is overwritten as scratch.  Per element the result
+    equals ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+    ``p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)`` bit for bit.
     """
-    if state.step == 0 and not state.m:
-        state = init_adam_state(params)
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    for key, grad in grads.items():
-        p = params[key]
-        if grad.shape != p.shape:
-            raise ValueError(f"gradient shape {grad.shape} != parameter shape {p.shape} for {key!r}")
-        m = state.m[key]
-        v = state.v[key]
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        p -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
-    return state
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for i, (p, g, mi, vi) in enumerate(zip(params, grads, m, v)):
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for block {i}")
+        s = np.empty_like(p)
+        mi *= beta1
+        np.multiply(g, 1.0 - beta1, out=s)
+        mi += s
+        vi *= beta2
+        np.multiply(g, 1.0 - beta2, out=s)
+        s *= g
+        vi += s
+        np.divide(vi, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(mi, bc1, out=g)
+        g *= learning_rate
+        g /= s
+        p -= g

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import MultiViewDataset, SplitSpec, align_lengths, load_dataset, split_dataset
+from .dataset import MultiViewDataset, SplitSpec, align_lengths, load_dataset, split_indices
 from .density import select_density_method
 from .distance import BossParams, DtwParams, SfaParams
 from .flow import MIN_TRAINING_POINTS, FlowConfig
@@ -257,7 +257,14 @@ def _prepare(
         train_fraction=config.train_fraction,
         seed=config.base_seed + SPLIT_SEED_OFFSET,
     )
-    train_part, test_part = split_dataset(dataset, split)
+    train_idx, test_idx = split_indices(dataset, split)
+    absent = sorted(set(classes) - {dataset.labels[i] for i in train_idx})
+    if absent:
+        raise PipelineError(
+            f"split (seed {split.seed}, train_fraction {config.train_fraction}) "
+            f"leaves classes {absent} out of the training part"
+        )
+    train_part, test_part = dataset.take(train_idx), dataset.take(test_idx)
     prepared = _Prepared(
         target_view=config.target_view,
         source_views=source_views,

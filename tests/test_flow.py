@@ -1,9 +1,11 @@
 """Tests for the invertible coupling-flow density model."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvtransfer.flow import (
     FlowConfig,
@@ -316,3 +318,66 @@ class TestSerialization:
         )
         with np.errstate(all="ignore"), pytest.raises(FlowTrainingError, match="iteration"):
             fit_flow(data, config)
+
+
+@st.composite
+def fitted_flows(draw):
+    """A small flow fitted by :func:`fit_flow`, and its training data.
+
+    Learning rates up to 0.3 can overshoot, so some fits end on the
+    best-iterate restore; duplicated rows take the perturbation path."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    n = draw(st.integers(min_value=8, max_value=24))
+    d = draw(st.integers(min_value=2, max_value=4))
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n, d)) * draw(st.sampled_from([0.01, 1.0, 50.0]))
+    if draw(st.booleans()):
+        data[1::2] = data[0:n - 1:2]
+    config = FlowConfig(
+        layer_count=draw(st.integers(min_value=2, max_value=4)),
+        coupling_net_width=draw(st.integers(min_value=1, max_value=6)),
+        training_iterations=draw(st.integers(min_value=1, max_value=30)),
+        learning_rate=draw(st.sampled_from([1e-3, 0.05, 0.3])),
+        seed=draw(st.integers(min_value=0, max_value=1000)),
+    )
+    with np.errstate(over="ignore"):
+        return fit_flow(data, config), data
+
+
+class TestFittedFlowProperties:
+    """Properties of fitted flows, whose parameters are views into one buffer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fitted=fitted_flows())
+    def test_parameters_share_one_buffer(self, fitted):
+        model, _ = fitted
+        buffers = {id(tensor.base) for tensor in model.params.values()}
+        assert len(buffers) == 1
+        assert next(iter(model.params.values())).base.size == sum(
+            tensor.size for tensor in model.params.values()
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(fitted=fitted_flows(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_inverse_recovers_forward_input(self, fitted, seed):
+        model, data = fitted
+        rng = np.random.default_rng(seed)
+        spread = data.mean(axis=0) + data.std(axis=0) * rng.normal(size=(4, data.shape[1]))
+        points = np.concatenate([data[:4], spread])
+        for point in points:
+            latent, _ = flow_forward(model, point)
+            assert np.max(np.abs(flow_inverse(model, latent) - point)) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(fitted=fitted_flows())
+    def test_json_round_trip_is_byte_identical(self, fitted):
+        model, _ = fitted
+        text = json.dumps(flow_to_json_dict(model))
+        again = json.dumps(flow_to_json_dict(flow_from_json_dict(json.loads(text))))
+        assert again == text
+
+    @settings(max_examples=40, deadline=None)
+    @given(fitted=fitted_flows())
+    def test_final_likelihood_never_below_initial(self, fitted):
+        model, _ = fitted
+        assert model.final_log_likelihood >= model.initial_log_likelihood

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mvtransfer.networks import (
     Network,
@@ -27,7 +29,7 @@ from mvtransfer.networks import (
     train,
     transfer_weights,
 )
-from mvtransfer.optim import adam_update, init_adam_state
+from mvtransfer.optim import adam_update
 
 
 def mlp_config(channels=2, length=5, classes=3, seed=0):
@@ -496,40 +498,96 @@ class TestLossAndGradients:
         assert correct == 3
 
 
+def reference_adam_step(p, grad, m, v, step, learning_rate, beta1, beta2, eps):
+    """The per-key Adam expression the fused step replaced, kept as its
+    bit-equality reference."""
+    bc1 = 1.0 - beta1**step
+    bc2 = 1.0 - beta2**step
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    p -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+block_shapes = st.lists(
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6), min_size=1, max_size=4
+)
+
+
 class TestAdamStep:
     """The optimizer step ``train`` takes; its defaults equal TrainConfig's."""
 
     def test_zero_gradients_leave_parameters_unchanged(self):
         net = init_network(mlp_config())
         before = {k: v.copy() for k, v in net.params.items()}
-        state = init_adam_state(net.params)
-        zero = {k: np.zeros_like(v) for k, v in net.params.items()}
-        adam_update(net.params, zero, state)
+        params = list(net.params.values())
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        adam_update(params, [np.zeros_like(p) for p in params], m, v, 1)
         for name in before:
             assert np.array_equal(net.params[name], before[name])
-        assert state.step == 1
+        assert all(not block.any() for block in m + v)
 
     def test_matches_scalar_recurrence_by_hand(self):
-        net = Network(config=mlp_config(), params={"w": np.array([1.0, -2.0])})
-        state = init_adam_state(net.params)
+        w = np.array([1.0, -2.0])
+        m_state, v_state = [np.zeros(2)], [np.zeros(2)]
         gradient = np.array([0.5, -1.5])
         m = np.zeros(2)
         v = np.zeros(2)
-        expected = net.params["w"].copy()
+        expected = w.copy()
         for step in (1, 2):
-            adam_update(net.params, {"w": gradient}, state)
+            adam_update([w], [gradient.copy()], m_state, v_state, step)
             m = 0.9 * m + 0.1 * gradient
             v = 0.999 * v + 0.001 * gradient**2
             m_hat = m / (1.0 - 0.9**step)
             v_hat = v / (1.0 - 0.999**step)
             expected -= 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
-            assert np.allclose(net.params["w"], expected, atol=1e-15)
+            assert np.allclose(w, expected, atol=1e-15)
 
     def test_large_gradient_limit_is_signed_learning_rate(self):
-        net = Network(config=mlp_config(), params={"w": np.zeros(2)})
-        state = init_adam_state(net.params)
-        adam_update(net.params, {"w": np.array([1e9, -1e9])}, state)
-        assert np.allclose(net.params["w"], [-1e-3, 1e-3], atol=1e-9)
+        w = np.zeros(2)
+        adam_update([w], [np.array([1e9, -1e9])], [np.zeros(2)], [np.zeros(2)], 1)
+        assert np.allclose(w, [-1e-3, 1e-3], atol=1e-9)
+
+    def test_rejects_mismatched_gradient_shape(self):
+        with pytest.raises(ValueError, match="block 1"):
+            adam_update(
+                [np.zeros(2), np.zeros(3)],
+                [np.zeros(2), np.zeros(2)],
+                [np.zeros(2), np.zeros(3)],
+                [np.zeros(2), np.zeros(3)],
+                1,
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shapes=block_shapes,
+        steps=st.integers(min_value=1, max_value=50),
+        beta1=st.floats(min_value=0.0, max_value=0.99),
+        beta2=st.floats(min_value=0.5, max_value=0.9999),
+        eps=st.floats(min_value=1e-12, max_value=1e-2),
+        learning_rate=st.floats(min_value=1e-5, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bit_equal_to_per_key_expression(
+        self, shapes, steps, beta1, beta2, eps, learning_rate, seed
+    ):
+        """Several blocks in one call, over ``steps`` successive steps,
+        match the reference expression exactly in parameters and moments."""
+        rng = np.random.default_rng(seed)
+        params = [rng.normal(size=shape) for shape in shapes]
+        ref_params = [p.copy() for p in params]
+        m, v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+        ref_m, ref_v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+        hyper = dict(learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
+        for step in range(1, steps + 1):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-4, 4), size=s) for s in shapes]
+            for block in zip(ref_params, grads, ref_m, ref_v):
+                reference_adam_step(*block, step, **hyper)
+            adam_update(params, [g.copy() for g in grads], m, v, step, **hyper)
+        for got, want in zip(params + m + v, ref_params + ref_m + ref_v):
+            assert np.array_equal(got, want)
 
 
 class TestTraining:
@@ -546,6 +604,19 @@ class TestTraining:
             assert np.array_equal(net.params[name], params_before[name])
         for name in stats_before:
             assert np.array_equal(net.running_stats[name], stats_before[name])
+
+    def test_frozen_parameters_stay_bit_identical(self):
+        """The transfer step's freeze: conv tensors keep their exact values
+        while every other parameter moves."""
+        rng = np.random.default_rng(131)
+        net = init_network(fcn_config())
+        before = {k: v.copy() for k, v in net.params.items()}
+        frozen = [name for name in net.params if name.startswith("conv")]
+        inputs = rng.normal(size=(6, 2, 12))
+        labels = np.array([0, 1, 0, 1, 0, 1])
+        train(net, inputs, labels, TrainConfig(batch_size=3), epoch_budget=2, frozen_params=frozen)
+        for name, tensor in net.params.items():
+            assert np.array_equal(tensor, before[name]) == (name in frozen), name
 
     def test_overfits_separable_fixture_for_five_seeds(self):
         """A linearly separable 20-sample toy set must be memorized within

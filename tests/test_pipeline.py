@@ -579,6 +579,35 @@ class TestRunExperiment:
         ):
             run_experiment(config, dataset=ds)
 
+    @pytest.mark.parametrize("classes", [2, 3], ids=["two_classes", "three_classes"])
+    def test_class_absent_from_training_split_fails_naming_the_split(self, tmp_path, classes):
+        """A training split that misses a class fails before the parts are
+        built, naming the split seed, the fraction and the absent class.
+        With two classes the split used to fail inside dataset validation;
+        with three it used to train silently without ever seeing the class."""
+        ds = tiny_dataset()
+        config = tiny_config()
+        seed = config.base_seed + SPLIT_SEED_OFFSET
+        train_part, test_part = split_dataset(
+            ds, SplitSpec(mode="fraction", train_fraction=config.train_fraction, seed=seed)
+        )
+        if classes == 2:
+            labels = ["fast" if sid in test_part.sample_ids else "slow" for sid in ds.sample_ids]
+        else:
+            assert set(train_part.labels) == {"fast", "slow"}
+            rare = test_part.sample_ids[0]
+            labels = [
+                "rare" if sid == rare else label for sid, label in zip(ds.sample_ids, ds.labels)
+            ]
+        absent = "fast" if classes == 2 else "rare"
+        relabeled = MultiViewDataset(views=ds.views, labels=labels, sample_ids=ds.sample_ids)
+        with pytest.raises(
+            PipelineError,
+            match=rf"split \(seed {seed}, train_fraction 0.7\) leaves classes \['{absent}'\] out",
+        ):
+            run_experiment(config, dataset=relabeled, out_dir=tmp_path)
+        assert not (tmp_path / "scores.json").exists()
+
     def test_report_validation(self):
         with pytest.raises(ValueError, match="expected 2 accuracies"):
             ExperimentReport(
