@@ -180,16 +180,13 @@ class DensityModel:
 def fit_density(
     latent,
     override: str | None = None,
-    kde_bandwidth="silverman",
     flow_config: FlowConfig | None = None,
 ) -> DensityModel:
     """Pick the method for the latent set's dimension and fit it."""
     data = as_data_array(latent)
     method = select_density_method(data.shape[1], override)
     if method == "kde":
-        return DensityModel(
-            variant="kde", dimension=data.shape[1], kde=fit_kde(data, kde_bandwidth)
-        )
+        return DensityModel(variant="kde", dimension=data.shape[1], kde=fit_kde(data))
     model = fit_flow(data, flow_config or FlowConfig())
     return DensityModel(variant="flow", dimension=data.shape[1], flow=model)
 

@@ -10,10 +10,13 @@ corresponding sample pair of a source/target view pair into one (N, K)
 array.  Both run every warping channel pair through one batched
 anti-diagonal kernel, bit-equal to the single-pair ``dtw_distance``.
 
-The windowed Fourier transform is computed by direct definition with
-sequential accumulation (no FFT): window counts are tiny at this scale
-and the straightforward arithmetic is exactly reproducible by a
-reference reimplementation, which the test suite relies on.
+The symbolic transform works on arrays: a series' stride-1 windows are
+one ``sliding_window_view``, their truncated Fourier coefficients one
+(windows, word_length) array, the letters one comparison against the
+breakpoints, and only the distinct words become strings.  The
+coefficients are direct-definition sums (no FFT) accumulated over the
+window offset in order, so they are bit-equal to a per-window reference
+reimplementation, which the test suite relies on.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mvtransfer.dataset import MultiViewDataset
 
@@ -193,47 +197,31 @@ class WordHistogram:
                 raise DistanceError(f"word {word!r} has non-positive count {count}")
 
 
-def _trig_tables(params: SfaParams) -> tuple[list[list[float]], list[list[float]]]:
-    """Cosine/sine basis rows for the retained coefficient frequencies."""
+def _window_coefficients(windows: np.ndarray, params: SfaParams) -> np.ndarray:
+    """(count, word_length) real coefficients of a (count, window_length)
+    window array: real and imaginary parts of each retained frequency.
+
+    The mean and every coefficient are summed over the window offset ``t``
+    in order, each term taken from ``math.cos``/``math.sin`` of the
+    definition's angle, so every value equals the direct per-window sum
+    bit for bit.
+    """
     w = params.window_length
-    n_complex = params.word_length // 2
+    if params.mean_normalize:
+        total = np.zeros(len(windows))
+        for t in range(w):
+            total += windows[:, t]
+        windows = windows - (total / w)[:, None]
     first = 1 if params.mean_normalize else 0
-    cos_rows, sin_rows = [], []
-    for freq in range(first, first + n_complex):
-        cos_rows.append([math.cos((-2.0 * math.pi * freq * t) / w) for t in range(w)])
-        sin_rows.append([math.sin((-2.0 * math.pi * freq * t) / w) for t in range(w)])
-    return cos_rows, sin_rows
-
-
-def _window_coefficients(series: list[float], params: SfaParams, tables) -> list[list[float]]:
-    """Real coefficient vectors (length word_length) for every window."""
-    w = params.window_length
-    cos_rows, sin_rows = tables
-    out = []
-    for start in range(len(series) - w + 1):
-        window = series[start:start + w]
-        if params.mean_normalize:
-            total = 0.0
-            for v in window:
-                total += v
-            mu = total / w
-            window = [v - mu for v in window]
-        coeffs = []
-        for cos_row, sin_row in zip(cos_rows, sin_rows):
-            re = 0.0
-            im = 0.0
-            for t in range(w):
-                re += window[t] * cos_row[t]
-                im += window[t] * sin_row[t]
-            coeffs.append(re)
-            coeffs.append(im)
-        out.append(coeffs)
-    return out
-
-
-def _as_series_list(x) -> list[float]:
-    arr = np.asarray(x, dtype=np.float64).ravel()
-    return [float(v) for v in arr]
+    freqs = range(first, first + params.word_length // 2)
+    basis = np.array([
+        [trig((-2.0 * math.pi * freq * t) / w) for freq in freqs for trig in (math.cos, math.sin)]
+        for t in range(w)
+    ])
+    coeffs = np.zeros((len(windows), params.word_length))
+    for t in range(w):
+        coeffs += windows[:, t, None] * basis[t]
+    return coeffs
 
 
 def sfa_fit(corpus, params: SfaParams) -> np.ndarray:
@@ -243,7 +231,7 @@ def sfa_fit(corpus, params: SfaParams) -> np.ndarray:
     non-decreasing breakpoints for coefficient position ``p``, picked from
     the sorted pool of all windows' values at the depth quantiles.
     """
-    series_list = [_as_series_list(s) for s in corpus]
+    series_list = [np.asarray(s, dtype=np.float64).ravel() for s in corpus]
     if not series_list:
         raise DistanceError("sfa_fit requires a non-empty corpus")
     shortest = min(len(s) for s in series_list)
@@ -251,19 +239,10 @@ def sfa_fit(corpus, params: SfaParams) -> np.ndarray:
         raise DistanceError(
             f"window_length {params.window_length} exceeds shortest corpus series ({shortest})"
         )
-    tables = _trig_tables(params)
-    pool = []
-    for series in series_list:
-        pool.extend(_window_coefficients(series, params, tables))
-    values = np.array(pool, dtype=np.float64)  # (total_windows, word_length)
-    n = values.shape[0]
+    windows = np.concatenate([sliding_window_view(s, params.window_length) for s in series_list])
+    ordered = np.sort(_window_coefficients(windows, params), axis=0)
     a = params.alphabet_size
-    bins = np.empty((params.word_length, a - 1), dtype=np.float64)
-    for p in range(params.word_length):
-        ordered = np.sort(values[:, p])
-        for j in range(1, a):
-            bins[p, j - 1] = ordered[(j * n) // a]
-    return bins
+    return np.ascontiguousarray(ordered[np.arange(1, a) * len(ordered) // a].T)
 
 
 def sfa_transform(x, bins: np.ndarray, params: SfaParams) -> WordHistogram:
@@ -271,9 +250,10 @@ def sfa_transform(x, bins: np.ndarray, params: SfaParams) -> WordHistogram:
 
     Windows slide with stride 1; each yields a word of ``word_length``
     letters (letter = count of breakpoints at or below the coefficient);
-    consecutive duplicate words collapse to one occurrence.
+    consecutive duplicate words collapse to one occurrence.  Words are
+    listed in order of first occurrence.
     """
-    series = _as_series_list(x)
+    series = np.asarray(x, dtype=np.float64).ravel()
     if len(series) < params.window_length:
         raise DistanceError(
             f"series of length {len(series)} is shorter than window_length {params.window_length}"
@@ -284,24 +264,18 @@ def sfa_transform(x, bins: np.ndarray, params: SfaParams) -> WordHistogram:
             f"bins shape {bins.shape} incompatible with params "
             f"({params.word_length} x {params.alphabet_size - 1})"
         )
-    tables = _trig_tables(params)
-    words = []
-    for coeffs in _window_coefficients(series, params, tables):
-        letters = []
-        for p, value in enumerate(coeffs):
-            symbol = 0
-            for breakpoint in bins[p]:
-                if value >= breakpoint:
-                    symbol += 1
-            letters.append(chr(ord("a") + symbol))
-        words.append("".join(letters))
-    counts: dict[str, int] = {}
-    previous = None
-    for word in words:
-        if word != previous:
-            counts[word] = counts.get(word, 0) + 1
-        previous = word
-    return WordHistogram(counts=counts)
+    coeffs = _window_coefficients(sliding_window_view(series, params.window_length), params)
+    letters = (coeffs[:, :, None] >= bins).sum(-1) + ord("a")
+    words = letters.astype(np.uint8).view(f"S{params.word_length}")[:, 0]
+    run_starts = np.ones(len(words), dtype=bool)
+    run_starts[1:] = words[1:] != words[:-1]
+    distinct, first, counts = np.unique(
+        words[run_starts], return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    return WordHistogram(
+        counts=dict(zip(distinct[order].astype(str).tolist(), counts[order].tolist()))
+    )
 
 
 def boss_distance(hist_a: WordHistogram, hist_b: WordHistogram) -> float:

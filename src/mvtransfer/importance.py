@@ -100,8 +100,10 @@ def allocate_epochs(scores, total_epochs: int) -> list[int]:
     Real-valued proportional shares are rounded to integers with the
     largest-remainder method: every view first receives the floor of its
     share, then the leftover epochs go one each to the views with the
-    largest fractional parts, ties favouring the lower index.  The result
-    always sums to ``total_epochs`` exactly.
+    largest fractional parts, ties favouring the higher score, then the
+    lower index.  The result always sums to ``total_epochs`` exactly, and
+    a strictly higher score never receives fewer epochs, even where
+    rounding gives two different scores the same share.
 
     All-zero scores carry no preference, so the budget is spread uniformly
     and a warning is emitted.
@@ -128,7 +130,7 @@ def allocate_epochs(scores, total_epochs: int) -> list[int]:
     floors = np.floor(shares).astype(int)
     leftover = int(total_epochs - floors.sum())
     remainders = shares - floors
-    order = sorted(range(values.size), key=lambda i: (-remainders[i], i))
+    order = sorted(range(values.size), key=lambda i: (-remainders[i], -values[i], i))
     epochs = floors.copy()
     for index in order[:leftover]:
         epochs[index] += 1
@@ -210,7 +212,6 @@ def score_source_view(
     density_override: str | None = None,
     sampling: SamplingConfig | None = None,
     *,
-    kde_bandwidth="silverman",
     flow_config=None,
     artifact_dir=None,
 ) -> float:
@@ -226,12 +227,7 @@ def score_source_view(
     """
     config = sampling if sampling is not None else SamplingConfig()
     latent = build_latent_set(dataset, source_view, target_view, measure, measure_params)
-    model = fit_density(
-        latent.vectors,
-        override=density_override,
-        kde_bandwidth=kde_bandwidth,
-        flow_config=flow_config,
-    )
+    model = fit_density(latent.vectors, override=density_override, flow_config=flow_config)
     matrix = draw_importance_matrix(model, config)
     score = matrix_norm(matrix, config.norm_kind)
     if config.invert_importance:

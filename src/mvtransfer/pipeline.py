@@ -196,6 +196,7 @@ class _Prepared:
     target_view: int
     source_views: list
     net_config: NetworkConfig
+    train_config: TrainConfig
     train_inputs: list
     test_inputs: list
     train_labels: np.ndarray
@@ -229,6 +230,8 @@ def _prepare(
 
     ``train_part`` is the training split as a dataset, the input of
     scoring; the held-out split is kept only as the arrays evaluation reads.
+    The network and training settings are checked before the split, so an
+    unusable one fails before any score is computed.
     """
     source_views = _source_views(config, dataset)
     dataset = _aligned(dataset, config)
@@ -251,6 +254,16 @@ def _prepare(
         )
     except ValueError as exc:
         raise PipelineError(f"invalid network config: {exc}") from exc
+    try:
+        train_config = TrainConfig(
+            batch_size=config.train_batch_size,
+            learning_rate=config.learning_rate,
+            beta1=config.beta1,
+            beta2=config.beta2,
+            adam_epsilon=config.adam_epsilon,
+        )
+    except ValueError as exc:
+        raise PipelineError(f"invalid training config: {exc}") from exc
     class_index = {label: i for i, label in enumerate(classes)}
     split = SplitSpec(
         mode="fraction",
@@ -269,6 +282,7 @@ def _prepare(
         target_view=config.target_view,
         source_views=source_views,
         net_config=net_config,
+        train_config=train_config,
         train_inputs=[np.stack(train_part.views[v]) for v in range(dataset.n_views)],
         test_inputs=[np.stack(test_part.views[v]) for v in range(dataset.n_views)],
         train_labels=np.array([class_index[l] for l in train_part.labels], dtype=np.int64),
@@ -380,17 +394,6 @@ def compute_schedule(
     return schedule
 
 
-def _train_config(config: ExperimentConfig, seed: int) -> TrainConfig:
-    return TrainConfig(
-        batch_size=config.train_batch_size,
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        adam_epsilon=config.adam_epsilon,
-        seed=seed,
-    )
-
-
 def _run_single(prepared, config, schedule, repeat_index):
     """One repeat: a transfer run when given a schedule, else a baseline."""
     mode = "baseline" if schedule is None else "transfer"
@@ -409,7 +412,7 @@ def _run_single(prepared, config, schedule, repeat_index):
                 source_net,
                 prepared.train_inputs[view],
                 prepared.train_labels,
-                _train_config(config, seeds["pretrain"] + view),
+                replace(prepared.train_config, seed=seeds["pretrain"] + view),
                 epoch_budget=schedule.epochs[position],
             )
             logs.append((f"pretrain_view_{view}", log))
@@ -424,7 +427,7 @@ def _run_single(prepared, config, schedule, repeat_index):
         net,
         prepared.train_inputs[prepared.target_view],
         prepared.train_labels,
-        _train_config(config, seeds["finetune"]),
+        replace(prepared.train_config, seed=seeds["finetune"]),
         epoch_budget=config.finetune_epochs,
         frozen_params=frozen,
     )

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvtransfer.dataset import MultiViewDataset
 from mvtransfer.density import DensityModel, KdeModel, fit_density
@@ -207,6 +208,44 @@ class TestAllocateEpochs:
             allocate_epochs([1.0], 10.5)
         with pytest.raises(ValueError, match="at least 1"):
             allocate_epochs([1.0], 0)
+
+
+# Scores a few ulps apart can round to the same share and remainder; the
+# tie must still go to the higher score.
+near_ties = st.tuples(
+    st.floats(0.01, 100.0), st.lists(st.integers(0, 3), min_size=2, max_size=8)
+).map(lambda case: [case[0] + step * math.ulp(case[0]) for step in case[1]])
+
+
+class TestAllocateEpochsHypothesis:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scores=st.one_of(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([0.0, 1.0, 2.0]),
+                    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+            near_ties,
+        ),
+        total=st.integers(1, 1000),
+    )
+    def test_exact_sum_and_monotone_in_score(self, scores, total):
+        """The split always sums to the budget, and a strictly higher score
+        never receives fewer epochs."""
+        if sum(scores) == 0.0:
+            with pytest.warns(UserWarning, match="uniform"):
+                epochs = allocate_epochs(scores, total)
+        else:
+            epochs = allocate_epochs(scores, total)
+        assert sum(epochs) == total
+        for i, high in enumerate(scores):
+            for j, low in enumerate(scores):
+                if high > low:
+                    assert epochs[i] >= epochs[j]
 
 
 class TestTransferSchedule:

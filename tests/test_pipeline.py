@@ -559,6 +559,32 @@ class TestRunExperiment:
         assert not (tmp_path / "scores.json").exists()
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("train_batch_size", 0, "batch_size must be at least 1"),
+            ("learning_rate", 0.0, "learning_rate must be positive"),
+            ("beta1", 1.0, r"beta1 must lie in \(0, 1\)"),
+            ("adam_epsilon", 0.0, "adam_epsilon must be positive"),
+        ],
+    )
+    def test_bad_training_config_fails_before_distances(
+        self, monkeypatch, tmp_path, field, value, message
+    ):
+        """Unusable optimizer settings are rejected, naming the training
+        config and the field, before any distance is computed."""
+        import mvtransfer.importance as importance
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a latent set was built")
+
+        monkeypatch.setattr(importance, "build_latent_set", refuse)
+        with pytest.raises(PipelineError, match=f"invalid training config: {message}"):
+            run_experiment(
+                tiny_config(**{field: value}), dataset=tiny_dataset(), out_dir=tmp_path
+            )
+        assert not (tmp_path / "scores.json").exists()
+
+    @pytest.mark.parametrize(
         "channels, density_override", [(4, None), (1, "flow")], ids=["four_channels", "override"]
     )
     def test_flow_with_too_few_samples_fails_before_distances(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvtransfer.distance import (
     BossParams,
@@ -17,15 +18,14 @@ from mvtransfer.distance import (
 )
 
 
-def naive_histogram(series, bins, params):
-    """Reference transform written straight from the definition: explicit
-    per-window loops, trigonometric sums term by term, breakpoint counting
-    by comparison chain, duplicate-run collapsing."""
+def naive_coefficients(series, params):
+    """Per-window coefficient lists written straight from the definition:
+    explicit per-window loops, trigonometric sums term by term."""
     x = [float(v) for v in series]
     w = params.window_length
     n_complex = params.word_length // 2
     first_freq = 1 if params.mean_normalize else 0
-    words = []
+    out = []
     for start in range(len(x) - w + 1):
         window = x[start:start + w]
         if params.mean_normalize:
@@ -44,6 +44,29 @@ def naive_histogram(series, bins, params):
                 im += window[t] * math.sin(angle)
             values.append(re)
             values.append(im)
+        out.append(values)
+    return out
+
+
+def naive_bins(corpus, params):
+    """Equi-depth breakpoints: each position's pooled window values sorted,
+    then picked at the depth quantiles."""
+    pool = []
+    for series in corpus:
+        pool.extend(naive_coefficients(series, params))
+    n = len(pool)
+    a = params.alphabet_size
+    return [
+        [sorted(row[p] for row in pool)[(j * n) // a] for j in range(1, a)]
+        for p in range(params.word_length)
+    ]
+
+
+def naive_histogram(series, bins, params):
+    """Reference transform: naive coefficients, breakpoint counting by
+    comparison chain, duplicate-run collapsing."""
+    words = []
+    for values in naive_coefficients(series, params):
         word = ""
         for pos, value in enumerate(values):
             symbol = 0
@@ -228,6 +251,40 @@ class TestSfaTransform:
             bins = sfa_fit(corpus, params)
             for x in corpus:
                 assert sfa_transform(x, bins, params).counts == naive_histogram(x, bins, params)
+
+
+@st.composite
+def sfa_cases(draw):
+    """Transform settings plus a corpus of 1-4 series, each from a single
+    window up to 40 points; values repeat often, so constant windows and
+    coefficients tied with a breakpoint come up."""
+    w = draw(st.integers(2, 16))
+    params = SfaParams(
+        window_length=w,
+        word_length=2 * draw(st.integers(1, w // 2)),
+        alphabet_size=draw(st.integers(2, 26)),
+        mean_normalize=draw(st.booleans()),
+    )
+    value = st.one_of(
+        st.sampled_from([0.0, 1.0, -2.5]),
+        st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False),
+    )
+    lengths = draw(st.lists(st.integers(w, 40), min_size=1, max_size=4))
+    corpus = [np.array(draw(st.lists(value, min_size=n, max_size=n))) for n in lengths]
+    return params, corpus
+
+
+class TestSfaHypothesis:
+    @settings(max_examples=150, deadline=None)
+    @given(case=sfa_cases())
+    def test_fit_and_transform_equal_naive_reference(self, case):
+        params, corpus = case
+        bins = sfa_fit(corpus, params)
+        assert bins.tolist() == naive_bins(corpus, params)
+        for series in corpus:
+            assert sfa_transform(series, bins, params).counts == naive_histogram(
+                series, bins, params
+            )
 
 
 class TestBossDistance:
