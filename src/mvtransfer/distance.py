@@ -3,12 +3,13 @@
 Two univariate distance measures are provided: dynamic time warping
 (optionally band-constrained) and a bag-of-symbolic-words histogram
 distance built on a windowed truncated Fourier transform with
-equi-depth coefficient binning.  ``channel_pairwise_distances`` applies
-either measure channel-by-channel to a pair of multivariate samples,
-and ``build_latent_set`` stacks those distance vectors over every
-corresponding sample pair of a source/target view pair into one (N, K)
-array.  Both run every warping channel pair through one batched
-anti-diagonal kernel, bit-equal to the single-pair ``dtw_distance``.
+equi-depth coefficient binning.  ``build_latent_set`` applies either
+measure channel-by-channel to every corresponding sample pair of a
+source/target view pair, stacking the distance vectors into one (N, K)
+array; ``channel_pairwise_distances`` is the same routine on one pair,
+so breakpoints fitted without given bins pool that pair's series only.
+Warping has one implementation, a batched anti-diagonal kernel;
+``dtw_distance`` runs it on one series pair.
 
 The symbolic transform works on arrays: a series' stride-1 windows are
 one ``sliding_window_view``, their truncated Fourier coefficients one
@@ -49,55 +50,17 @@ class DtwParams:
             raise DistanceError(f"band_radius must be >= 0, got {self.band_radius}")
 
 
-def _check_dtw_lengths(n: int, m: int, r: int | None) -> None:
-    if n == 0 or m == 0:
-        raise DistanceError("dtw_distance requires non-empty series")
-    if r is not None and abs(n - m) > r:
-        raise DistanceError(
-            f"band radius {r} admits no warp path between lengths {n} and {m}"
-        )
-
-
 def dtw_distance(x, y, params: DtwParams | None = None) -> float:
     """Minimum cumulative absolute-difference cost over monotone warp paths.
 
     Paths start at the first observation pair, end at the last, and move by
     unit steps in either or both series.  With a band radius r only cells
-    with |i - j| <= r participate.
-
-    This is the single-pair reference; the pipeline runs ``_dtw_many``,
-    which gives bit-equal results for many pairs at once.
+    with |i - j| <= r participate.  Runs ``_dtw_many`` on the one row pair.
     """
     params = params or DtwParams()
-    xs = [float(v) for v in np.asarray(x, dtype=np.float64).ravel()]
-    ys = [float(v) for v in np.asarray(y, dtype=np.float64).ravel()]
-    n, m = len(xs), len(ys)
-    r = params.band_radius
-    _check_dtw_lengths(n, m, r)
-    inf = math.inf
-    prev = [inf] * m
-    for i in range(n):
-        cur = [inf] * m
-        lo = 0 if r is None else max(0, i - r)
-        hi = m - 1 if r is None else min(m - 1, i + r)
-        xi = xs[i]
-        for j in range(lo, hi + 1):
-            cost = abs(xi - ys[j])
-            if i == 0 and j == 0:
-                cur[j] = cost
-                continue
-            best = prev[j]  # step in x only
-            if j > 0:
-                if cur[j - 1] < best:
-                    best = cur[j - 1]  # step in y only
-                if prev[j - 1] < best:
-                    best = prev[j - 1]  # diagonal step
-            cur[j] = best + cost
-        prev = cur
-    result = prev[m - 1]
-    if not math.isfinite(result):
-        raise DistanceError("no feasible warp path (band too narrow)")
-    return result
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    return float(_dtw_many(x, y, params.band_radius)[0])
 
 
 def _dtw_many(x: np.ndarray, y: np.ndarray, band_radius: int | None = None) -> np.ndarray:
@@ -107,13 +70,19 @@ def _dtw_many(x: np.ndarray, y: np.ndarray, band_radius: int | None = None) -> n
     Column ``k`` of each (P, n + 1) diagonal buffer holds cell
     (k - 1, d - k + 1), so column 0 is a permanent inf border; only the
     valid cells of a diagonal are written, and the stale cells a reused
-    buffer keeps from three diagonals back are never read.  Each cell is the minimum of its three
-    predecessors plus its cost, as in ``dtw_distance``, so the two agree
-    bit for bit.  Cells outside the band, |2i - d| > r, are set to inf.
+    buffer keeps from three diagonals back are never read.  Each cell is
+    the minimum of its three predecessors plus its cost, in the row-by-row
+    recurrence's order, so the two agree bit for bit.  Cells outside the
+    band, |2i - d| > r, are set to inf.
     """
     p, n = x.shape
     m = y.shape[1]
-    _check_dtw_lengths(n, m, band_radius)
+    if n == 0 or m == 0:
+        raise DistanceError("dtw_distance requires non-empty series")
+    if band_radius is not None and abs(n - m) > band_radius:
+        raise DistanceError(
+            f"band radius {band_radius} admits no warp path between lengths {n} and {m}"
+        )
     y_reversed = y[:, ::-1].copy()  # cell (i, d - i) reads column m - 1 - d + i
     diag2, diag1, diag0 = (np.full((p, n + 1), np.inf) for _ in range(3))
     diag1[:, 1] = np.abs(x[:, 0] - y[:, 0])
@@ -299,8 +268,10 @@ def boss_distance(hist_a: WordHistogram, hist_b: WordHistogram) -> float:
 @dataclass
 class BossParams:
     """Histogram-distance settings: transform params plus fitted per-channel
-    breakpoints (``channel_bins[k]`` for channel k).  Without bins, each
-    sample pair fits breakpoints on its own two channel series."""
+    breakpoints (``channel_bins[k]`` for channel k).  Without bins, the
+    breakpoints of channel k are fitted on the channel-k series pooled over
+    the sample pairs given: both whole views for ``build_latent_set``, the
+    one pair for ``channel_pairwise_distances``."""
 
     sfa: SfaParams
     channel_bins: list[np.ndarray] | None = None
@@ -416,21 +387,54 @@ def _resolve_params(measure: str, params, shortest: int):
     raise DistanceError(f"unknown measure {measure!r} (expected 'dtw' or 'boss')")
 
 
-def _raw_channel_distances(source, target, params) -> np.ndarray:
-    """(K,) distances between the matching channels of two (K, length)
-    samples under resolved params.  Boss without bins fits breakpoints on
-    each channel's own two series."""
+def _raw_distances(sources, targets, params) -> np.ndarray:
+    """(N, K) distances between the matching channels of every
+    (source, target) pair of (K, length) samples, in pair order, under
+    resolved params.
+
+    Warping runs one ``_dtw_many`` call per (source length, target length)
+    group and scatters the rows back.  Boss without bins fits breakpoints
+    once per channel on that channel's series pooled over all the pairs.
+    """
+    k = sources[0].shape[0]
     if isinstance(params, DtwParams):
-        return _dtw_many(source, target, params.band_radius)
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, (s, t) in enumerate(zip(sources, targets)):
+            groups.setdefault((s.shape[1], t.shape[1]), []).append(i)
+        raw = np.empty((len(sources), k))
+        for index in groups.values():
+            x = np.concatenate([sources[i] for i in index], dtype=np.float64)
+            y = np.concatenate([targets[i] for i in index], dtype=np.float64)
+            raw[index] = _dtw_many(x, y, params.band_radius).reshape(len(index), -1)
+        return raw
     bins = params.channel_bins
     if bins is None:
-        bins = [sfa_fit([s, t], params.sfa) for s, t in zip(source, target)]
-    elif len(bins) != len(source):
-        raise DistanceError(f"{len(bins)} channel bin matrices for {len(source)} channels")
+        bins = [
+            sfa_fit([sample[c] for sample in [*sources, *targets]], params.sfa)
+            for c in range(k)
+        ]
+    elif len(bins) != k:
+        raise DistanceError(f"{len(bins)} channel bin matrices for {k} channels")
     return np.array([
-        boss_distance(sfa_transform(s, b, params.sfa), sfa_transform(t, b, params.sfa))
-        for s, t, b in zip(source, target, bins)
+        [
+            boss_distance(sfa_transform(s_c, b, params.sfa), sfa_transform(t_c, b, params.sfa))
+            for s_c, t_c, b in zip(s, t, bins)
+        ]
+        for s, t in zip(sources, targets)
     ])
+
+
+def _distance_vectors(sources, targets, measure: str, measure_params, normalize: bool):
+    """``(vectors, raw)``: the (N, K) raw distances of the sample pairs
+    and the values used downstream, each row divided by the mean of its
+    pair's two lengths when ``normalize`` is on."""
+    shortest = min(sample.shape[1] for sample in [*sources, *targets])
+    params = _resolve_params(measure, measure_params, shortest)
+    raw = _raw_distances(sources, targets, params)
+    if not normalize:
+        return raw.copy(), raw
+    mean_lengths = np.array([(s.shape[1] + t.shape[1]) / 2.0 for s, t in zip(sources, targets)])
+    return raw / mean_lengths[:, None], raw
 
 
 def channel_pairwise_distances(
@@ -444,6 +448,8 @@ def channel_pairwise_distances(
 
     With ``normalize`` each component is divided by the mean of the two
     series lengths, so series duration does not dominate the comparison.
+    This is ``build_latent_set``'s computation on the one pair, so boss
+    without bins fits its breakpoints on the pair's own two channel series.
     """
     source = np.asarray(source_sample, dtype=np.float64)
     target = np.asarray(target_sample, dtype=np.float64)
@@ -453,27 +459,8 @@ def channel_pairwise_distances(
         raise DistanceError(
             f"channel counts differ: source {source.shape[0]} vs target {target.shape[0]}"
         )
-    m_source, m_target = source.shape[1], target.shape[1]
-    params = _resolve_params(measure, measure_params, min(m_source, m_target))
-    values = _raw_channel_distances(source, target, params)
-    if normalize:
-        values = values / ((m_source + m_target) / 2.0)
-    return values
-
-
-def _latent_dtw(sources, targets, band_radius: int | None) -> np.ndarray:
-    """(N, K) DTW distances between matching channels of every sample
-    pair: one ``_dtw_many`` call per (source length, target length) group,
-    scattered back in sample order."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (s, t) in enumerate(zip(sources, targets)):
-        groups.setdefault((s.shape[1], t.shape[1]), []).append(i)
-    raw = np.empty((len(sources), sources[0].shape[0]))
-    for index in groups.values():
-        x = np.concatenate([sources[i] for i in index], dtype=np.float64)
-        y = np.concatenate([targets[i] for i in index], dtype=np.float64)
-        raw[index] = _dtw_many(x, y, band_radius).reshape(len(index), -1)
-    return raw
+    vectors, _ = _distance_vectors([source], [target], measure, measure_params, normalize)
+    return vectors[0]
 
 
 def build_latent_set(
@@ -503,26 +490,9 @@ def build_latent_set(
             f"views disagree on channel count: {k_source} vs {k_target}"
         )
 
-    sources, targets = dataset.views[source_view], dataset.views[target_view]
-    shortest = min(min(dataset.lengths(source_view)), min(dataset.lengths(target_view)))
-    params = _resolve_params(measure, measure_params, shortest)
-    if isinstance(params, BossParams) and params.channel_bins is None:
-        pooled = [
-            sfa_fit([sample[c] for sample in [*sources, *targets]], params.sfa)
-            for c in range(k_source)
-        ]
-        params = BossParams(sfa=params.sfa, channel_bins=pooled)
-
-    pairs = list(zip(sources, targets))
-    if isinstance(params, DtwParams):
-        raw = _latent_dtw(sources, targets, params.band_radius)
-    else:
-        raw = np.stack([_raw_channel_distances(s, t, params) for s, t in pairs])
-    if normalize:
-        mean_lengths = np.array([(s.shape[1] + t.shape[1]) / 2.0 for s, t in pairs])
-        vectors = raw / mean_lengths[:, None]
-    else:
-        vectors = raw.copy()
+    vectors, raw = _distance_vectors(
+        dataset.views[source_view], dataset.views[target_view], measure, measure_params, normalize
+    )
     return ImportanceLatentSet(
         measure=measure,
         source_view=source_view,

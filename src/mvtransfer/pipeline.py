@@ -277,6 +277,12 @@ def _prepare(
             f"split (seed {split.seed}, train_fraction {config.train_fraction}) "
             f"leaves classes {absent} out of the training part"
         )
+    held_out = sorted({dataset.labels[i] for i in test_idx})
+    if len(held_out) < 2:
+        raise PipelineError(
+            f"split (seed {split.seed}, train_fraction {config.train_fraction}) "
+            f"holds out only class {held_out[0]!r}; the held-out part needs at least 2 classes"
+        )
     train_part, test_part = dataset.take(train_idx), dataset.take(test_idx)
     prepared = _Prepared(
         target_view=config.target_view,

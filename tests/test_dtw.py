@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from mvtransfer.distance import DistanceError, DtwParams, _dtw_many, dtw_distance
 
+from conftest import reference_dtw
+
 
 def enumerate_warp_paths(x, y, band=None):
     """Oracle: minimum path cost by exhaustive enumeration of every
@@ -135,11 +137,17 @@ class TestDtwEnumerationOracle:
 
 
 def per_pair(x, y, band=None):
-    return np.array([dtw_distance(a, b, DtwParams(band_radius=band)) for a, b in zip(x, y)])
+    """The row-by-row reference per row pair, after the public
+    ``dtw_distance`` on each pair (which raises on invalid lengths and
+    must agree with the reference)."""
+    public = np.array([dtw_distance(a, b, DtwParams(band_radius=band)) for a, b in zip(x, y)])
+    reference = np.array([reference_dtw(a, b, band) for a, b in zip(x, y)])
+    assert np.array_equal(public, reference)
+    return reference
 
 
 class TestDtwKernel:
-    """The batched wavefront is bit-equal to the single-pair reference."""
+    """The batched wavefront is bit-equal to the row-by-row reference."""
 
     @pytest.mark.parametrize(
         "p, n, m, band",

@@ -15,15 +15,16 @@ from mvtransfer.distance import (
     DtwParams,
     ImportanceLatentSet,
     SfaParams,
+    boss_distance,
     build_latent_set,
     channel_pairwise_distances,
     default_sfa_params,
-    dtw_distance,
     latent_set_from_json,
     sfa_fit,
+    sfa_transform,
 )
 
-from conftest import make_random_dataset
+from conftest import make_random_dataset, reference_dtw
 
 
 class TestChannelPairwiseDistances:
@@ -41,7 +42,7 @@ class TestChannelPairwiseDistances:
         target = np.array([[5.0, 5.0], [1.0, 1.0]])
         vec = channel_pairwise_distances(source, target, "dtw", normalize=False)
         for k in range(2):
-            assert vec[k] == dtw_distance(source[k], target[k])
+            assert vec[k] == reference_dtw(source[k], target[k])
 
     def test_normalization_divides_by_mean_length(self):
         rng = np.random.default_rng(21)
@@ -79,6 +80,22 @@ class TestChannelPairwiseDistances:
         bins = BossParams(params, channel_bins=[np.zeros((2, 1))])
         with pytest.raises(DistanceError, match="1 channel bin matrices for 2 channels"):
             channel_pairwise_distances(np.zeros((2, 6)), np.ones((2, 6)), "boss", bins)
+
+    @pytest.mark.parametrize("seed", [40, 41, 42])
+    def test_boss_without_bins_fits_on_the_pair(self, seed):
+        """Without bins, channel c's breakpoints are fitted on the pair's
+        own two channel-c series, exactly."""
+        rng = np.random.default_rng(seed)
+        source, target = rng.normal(size=(3, 14)), rng.normal(size=(3, 19))
+        sfa = SfaParams(window_length=6, word_length=4, alphabet_size=3)
+        for given in (sfa, BossParams(sfa)):
+            vec = channel_pairwise_distances(source, target, "boss", given)
+            for c in range(3):
+                bins = sfa_fit([source[c], target[c]], sfa)
+                expected = boss_distance(
+                    sfa_transform(source[c], bins, sfa), sfa_transform(target[c], bins, sfa)
+                )
+                assert vec[c] == expected / ((14 + 19) / 2.0)
 
     def test_vector_invariants(self):
         for bad in (-0.5, np.nan):
@@ -202,13 +219,13 @@ class TestBuildLatentSet:
     @pytest.mark.parametrize("band", [None, 8], ids=["free", "band"])
     def test_ragged_dtw_rows_equal_per_pair_reference(self, band):
         """Pairs grouped by length come back in sample order, bit-equal to
-        one ``dtw_distance`` per channel pair."""
+        the row-by-row reference per channel pair."""
         ds = make_random_dataset(np.random.default_rng(35), n_samples=12, channels=3, ragged=True)
         params = DtwParams(band_radius=band)
         latent = build_latent_set(ds, 0, 1, "dtw", measure_params=params)
         assert len({(s.shape[1], t.shape[1]) for s, t in zip(*ds.views)}) > 1
         for i, (s, t) in enumerate(zip(*ds.views)):
-            raw = np.array([dtw_distance(a, b, params) for a, b in zip(s, t)])
+            raw = np.array([reference_dtw(a, b, band) for a, b in zip(s, t)])
             assert np.array_equal(latent.raw_vectors[i], raw)
             assert np.array_equal(latent.vectors[i], raw / ((s.shape[1] + t.shape[1]) / 2.0))
 

@@ -1,22 +1,28 @@
 """Tests for the experiment orchestration layer and the synthetic fixture."""
 
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_random_dataset
 from mvtransfer.dataset import (
+    ALIGNMENT_STRATEGIES,
     MultiViewDataset,
     SplitSpec,
     align_lengths,
     load_dataset,
     split_dataset,
 )
-from mvtransfer.importance import SamplingConfig, TransferSchedule
+from mvtransfer.importance import NORM_KINDS, SAMPLING_MODES, SamplingConfig, TransferSchedule
 from mvtransfer.networks import init_network, NetworkConfig
 from mvtransfer.pipeline import (
+    EXPERIMENT_MODES,
+    MEASURES,
     SPLIT_SEED_OFFSET,
     ExperimentConfig,
     ExperimentReport,
@@ -150,6 +156,42 @@ class TestSyntheticDataset:
         assert "n_samples" in capsys.readouterr().err
 
 
+@st.composite
+def experiment_configs(draw):
+    """Valid configs varying the measure and its params, forced epochs,
+    kernel sizes, every sampling field, mode and alignment."""
+    measure = draw(st.sampled_from(MEASURES))
+    if measure == "dtw":
+        params = st.fixed_dictionaries({"band_radius": st.none() | st.integers(0, 64)})
+    else:
+        params = st.fixed_dictionaries({}, optional={
+            "window_length": st.integers(2, 64),
+            "word_length": st.sampled_from([2, 4, 6]),
+            "alphabet_size": st.integers(2, 26),
+            "mean_normalize": st.booleans(),
+        })
+    forced = draw(st.none() | st.lists(st.integers(0, 50), min_size=1, max_size=5).map(tuple))
+    sampling = SamplingConfig(
+        batch_size=draw(st.integers(1, 4096)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        norm_kind=draw(st.sampled_from(NORM_KINDS)),
+        invert_importance=draw(st.booleans()),
+        sampling_mode=draw(st.sampled_from(SAMPLING_MODES)),
+    )
+    return tiny_config(
+        dataset_path=draw(st.none() | st.text(max_size=12)),
+        measure=measure,
+        measure_params=draw(st.none() | params),
+        forced_epochs=forced,
+        total_pretrain_epochs=sum(forced) if forced else draw(st.integers(0, 200)),
+        fcn_kernel_sizes=tuple(draw(st.lists(st.integers(1, 16), min_size=3, max_size=3))),
+        sampling=sampling,
+        mode=draw(st.sampled_from(EXPERIMENT_MODES)),
+        align_strategy=draw(st.sampled_from(ALIGNMENT_STRATEGIES)),
+        train_fraction=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    )
+
+
 class TestExperimentConfig:
     """Validation and JSON round-trip of the experiment configuration."""
 
@@ -220,6 +262,19 @@ class TestExperimentConfig:
         path = tmp_path / "config.json"
         save_experiment_config(path, config)
         assert load_experiment_config(path) == config
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=experiment_configs())
+    def test_file_bytes_round_trip(self, config):
+        """Save then load gives an equal config, and saving that again
+        gives the same bytes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+            save_experiment_config(first, config)
+            restored = load_experiment_config(first)
+            assert restored == config
+            save_experiment_config(second, restored)
+            assert second.read_bytes() == first.read_bytes()
 
 
 class TestComputeSchedule:
@@ -632,6 +687,26 @@ class TestRunExperiment:
             match=rf"split \(seed {seed}, train_fraction 0.7\) leaves classes \['{absent}'\] out",
         ):
             run_experiment(config, dataset=relabeled, out_dir=tmp_path)
+        assert not (tmp_path / "scores.json").exists()
+
+    def test_single_class_held_out_split_fails_naming_the_split(self, monkeypatch, tmp_path):
+        """A held-out part of one class fails before the parts are built or
+        any distance is computed, naming the split seed, the fraction and
+        the class.  It used to fail inside dataset validation."""
+        import mvtransfer.importance as importance
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a latent set was built")
+
+        monkeypatch.setattr(importance, "build_latent_set", refuse)
+        ds = make_synthetic_dataset(n_samples=20, length=16)
+        config = tiny_config(base_seed=34)
+        seed = 34 + SPLIT_SEED_OFFSET
+        with pytest.raises(
+            PipelineError,
+            match=rf"split \(seed {seed}, train_fraction 0.7\) holds out only class 'fast'",
+        ):
+            run_experiment(config, dataset=ds, out_dir=tmp_path)
         assert not (tmp_path / "scores.json").exists()
 
     def test_report_validation(self):
