@@ -347,14 +347,9 @@ def _resize_sample(sample: np.ndarray, target: int, pad_mode: str) -> np.ndarray
     return np.pad(sample, ((0, 0), (0, pad)), mode="constant")
 
 
-def split_dataset(dataset: MultiViewDataset, spec: SplitSpec) -> tuple[MultiViewDataset, MultiViewDataset]:
-    """Partition samples into (train, test), identically across all views."""
-    train_idx, test_idx = split_indices(dataset, spec)
-    return dataset.take(train_idx), dataset.take(test_idx)
-
-
 def split_indices(dataset: MultiViewDataset, spec: SplitSpec) -> tuple[list[int], list[int]]:
-    """The (train, test) sample indices of :func:`split_dataset`.
+    """Partition the samples into (train, test) indices, identically across
+    all views; ``MultiViewDataset.take`` builds each part.
 
     Both lists keep the original sample order.  Fraction mode is driven
     entirely by ``spec.seed`` and is bit-reproducible.

@@ -21,6 +21,7 @@ from mvtransfer.flow import (
     FlowConfig,
     FlowModel,
     as_data_array,
+    as_data_stack,
     fit_flow,
     flow_from_json_dict,
     flow_inverse,
@@ -181,14 +182,21 @@ def fit_density(
     latent,
     override: str | None = None,
     flow_config: FlowConfig | None = None,
-) -> DensityModel:
-    """Pick the method for the latent set's dimension and fit it."""
-    data = as_data_array(latent)
-    method = select_density_method(data.shape[1], override)
-    if method == "kde":
-        return DensityModel(variant="kde", dimension=data.shape[1], kde=fit_kde(data))
-    model = fit_flow(data, flow_config or FlowConfig())
-    return DensityModel(variant="flow", dimension=data.shape[1], flow=model)
+) -> DensityModel | list[DensityModel]:
+    """Pick the method for the latent set's dimension and fit it.
+
+    ``latent`` is one (n, K) set, which gives one ``DensityModel``, or a
+    (V, n, K) stack of sets, which gives a list of V models: one kernel
+    estimate per set, or one stacked ``fit_flow`` for all of them.
+    """
+    data, stacked = as_data_stack(latent)
+    dimension = data.shape[-1]
+    if select_density_method(dimension, override) == "kde":
+        models = [DensityModel(variant="kde", dimension=dimension, kde=fit_kde(s)) for s in data]
+    else:
+        flows = fit_flow(data, flow_config or FlowConfig())
+        models = [DensityModel(variant="flow", dimension=dimension, flow=f) for f in flows]
+    return models if stacked else models[0]
 
 
 def density_model_to_json_dict(model: DensityModel) -> dict:

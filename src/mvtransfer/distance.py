@@ -73,7 +73,9 @@ def _dtw_many(x: np.ndarray, y: np.ndarray, band_radius: int | None = None) -> n
     buffer keeps from three diagonals back are never read.  Each cell is
     the minimum of its three predecessors plus its cost, in the row-by-row
     recurrence's order, so the two agree bit for bit.  Cells outside the
-    band, |2i - d| > r, are set to inf.
+    band, |2i - d| > r, are set to inf.  The inputs are checked for
+    non-finite values only once a result is not finite, so finite input
+    pays nothing for the check.
     """
     p, n = x.shape
     m = y.shape[1]
@@ -104,6 +106,9 @@ def _dtw_many(x: np.ndarray, y: np.ndarray, band_radius: int | None = None) -> n
         diag2, diag1, diag0 = diag1, diag0, diag2
     result = diag1[:, n]
     if not np.all(np.isfinite(result)):
+        for name, series in (("x (the first series)", x), ("y (the second series)", y)):
+            if not np.all(np.isfinite(series)):
+                raise DistanceError(f"DTW input {name} contains non-finite values")
         raise DistanceError("no feasible warp path (band too narrow)")
     return result
 

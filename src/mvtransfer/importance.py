@@ -4,6 +4,11 @@ Given a fitted density model over inter-view distance vectors, this module
 draws a batch of latent samples, folds the batch into a matrix, reduces the
 matrix to a scalar score through a matrix norm, and converts per-source-view
 scores into an integer pretraining-epoch schedule.
+
+Scoring runs in three phases over all requested source views: build every
+view's latent set, fit the densities once (one stacked flow for all views,
+or one kernel estimate per view), then draw and take the norm per view.
+Scoring one view is the same routine with one view.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 
 from .density import DensityModel, fit_density, save_density_model
 from .distance import build_latent_set
+from .flow import FlowTrainingError
 
 NORM_KINDS = ("frobenius", "spectral", "entrywise_l1")
 SAMPLING_MODES = ("vectors", "density_weights")
@@ -223,18 +229,70 @@ def score_source_view(
     norm.  With ``invert_importance`` the distance-flavoured score ``g`` is
     converted to the affinity ``1 / (1 + g)`` so that more similar views
     score higher.  When ``artifact_dir`` is given, the intermediate latent
-    set and density model are persisted there as JSON.
+    set and density model are persisted there as JSON.  This is
+    :func:`score_source_views` on one view.
+    """
+    (score,) = score_source_views(
+        dataset,
+        [source_view],
+        target_view,
+        measure,
+        measure_params,
+        density_override,
+        sampling,
+        flow_config=flow_config,
+        artifact_dir=artifact_dir,
+    )
+    return score
+
+
+def score_source_views(
+    dataset,
+    source_views,
+    target_view: int,
+    measure: str,
+    measure_params=None,
+    density_override: str | None = None,
+    sampling: SamplingConfig | None = None,
+    *,
+    flow_config=None,
+    artifact_dir=None,
+) -> list[float]:
+    """Score each of ``source_views`` against the target view, in order.
+
+    Each score equals :func:`score_source_view` on that view alone.  The
+    work runs in three phases: every view's latent set, then one density
+    fit over all of them (a single stacked flow, or a kernel estimate per
+    view), then each view's draw and norm.  A flow that diverges fails the
+    whole scoring with a ``FlowTrainingError`` naming the source view.
     """
     config = sampling if sampling is not None else SamplingConfig()
-    latent = build_latent_set(dataset, source_view, target_view, measure, measure_params)
-    model = fit_density(latent.vectors, override=density_override, flow_config=flow_config)
-    matrix = draw_importance_matrix(model, config)
-    score = matrix_norm(matrix, config.norm_kind)
-    if config.invert_importance:
-        score = 1.0 / (1.0 + score)
-    if artifact_dir is not None:
-        _persist_artifacts(artifact_dir, source_view, latent, model)
-    return score
+    latents = [
+        build_latent_set(dataset, source, target_view, measure, measure_params)
+        for source in source_views
+    ]
+    try:
+        models = fit_density(
+            np.stack([latent.vectors for latent in latents]),
+            override=density_override,
+            flow_config=flow_config,
+        )
+    except FlowTrainingError as exc:
+        source = source_views[exc.view]
+        raise FlowTrainingError(
+            f"non-finite loss at iteration {exc.iteration} in the flow of source view {source}",
+            exc.iteration,
+            source,
+        ) from exc
+    scores = []
+    for source, latent, model in zip(source_views, latents, models):
+        score = matrix_norm(draw_importance_matrix(model, config), config.norm_kind)
+        if config.invert_importance:
+            score = 1.0 / (1.0 + score)
+        if artifact_dir is not None:
+            _persist_artifacts(artifact_dir, source, latent, model)
+        scores.append(score)
+    return scores
 
 
 def _persist_artifacts(artifact_dir, source_view: int, latent, model: DensityModel) -> None:

@@ -30,7 +30,8 @@ from .importance import (
     SamplingConfig,
     TransferSchedule,
     build_transfer_schedule,
-    score_source_view,
+    score_source_view,  # noqa: F401  perfbench/layers.py traces this attribute
+    score_source_views,
     write_schedule_json,
 )
 from .networks import (
@@ -338,19 +339,16 @@ def score_views(config: ExperimentConfig, dataset: MultiViewDataset) -> list:
     seeds = scoring_seeds(config)
     sampling = replace(config.sampling, seed=seeds["scoring"])
     params = _measure_params(config.measure, config.measure_params)
-    return [
-        score_source_view(
-            dataset,
-            source,
-            config.target_view,
-            config.measure,
-            params,
-            config.density_override,
-            sampling,
-            flow_config=FlowConfig(seed=seeds["flow"]),
-        )
-        for source in sources
-    ]
+    return score_source_views(
+        dataset,
+        sources,
+        config.target_view,
+        config.measure,
+        params,
+        config.density_override,
+        sampling,
+        flow_config=FlowConfig(seed=seeds["flow"]),
+    )
 
 
 def compute_schedule(

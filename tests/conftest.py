@@ -5,8 +5,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from mvtransfer.dataset import MultiViewDataset
+from mvtransfer.flow import (
+    DUPLICATE_DISTANCE_THRESHOLD,
+    MIN_TRAINING_POINTS,
+    FlowConfig,
+    FlowTrainingError,
+    _log_density_batch,
+    _min_pairwise_distance,
+    as_data_array,
+    flow_loss_and_gradients,
+    init_flow_model,
+)
+from mvtransfer.optim import adam_update
 
 
 def make_random_dataset(
@@ -64,3 +77,83 @@ def reference_dtw(x, y, band=None) -> float:
             cur[j] = best + cost
         prev = cur
     return prev[m - 1]
+
+
+def reference_fit_flow(latent, config=None):
+    """One latent set's flow fit, one view at a time: the training loop the
+    stacked ``fit_flow`` replaced, kept as its bit-equality reference."""
+    config = config or FlowConfig()
+    data = as_data_array(latent)
+    n, d = data.shape
+    if n < MIN_TRAINING_POINTS:
+        raise ValueError(f"need at least {MIN_TRAINING_POINTS} training points, got {n}")
+    if d < 2:
+        raise ValueError(f"coupling layers need dimension >= 2, got {d}")
+
+    model = init_flow_model(data, config)
+    standardized = (data - model.standardize_mean) / model.standardize_scale
+    perturb = (
+        config.perturbation > 0.0
+        and _min_pairwise_distance(standardized) < DUPLICATE_DISTANCE_THRESHOLD
+    )
+    noise_rng = np.random.default_rng(config.seed + 1)
+
+    # Parameters become views into one buffer: one Adam block, one-copy snapshots.
+    theta = np.concatenate([p.ravel() for p in model.params.values()])
+    pieces = np.split(theta, np.cumsum([p.size for p in model.params.values()])[:-1])
+    model.params = {k: x.reshape(p.shape) for (k, p), x in zip(model.params.items(), pieces)}
+    grad = np.empty_like(theta)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+
+    initial_ll = float(_log_density_batch(model, data).mean())
+    model.initial_log_likelihood = initial_ll
+    best_ll = initial_ll
+    best = theta.copy()
+
+    for iteration in range(1, config.training_iterations + 1):
+        batch = data
+        if perturb:
+            batch = data + noise_rng.normal(0.0, config.perturbation, size=data.shape)
+        loss, grads, batch_ll = flow_loss_and_gradients(model, batch)
+        if not np.isfinite(loss):
+            raise FlowTrainingError(f"non-finite loss at iteration {iteration}", iteration, 0)
+        if not perturb and batch_ll > best_ll:
+            # batch == clean data, so batch_ll is the pre-update training
+            # likelihood of the current parameters
+            best_ll = batch_ll
+            best[...] = theta
+        np.concatenate([grads[k] for k in model.params], axis=None, out=grad)
+        adam_update([theta], [grad], [m], [v], iteration, learning_rate=config.learning_rate)
+
+    final_ll = float(_log_density_batch(model, data).mean())
+    if final_ll < best_ll:
+        theta[...] = best
+        final_ll = float(_log_density_batch(model, data).mean())
+    model.final_log_likelihood = final_ll
+    return model
+
+
+@st.composite
+def flow_stacks(draw):
+    """A stack of 1 to 3 equally-shaped latent sets and the config to fit
+    them with.  Each set may duplicate its rows, which takes it down the
+    perturbation path, so a stack can mix perturbing and clean views;
+    learning rates up to 0.3 make some views end on the best-iterate
+    restore."""
+    views = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=8, max_value=40))
+    d = draw(st.integers(min_value=2, max_value=7))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    stack = rng.normal(size=(views, n, d)) * rng.choice([0.01, 1.0, 50.0], size=(views, 1, d))
+    for view in range(views):
+        if draw(st.booleans()):
+            stack[view, 1::2] = stack[view, 0:n - 1:2]
+    config = FlowConfig(
+        layer_count=draw(st.integers(min_value=2, max_value=4)),
+        coupling_net_width=draw(st.integers(min_value=1, max_value=6)),
+        training_iterations=draw(st.integers(min_value=1, max_value=30)),
+        learning_rate=draw(st.sampled_from([1e-3, 0.05, 0.3])),
+        perturbation=draw(st.sampled_from([1e-6, 0.01])),
+        seed=draw(st.integers(min_value=0, max_value=1000)),
+    )
+    return stack, config

@@ -13,7 +13,7 @@ from mvtransfer.dataset import (
     align_lengths,
     emit_dataset,
     load_dataset,
-    split_dataset,
+    split_indices,
 )
 
 from conftest import make_random_dataset
@@ -274,8 +274,8 @@ class TestSplitDataset:
         rng = np.random.default_rng(5)
         ds = make_random_dataset(rng, n_samples=10)
         spec = SplitSpec(mode="fraction", train_fraction=0.5, seed=42)
-        tr1, te1 = split_dataset(ds, spec)
-        tr2, te2 = split_dataset(ds, spec)
+        tr1, te1 = map(ds.take, split_indices(ds, spec))
+        tr2, te2 = map(ds.take, split_indices(ds, spec))
         assert tr1.sample_ids == tr2.sample_ids
         assert te1.sample_ids == te2.sample_ids
         assert len(tr1.sample_ids) == 5
@@ -284,7 +284,8 @@ class TestSplitDataset:
         """Fraction 0.7 on 100 samples: sizes 70/30, disjoint, exhaustive union."""
         rng = np.random.default_rng(6)
         ds = make_random_dataset(rng, n_samples=100, n_classes=4)
-        train, test = split_dataset(ds, SplitSpec(mode="fraction", train_fraction=0.7, seed=1))
+        spec = SplitSpec(mode="fraction", train_fraction=0.7, seed=1)
+        train, test = map(ds.take, split_indices(ds, spec))
         train_set, test_set = set(train.sample_ids), set(test.sample_ids)
         assert len(train_set) == 70
         assert len(test_set) == 30
@@ -295,7 +296,8 @@ class TestSplitDataset:
         rng = np.random.default_rng(8)
         ds = make_random_dataset(rng, n_samples=20, n_classes=4)
         by_id = dict(zip(ds.sample_ids, ds.labels))
-        train, test = split_dataset(ds, SplitSpec(train_fraction=0.6, seed=3))
+        spec = SplitSpec(train_fraction=0.6, seed=3)
+        train, test = map(ds.take, split_indices(ds, spec))
         for part in (train, test):
             assert part.labels == [by_id[sid] for sid in part.sample_ids]
             for v in range(part.n_views):
@@ -312,7 +314,7 @@ class TestSplitDataset:
             views=views, labels=[f"c{i % 2}" for i in range(n)], sample_ids=ids, groups=groups
         )
         spec = SplitSpec(mode="by-group", train_groups={f"g{j}" for j in range(6)})
-        train, test = split_dataset(ds, spec)
+        train, test = map(ds.take, split_indices(ds, spec))
         assert {groups[sid] for sid in train.sample_ids} == {f"g{j}" for j in range(6)}
         assert {groups[sid] for sid in test.sample_ids} == {"g6", "g7"}
         assert train.n_samples + test.n_samples == n
@@ -322,7 +324,7 @@ class TestSplitDataset:
         ds = make_random_dataset(rng, n_samples=8, n_classes=2)
         assignment = {sid: ("early" if i < 4 else "late") for i, sid in enumerate(ds.sample_ids)}
         spec = SplitSpec(mode="by-group", train_groups={"early"}, group_assignment=assignment)
-        train, test = split_dataset(ds, spec)
+        train, test = map(ds.take, split_indices(ds, spec))
         assert train.sample_ids == ds.sample_ids[:4]
         assert test.sample_ids == ds.sample_ids[4:]
 
@@ -331,13 +333,13 @@ class TestSplitDataset:
         ds = make_random_dataset(rng, n_samples=8, with_groups=True)
         spec = SplitSpec(mode="by-group", train_groups={"g0", "nosuch"})
         with pytest.raises(DatasetError, match="nosuch"):
-            split_dataset(ds, spec)
+            split_indices(ds, spec)
 
     def test_empty_partition_rejected(self):
         rng = np.random.default_rng(13)
         ds = make_random_dataset(rng, n_samples=3)
         with pytest.raises(DatasetError, match="partition"):
-            split_dataset(ds, SplitSpec(train_fraction=0.95))
+            split_indices(ds, SplitSpec(train_fraction=0.95))
 
     def test_bad_specs_rejected(self):
         with pytest.raises(DatasetError, match="mode"):

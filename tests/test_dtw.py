@@ -59,6 +59,17 @@ class TestDtwBasics:
         with pytest.raises(DistanceError, match="band"):
             dtw_distance([1, 2, 3, 4, 5], [1], DtwParams(band_radius=1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_named(self, bad):
+        first, second = (
+            rf"input {side} \(the {which} series\) contains non-finite"
+            for side, which in (("x", "first"), ("y", "second"))
+        )
+        with pytest.raises(DistanceError, match=first):
+            dtw_distance([bad, 1.0], [1.0, 2.0])
+        with pytest.raises(DistanceError, match=second):
+            dtw_distance([1.0, 2.0], [1.0, 2.0, bad], DtwParams(band_radius=1))
+
     def test_negative_band_rejected(self):
         with pytest.raises(DistanceError, match="band_radius"):
             DtwParams(band_radius=-1)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import flow_stacks, reference_fit_flow
+from mvtransfer import flow
 from mvtransfer.flow import (
     FlowConfig,
     FlowTrainingError,
@@ -381,3 +383,87 @@ class TestFittedFlowProperties:
     def test_final_likelihood_never_below_initial(self, fitted):
         model, _ = fitted
         assert model.final_log_likelihood >= model.initial_log_likelihood
+
+
+class TestStackedFit:
+    """``fit_flow`` on a (V, n, d) stack trains V flows as one model."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=flow_stacks())
+    def test_each_view_bit_equal_to_its_own_fit(self, case):
+        stack, config = case
+        with np.errstate(over="ignore"):
+            models = fit_flow(stack, config)
+            references = [reference_fit_flow(latent, config) for latent in stack]
+        assert len(models) == len(stack)
+        for model, reference in zip(models, references):
+            assert model.params.keys() == reference.params.keys()
+            for key, value in reference.params.items():
+                assert np.array_equal(model.params[key], value)
+            assert np.array_equal(model.standardize_mean, reference.standardize_mean)
+            assert np.array_equal(model.standardize_scale, reference.standardize_scale)
+            assert model.initial_log_likelihood == reference.initial_log_likelihood
+            assert model.final_log_likelihood == reference.final_log_likelihood
+
+    def test_single_set_is_the_unstacked_case(self):
+        rng = np.random.default_rng(61)
+        data = rng.normal(size=(20, 3))
+        model = fit_flow(data, QUICK)
+        (stacked,) = fit_flow(data[None], QUICK)
+        for key, value in model.params.items():
+            assert value.shape == stacked.params[key].shape
+            assert np.array_equal(value, stacked.params[key])
+        assert model.final_log_likelihood == stacked.final_log_likelihood
+
+    def test_views_share_one_parameter_buffer(self):
+        rng = np.random.default_rng(62)
+        models = fit_flow(rng.normal(size=(3, 16, 4)), QUICK)
+        tensors = [t for model in models for t in model.params.values()]
+        assert len({id(t.base) for t in tensors}) == 1
+        assert tensors[0].base.size == sum(t.size for t in tensors)
+
+    def test_one_loss_and_adam_step_per_iteration(self, monkeypatch):
+        calls = {"loss": 0, "adam": 0}
+        loss_and_gradients, adam = flow.flow_loss_and_gradients, flow.adam_update
+
+        def counted_loss(*args):
+            calls["loss"] += 1
+            return loss_and_gradients(*args)
+
+        def counted_adam(*args, **kwargs):
+            calls["adam"] += 1
+            return adam(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "flow_loss_and_gradients", counted_loss)
+        monkeypatch.setattr(flow, "adam_update", counted_adam)
+        fit_flow(np.random.default_rng(63).normal(size=(3, 12, 2)), QUICK)
+        assert calls == {"loss": QUICK.training_iterations, "adam": QUICK.training_iterations}
+
+    def test_divergence_of_one_view_names_it_and_the_iteration(self):
+        """View 0 holds one repeated point and is not perturbed, so its only
+        non-zero gradient moves a tanh-bounded log-scale and its loss stays
+        finite under any step size; view 1 overflows as a lone fit does."""
+        rng = np.random.default_rng(60)
+        diverging = rng.normal(size=(16, 2))
+        config = FlowConfig(
+            layer_count=2, coupling_net_width=4, training_iterations=10,
+            learning_rate=1e300, perturbation=0.0, seed=0,
+        )
+        stack = np.stack([np.full((16, 2), 3.0), diverging])
+        with np.errstate(all="ignore"):
+            reference_fit_flow(stack[0], config)
+            with pytest.raises(FlowTrainingError) as lone:
+                reference_fit_flow(diverging, config)
+            with pytest.raises(FlowTrainingError) as stacked:
+                fit_flow(stack, config)
+        assert stacked.value.view == 1
+        assert stacked.value.iteration == lone.value.iteration
+        assert str(stacked.value) == (
+            f"non-finite loss at iteration {lone.value.iteration} in view 1 of the stack"
+        )
+
+    def test_rejects_a_short_or_non_finite_stack(self):
+        with pytest.raises(ValueError, match="at least 8"):
+            fit_flow(np.zeros((2, 5, 3)), QUICK)
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_flow(np.full((2, 10, 3), np.nan), QUICK)

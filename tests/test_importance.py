@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_random_dataset
+from mvtransfer import flow
 from mvtransfer.dataset import MultiViewDataset
 from mvtransfer.density import DensityModel, KdeModel, fit_density
-from mvtransfer.flow import FlowConfig, init_flow_model
+from mvtransfer.flow import FlowConfig, FlowTrainingError, init_flow_model
 from mvtransfer.importance import (
     SamplingConfig,
     TransferSchedule,
@@ -19,6 +21,7 @@ from mvtransfer.importance import (
     matrix_norm,
     schedule_to_json_dict,
     score_source_view,
+    score_source_views,
     write_schedule_json,
 )
 
@@ -349,3 +352,57 @@ class TestScoreSourceView:
         assert latent_payload["target_view"] == 2
         density_payload = json.loads((tmp_path / "density_view1.json").read_text())
         assert density_payload["variant"] == "kde"
+
+
+class TestScoreSourceViews:
+    """All source views scored in phases equal each view scored alone."""
+
+    @pytest.mark.parametrize("override", ["kde", "flow"])
+    def test_equals_each_view_alone_with_the_same_artifacts(self, tmp_path, override):
+        rng = np.random.default_rng(105)
+        dataset = make_random_dataset(rng, n_views=4, n_samples=10, channels=3, length=9)
+        config = SamplingConfig(batch_size=64, seed=3, norm_kind="spectral")
+        flow_config = FlowConfig(layer_count=2, coupling_net_width=4, training_iterations=20)
+        sources = [3, 0, 2]
+        together = score_source_views(
+            dataset, sources, 1, "dtw", None, override, config,
+            flow_config=flow_config, artifact_dir=tmp_path / "together",
+        )
+        alone = [
+            score_source_view(
+                dataset, source, 1, "dtw", None, override, config,
+                flow_config=flow_config, artifact_dir=tmp_path / "alone",
+            )
+            for source in sources
+        ]
+        assert together == alone
+        for source in sources:
+            for name in (f"latent_view{source}.json", f"density_view{source}.json"):
+                assert (tmp_path / "together" / name).read_bytes() == (
+                    tmp_path / "alone" / name
+                ).read_bytes()
+
+    def test_diverged_flow_names_the_source_view(self, monkeypatch):
+        """A non-finite loss in the stack's second view, source view 0,
+        fails scoring with that dataset index and the iteration."""
+        loss_and_gradients = flow.flow_loss_and_gradients
+        calls = []
+
+        def diverge_second_view(model, batch, grads=None):
+            loss, grads, mean_ll = loss_and_gradients(model, batch, grads)
+            calls.append(1)
+            if len(calls) == 3:
+                loss[1] = np.nan
+            return loss, grads, mean_ll
+
+        monkeypatch.setattr(flow, "flow_loss_and_gradients", diverge_second_view)
+        rng = np.random.default_rng(106)
+        dataset = make_random_dataset(rng, n_views=3, n_samples=10, channels=2, length=9)
+        with pytest.raises(FlowTrainingError) as raised:
+            score_source_views(
+                dataset, [2, 0], 1, "dtw", None, "flow",
+                flow_config=FlowConfig(layer_count=2, coupling_net_width=4),
+            )
+        assert raised.value.view == 0
+        assert raised.value.iteration == 3
+        assert str(raised.value) == "non-finite loss at iteration 3 in the flow of source view 0"

@@ -1,10 +1,14 @@
 """Tests for kernel density estimation and the density-model wrapper."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import flow_stacks, reference_fit_flow
 from mvtransfer.density import (
     DensityError,
     DensityModel,
@@ -294,3 +298,57 @@ class TestDensityGrid:
         model = fit_density(rng.normal(size=(10, 3)))
         with pytest.raises(DensityError, match="projection"):
             evaluate_density_grid(model, [-1] * 3, [1] * 3, 5)
+
+
+def saved_bytes(model: DensityModel) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "density.json"
+        save_density_model(model, path)
+        return path.read_bytes()
+
+
+def resaved_bytes(data: bytes) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "density.json"
+        path.write_bytes(data)
+        return saved_bytes(load_density_model(path))
+
+
+@st.composite
+def kde_models(draw):
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=1, max_value=20))
+    d = draw(st.integers(min_value=1, max_value=5))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    kde = KdeModel(
+        support_points=rng.normal(size=(n, d)) * scale,
+        bandwidth_diag=np.exp(rng.uniform(-30.0, 10.0, size=d)),
+    )
+    return DensityModel(variant="kde", dimension=d, kde=kde)
+
+
+class TestDensityJsonBytes:
+    """save_density_model -> load_density_model -> save_density_model
+    writes the same bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=kde_models())
+    def test_kde_round_trip(self, model):
+        first = saved_bytes(model)
+        assert resaved_bytes(first) == first
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=flow_stacks())
+    def test_stacked_flow_round_trip_and_reference_bytes(self, case):
+        """Flows from a stacked fit, whose parameters are views into the
+        shared buffer, round-trip byte for byte, and each view's file is
+        the file of that view's own fit."""
+        stack, config = case
+        with np.errstate(over="ignore"):
+            models = fit_density(stack, override="flow", flow_config=config)
+            references = [reference_fit_flow(latent, config) for latent in stack]
+        for model, reference in zip(models, references):
+            first = saved_bytes(model)
+            assert resaved_bytes(first) == first
+            alone = DensityModel(variant="flow", dimension=reference.dimension, flow=reference)
+            assert first == saved_bytes(alone)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ class TestChannelPairwiseDistances:
     def test_unknown_measure_rejected(self):
         with pytest.raises(DistanceError, match="measure"):
             channel_pairwise_distances(np.zeros((1, 5)), np.zeros((1, 5)), "euclid")
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_non_finite_dtw_input_named(self, side):
+        """A NaN in either sample is named as the input at fault, not
+        reported as a band too narrow for any warp path."""
+        samples = {"source": np.zeros((2, 5)), "target": np.ones((2, 5))}
+        samples[side][1, 2] = np.nan
+        name = "x (the first series)" if side == "source" else "y (the second series)"
+        with pytest.raises(DistanceError, match=rf"input {re.escape(name)} contains non-finite"):
+            channel_pairwise_distances(samples["source"], samples["target"], "dtw")
 
     def test_wrong_params_type_rejected(self):
         with pytest.raises(DistanceError, match="DtwParams"):

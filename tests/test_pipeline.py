@@ -16,7 +16,7 @@ from mvtransfer.dataset import (
     SplitSpec,
     align_lengths,
     load_dataset,
-    split_dataset,
+    split_indices,
 )
 from mvtransfer.importance import NORM_KINDS, SAMPLING_MODES, SamplingConfig, TransferSchedule
 from mvtransfer.networks import init_network, NetworkConfig
@@ -536,8 +536,8 @@ class TestRunExperiment:
             train_fraction=config.train_fraction,
             seed=config.base_seed + SPLIT_SEED_OFFSET,
         )
-        _, test_part = split_dataset(ds, split)
-        held_out = {ds.sample_ids.index(sid) for sid in test_part.sample_ids}
+        _, test_idx = split_indices(ds, split)
+        held_out = set(test_idx)
         rng = np.random.default_rng(7)
         target = [
             series + 3.0 * rng.normal(size=series.shape) if i in held_out else series
@@ -669,8 +669,11 @@ class TestRunExperiment:
         ds = tiny_dataset()
         config = tiny_config()
         seed = config.base_seed + SPLIT_SEED_OFFSET
-        train_part, test_part = split_dataset(
-            ds, SplitSpec(mode="fraction", train_fraction=config.train_fraction, seed=seed)
+        train_part, test_part = map(
+            ds.take,
+            split_indices(
+                ds, SplitSpec(mode="fraction", train_fraction=config.train_fraction, seed=seed)
+            ),
         )
         if classes == 2:
             labels = ["fast" if sid in test_part.sample_ids else "slow" for sid in ds.sample_ids]
