@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,16 @@ ALIGNMENT_STRATEGIES = (
 )
 
 _VIEW_HEADER = ["sample_id", "channel", "t", "value"]
+# Bytes a view file may hold outside its ids: ASCII without the separators
+# \x1c-\x1f.  numpy's number parsers take those separators as whitespace,
+# and its integer parser gives values to some non-ASCII characters, where
+# Python's int and float reject them; within these bytes numpy accepts no
+# number that Python rejects, and reads each one to the same value.
+_PLAIN_BYTES = bytes(b for b in range(0x80) if not 0x1C <= b <= 0x1F)
+_NUMBER_FORM = (
+    "channel and t must be ASCII decimal integers and value an ASCII float "
+    "that numpy's text parser reads"
+)
 
 
 class DatasetError(ValueError):
@@ -181,9 +192,18 @@ def load_dataset(root_path: str | Path) -> MultiViewDataset:
         if key not in manifest:
             raise DatasetError(f"{manifest_path}: missing key {key!r}")
     n_views = manifest["views"]
-    sample_ids = list(manifest["samples"])
+    if not isinstance(n_views, int) or isinstance(n_views, bool):
+        raise DatasetError(f"{manifest_path}: 'views' must be an integer, got {n_views!r}")
+    for key in ("samples", "view_files"):
+        entries = manifest[key]
+        if not isinstance(entries, list) or not all(isinstance(x, str) for x in entries):
+            raise DatasetError(f"{manifest_path}: {key!r} must be a list of strings")
+    sample_ids = manifest["samples"]
     labels_map = manifest["labels"]
-    view_files = list(manifest["view_files"])
+    view_files = manifest["view_files"]
+    if len(set(sample_ids)) != len(sample_ids):
+        duplicate = next(sid for i, sid in enumerate(sample_ids) if sid in sample_ids[:i])
+        raise DatasetError(f"{manifest_path}: duplicate sample id {duplicate!r} in 'samples'")
     if len(view_files) != n_views:
         raise DatasetError(
             f"{manifest_path}: 'views' says {n_views} but {len(view_files)} view_files listed"
@@ -210,67 +230,205 @@ def load_dataset(root_path: str | Path) -> MultiViewDataset:
 
 
 def _read_view_file(path: Path, sample_ids: list[str]) -> list[np.ndarray]:
+    """One view's samples in ``sample_ids`` order, read column-wise.
+
+    numpy's C parser reads every row into one structured array; the row
+    checks run as masks over it, and each value is scattered to its place
+    in one flat buffer of which every sample is a ``(channels, length)``
+    view.  A file with any fault is read once more, row by row, so that the
+    message names the first faulty row.
+    """
     if not path.is_file():
         raise DatasetError(f"missing view file: {path}")
-    cells: dict[tuple[str, int], dict[int, float]] = {}
+    # One character wider than any manifest id, so a longer id in the file
+    # stays longer after numpy truncates it and cannot alias a real one.
+    width = max(map(len, sample_ids), default=0) + 1
+    rows = _parse_rows(path, width)
+    if rows is None:
+        raise DatasetError(
+            _first_row_fault(path, sample_ids)
+            or f"{path} row {_first_rejected_row(path, width)}: {_NUMBER_FORM}"
+        )
+    ids, inverse, id_counts = np.unique(rows["sid"], return_inverse=True, return_counts=True)
+    ids = ids.tolist()
+    position = {sid: i for i, sid in enumerate(sample_ids)}
+    code = np.array([position.get(sid, -1) for sid in ids], dtype=np.int64)[inverse]
+    channel, t, value = rows["channel"], rows["t"], rows["value"]
+    bad = (code < 0) | (channel < 0) | (t < 0) | ~np.isfinite(value)
+    if bad.any():
+        # with every number sound, a clean row-by-row reading leaves only an
+        # id the array cannot hold, such as one ending in NUL
+        row_no = int(np.flatnonzero(bad)[0]) + 2
+        raise DatasetError(
+            _first_row_fault(path, sample_ids)
+            or f"{path} row {row_no}: numpy's text parser misreads the sample id"
+        )
+    samples = _scatter(len(sample_ids), code, channel, t, value)
+    if samples is None or not _is_plain(path, ids, id_counts.tolist(), len(rows)):
+        fault = _first_row_fault(path, sample_ids)
+        if fault is None and samples is None:
+            fault = _layout_fault(path, sample_ids, code, channel, t)
+        if fault is not None:
+            raise DatasetError(fault)
+    return samples
+
+
+def _parse_rows(path: Path, width: int, max_rows: int | None = None) -> np.ndarray | None:
+    """The data rows (the first ``max_rows`` of them, if given) as a
+    structured array, or None where numpy's parser rejects them."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header != _VIEW_HEADER:
             raise DatasetError(f"{path}: bad header {header!r}, expected {_VIEW_HEADER!r}")
-        known = set(sample_ids)
+        dtype = [
+            ("sid", f"U{width}"), ("channel", np.int64), ("t", np.int64), ("value", np.float64)
+        ]
+        with warnings.catch_warnings():
+            # a file without rows is reported as missing every sample
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                return np.loadtxt(
+                    fh,
+                    dtype=dtype,
+                    delimiter=",",
+                    comments=None,
+                    quotechar='"',
+                    encoding="utf-8",
+                    ndmin=1,
+                    max_rows=max_rows,
+                )
+            except ValueError:
+                return None
+
+
+def _unplain_bytes(data: bytes) -> int:
+    return len(data.translate(None, _PLAIN_BYTES))
+
+
+def _is_plain(path: Path, ids: list[str], id_counts: list[int], n_rows: int) -> bool:
+    """Whether the file holds one line per parsed row after its header and
+    no byte outside the ids that numpy's number parsers read differently
+    from Python's ``int`` and ``float``.
+
+    numpy skips blank lines, which the format rejects; a line break inside
+    a quoted id also fails this test, and the row-by-row reading then finds
+    nothing wrong.
+    """
+    data = path.read_bytes()
+    lines = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+    lines += data[-1:] not in (b"\n", b"\r")
+    in_ids = sum(n * _unplain_bytes(sid.encode("utf-8")) for sid, n in zip(ids, id_counts))
+    return lines - 1 == n_rows and _unplain_bytes(data) == in_ids
+
+
+def _scatter(n, code, channel, t, value) -> list[np.ndarray] | None:
+    """Each sample as a ``(channels, length)`` view of one flat buffer, or
+    None unless the rows hold every sample's channels 0..d-1 at one length
+    per sample and each (sample, channel, t) cell exactly once."""
+    size = len(code)
+    d = int(channel.max()) + 1 if size else 0
+    if not 0 < n * d <= size:
+        return None
+    cell = code * d + channel
+    count = np.bincount(cell, minlength=n * d)
+    lengths = count[::d]
+    if not lengths.all() or not (count.reshape(n, d) == lengths[:, None]).all():
+        return None
+    if (t >= count[cell]).any():
+        return None
+    slot = (np.cumsum(count) - count)[cell] + t
+    # size rows on size slots: a slot filled twice means another is empty
+    if np.bincount(slot, minlength=size).max() != 1:
+        return None
+    flat = np.empty(size, dtype=np.float64)
+    flat[slot] = value
+    ends = np.cumsum(lengths * d).tolist()
+    return [flat[end - m * d:end].reshape(d, m) for end, m in zip(ends, lengths.tolist())]
+
+
+def _first_row_fault(path: Path, sample_ids: list[str]) -> str | None:
+    """The first faulty row, named as a row-by-row reading meets it, or None.
+
+    Within a row the checks run in a fixed order: column count, sample id,
+    the numbers as Python's ``int``/``float`` read them, then their plain
+    ASCII form, sign, finiteness and duplicate (sample, channel, t) triples.
+    """
+    known = set(sample_ids)
+    seen = set()
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, already checked
         for row_no, row in enumerate(reader, start=2):
             if len(row) != 4:
-                raise DatasetError(f"{path} row {row_no}: expected 4 columns, got {len(row)}")
+                return f"{path} row {row_no}: expected 4 columns, got {len(row)}"
             sid, channel_s, t_s, value_s = row
             if sid not in known:
-                raise DatasetError(f"{path} row {row_no}: unknown sample id {sid!r}")
+                return f"{path} row {row_no}: unknown sample id {sid!r}"
             try:
-                channel = int(channel_s)
-                t = int(t_s)
+                triple = (sid, int(channel_s), int(t_s))
                 value = float(value_s)
             except ValueError as exc:
-                raise DatasetError(f"{path} row {row_no}: {exc}") from exc
-            if channel < 0 or t < 0:
-                raise DatasetError(f"{path} row {row_no}: negative channel or t index")
+                return f"{path} row {row_no}: {exc}"
+            if _unplain_bytes(f"{channel_s}{t_s}{value_s}".encode("utf-8")):
+                return f"{path} row {row_no}: {_NUMBER_FORM}"
+            if triple[1] < 0 or triple[2] < 0:
+                return f"{path} row {row_no}: negative channel or t index"
             if not math.isfinite(value):
-                raise DatasetError(f"{path} row {row_no}: non-finite value {value_s!r}")
-            series = cells.setdefault((sid, channel), {})
-            if t in series:
-                raise DatasetError(f"{path} row {row_no}: duplicate (sample,channel,t) triple")
-            series[t] = value
+                return f"{path} row {row_no}: non-finite value {value_s!r}"
+            if triple in seen:
+                return f"{path} row {row_no}: duplicate (sample,channel,t) triple"
+            seen.add(triple)
+    return None
 
-    present = {sid for sid, _ in cells}
-    absent = [sid for sid in sample_ids if sid not in present]
-    if absent:
-        raise DatasetError(f"{path}: no data for samples {absent}")
 
+def _first_rejected_row(path: Path, width: int) -> int:
+    """The row number of the first row numpy's parser rejects, in a file
+    whose full parse fails but whose rows all pass :func:`_first_row_fault`
+    (so it has no blank lines and data row k is file row k + 1)."""
+    parsed, rejected = 0, 1  # the first `parsed` rows parse, the first `rejected` do not
+    while _parse_rows(path, width, rejected) is not None:
+        parsed, rejected = rejected, 2 * rejected
+    while rejected - parsed > 1:
+        middle = (parsed + rejected) // 2
+        if _parse_rows(path, width, middle) is None:
+            rejected = middle
+        else:
+            parsed = middle
+    return rejected + 1
+
+
+def _layout_fault(path: Path, sample_ids: list[str], code, channel, t) -> str:
+    """The first fault in how sound rows without duplicate triples cover the
+    samples, channels and timestamps, in the order a per-sample check meets
+    it: absent samples, channel sets, then per sample in manifest order its
+    timestamps per channel and its channel lengths."""
+    cells, cell_of_row, count = np.unique(
+        np.stack([code, channel], axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    last = np.zeros(len(cells), dtype=np.int64)
+    np.maximum.at(last, cell_of_row.ravel(), t)
     channel_sets = {}
-    for sid, channel in cells:
-        channel_sets.setdefault(sid, set()).add(channel)
-    d_values = {frozenset(chs) for chs in channel_sets.values()}
-    if len(d_values) != 1:
-        raise DatasetError(f"{path}: inconsistent channel sets across samples")
-    channels = sorted(next(iter(d_values)))
+    for sample, ch in cells.tolist():
+        channel_sets.setdefault(sample, set()).add(ch)
+    absent = [sid for i, sid in enumerate(sample_ids) if i not in channel_sets]
+    if absent:
+        return f"{path}: no data for samples {absent}"
+    if len({frozenset(chs) for chs in channel_sets.values()}) != 1:
+        return f"{path}: inconsistent channel sets across samples"
+    channels = sorted(channel_sets[0])
     if channels != list(range(len(channels))):
-        raise DatasetError(f"{path}: channels must be 0..d-1, got {channels}")
-
-    samples = []
-    for sid in sample_ids:
-        per_channel = []
-        for channel in channels:
-            series = cells[(sid, channel)]
-            length = len(series)
-            if sorted(series) != list(range(length)):
-                raise DatasetError(
-                    f"{path}: sample {sid!r} channel {channel} timestamps are not 0..{length - 1}"
-                )
-            per_channel.append([series[t] for t in range(length)])
-        lengths = {len(ch) for ch in per_channel}
+        return f"{path}: channels must be 0..d-1, got {channels}"
+    count = count.reshape(len(sample_ids), len(channels))
+    last = last.reshape(count.shape)
+    for i, sid in enumerate(sample_ids):
+        for ch in channels:
+            length = count[i, ch]
+            if last[i, ch] != length - 1:
+                return f"{path}: sample {sid!r} channel {ch} timestamps are not 0..{length - 1}"
+        lengths = sorted(set(count[i].tolist()))
         if len(lengths) != 1:
-            raise DatasetError(f"{path}: sample {sid!r} channels have unequal lengths {sorted(lengths)}")
-        samples.append(np.array(per_channel, dtype=np.float64))
-    return samples
+            return f"{path}: sample {sid!r} channels have unequal lengths {lengths}"
+    raise AssertionError("_layout_fault called on rows that cover every sample")
 
 
 def emit_dataset(dataset: MultiViewDataset, root_path: str | Path):

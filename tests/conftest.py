@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
-from mvtransfer.dataset import MultiViewDataset
+from mvtransfer.dataset import _VIEW_HEADER, DatasetError, MultiViewDataset
 from mvtransfer.flow import (
     DUPLICATE_DISTANCE_THRESHOLD,
     MIN_TRAINING_POINTS,
@@ -77,6 +79,73 @@ def reference_dtw(x, y, band=None) -> float:
             cur[j] = best + cost
         prev = cur
     return prev[m - 1]
+
+
+def reference_read_view_file(path: Path, sample_ids: list[str]) -> list[np.ndarray]:
+    """One view file read row by row into a dict of dicts: the reader the
+    columnar ``_read_view_file`` replaced, kept as its reference for
+    arrays and for the message of every rejection."""
+    if not path.is_file():
+        raise DatasetError(f"missing view file: {path}")
+    cells: dict[tuple[str, int], dict[int, float]] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != _VIEW_HEADER:
+            raise DatasetError(f"{path}: bad header {header!r}, expected {_VIEW_HEADER!r}")
+        known = set(sample_ids)
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise DatasetError(f"{path} row {row_no}: expected 4 columns, got {len(row)}")
+            sid, channel_s, t_s, value_s = row
+            if sid not in known:
+                raise DatasetError(f"{path} row {row_no}: unknown sample id {sid!r}")
+            try:
+                channel = int(channel_s)
+                t = int(t_s)
+                value = float(value_s)
+            except ValueError as exc:
+                raise DatasetError(f"{path} row {row_no}: {exc}") from exc
+            if channel < 0 or t < 0:
+                raise DatasetError(f"{path} row {row_no}: negative channel or t index")
+            if not math.isfinite(value):
+                raise DatasetError(f"{path} row {row_no}: non-finite value {value_s!r}")
+            series = cells.setdefault((sid, channel), {})
+            if t in series:
+                raise DatasetError(f"{path} row {row_no}: duplicate (sample,channel,t) triple")
+            series[t] = value
+
+    present = {sid for sid, _ in cells}
+    absent = [sid for sid in sample_ids if sid not in present]
+    if absent:
+        raise DatasetError(f"{path}: no data for samples {absent}")
+
+    channel_sets = {}
+    for sid, channel in cells:
+        channel_sets.setdefault(sid, set()).add(channel)
+    d_values = {frozenset(chs) for chs in channel_sets.values()}
+    if len(d_values) != 1:
+        raise DatasetError(f"{path}: inconsistent channel sets across samples")
+    channels = sorted(next(iter(d_values)))
+    if channels != list(range(len(channels))):
+        raise DatasetError(f"{path}: channels must be 0..d-1, got {channels}")
+
+    samples = []
+    for sid in sample_ids:
+        per_channel = []
+        for channel in channels:
+            series = cells[(sid, channel)]
+            length = len(series)
+            if sorted(series) != list(range(length)):
+                raise DatasetError(
+                    f"{path}: sample {sid!r} channel {channel} timestamps are not 0..{length - 1}"
+                )
+            per_channel.append([series[t] for t in range(length)])
+        lengths = {len(ch) for ch in per_channel}
+        if len(lengths) != 1:
+            raise DatasetError(f"{path}: sample {sid!r} channels have unequal lengths {sorted(lengths)}")
+        samples.append(np.array(per_channel, dtype=np.float64))
+    return samples
 
 
 def reference_fit_flow(latent, config=None):

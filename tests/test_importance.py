@@ -2,6 +2,8 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from mvtransfer.dataset import MultiViewDataset
 from mvtransfer.density import DensityModel, KdeModel, fit_density
 from mvtransfer.flow import FlowConfig, FlowTrainingError, init_flow_model
 from mvtransfer.importance import (
+    NORM_KINDS,
     SamplingConfig,
     TransferSchedule,
     allocate_epochs,
@@ -286,6 +289,44 @@ class TestTransferSchedule:
         write_schedule_json(path, schedule, "dtw", "frobenius", {"scoring": 11})
         assert json.loads(path.read_text()) == payload
         assert path.read_text().endswith("\n")
+
+
+class TestScheduleJsonHypothesis:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        views=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                st.integers(0, 10**6),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        target_view=st.integers(0, 8),
+        measure=st.sampled_from(["dtw", "boss"]),
+        norm_kind=st.sampled_from(NORM_KINDS),
+        seeds=st.dictionaries(
+            st.sampled_from(["base", "scoring", "flow"]), st.integers(0, 2**63 - 1)
+        ),
+    )
+    def test_json_bytes_round_trip(self, views, target_view, measure, norm_kind, seeds):
+        """A schedule rebuilt from its written payload writes the same bytes."""
+        scores, epochs = zip(*views)
+        schedule = TransferSchedule(
+            scores=scores, epochs=epochs, total_epochs=sum(epochs), target_view=target_view
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+            write_schedule_json(first, schedule, measure, norm_kind, seeds)
+            payload = json.loads(first.read_text(encoding="utf-8"))
+            back = TransferSchedule(
+                scores=payload["scores"],
+                epochs=payload["epochs"],
+                total_epochs=payload["total_epochs"],
+                target_view=payload["target_view"],
+            )
+            write_schedule_json(second, back, payload["measure"], payload["norm"], payload["seeds"])
+            assert second.read_bytes() == first.read_bytes()
 
 
 def correlated_three_view_dataset(rng, n_samples=6, channels=2, length=10):
