@@ -434,7 +434,10 @@ def _layout_fault(path: Path, sample_ids: list[str], code, channel, t) -> str:
 def emit_dataset(dataset: MultiViewDataset, root_path: str | Path):
     """Write ``dataset`` in the on-disk directory format (UTF-8, LF endings).
 
-    Floats are written with ``repr`` so a reload reproduces every bit.
+    Floats are written with ``repr`` so a reload reproduces every bit.  An
+    id is quoted when it holds a delimiter, a quote or a line feed, and
+    also when it holds a carriage return, which the csv module's minimal
+    quoting leaves bare under a line-feed terminator.
     """
     root = Path(root_path)
     root.mkdir(parents=True, exist_ok=True)
@@ -453,11 +456,15 @@ def emit_dataset(dataset: MultiViewDataset, root_path: str | Path):
     for v, rel in enumerate(view_files):
         with open(root / rel, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
+            quoting = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
             writer.writerow(_VIEW_HEADER)
             for sid, sample in zip(dataset.sample_ids, dataset.views[v]):
+                # csv writes a float as its repr, and QUOTE_NONNUMERIC
+                # quotes only the id.
+                rows = quoting if "\r" in sid else writer
                 for channel in range(sample.shape[0]):
                     for t in range(sample.shape[1]):
-                        writer.writerow([sid, channel, t, repr(float(sample[channel, t]))])
+                        rows.writerow([sid, channel, t, float(sample[channel, t])])
 
 
 def align_lengths(dataset: MultiViewDataset, strategy: str) -> MultiViewDataset:

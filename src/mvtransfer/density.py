@@ -211,21 +211,39 @@ def density_model_to_json_dict(model: DensityModel) -> dict:
 
 
 def density_model_from_json_dict(payload: dict) -> DensityModel:
+    """The model ``density_model_to_json_dict`` wrote.  Every key, shape
+    and value is checked here, so a malformed payload raises
+    ``DensityError`` naming the key instead of failing when evaluated."""
+    if not isinstance(payload, dict):
+        raise DensityError("a serialized model must be a JSON object")
     variant = payload.get("variant")
+    if variant not in ("kde", "flow"):
+        raise DensityError(f"unknown variant {variant!r} in serialized model")
+    for key in ("dimension", variant):
+        if key not in payload:
+            raise DensityError(f"no {key!r} in the serialized {variant} model")
+    dimension, body = payload["dimension"], payload[variant]
+    if not isinstance(dimension, int) or isinstance(dimension, bool):
+        raise DensityError(f"'dimension' must be an integer, got {dimension!r}")
+    if not isinstance(body, dict):
+        raise DensityError(f"{variant!r} must be a JSON object")
     if variant == "kde":
-        body = payload["kde"]
-        kde = KdeModel(
-            support_points=np.array(body["support_points"], dtype=np.float64),
-            bandwidth_diag=np.array(body["bandwidth_diag"], dtype=np.float64),
-        )
-        return DensityModel(variant="kde", dimension=int(payload["dimension"]), kde=kde)
-    if variant == "flow":
-        return DensityModel(
-            variant="flow",
-            dimension=int(payload["dimension"]),
-            flow=flow_from_json_dict(payload["flow"]),
-        )
-    raise DensityError(f"unknown variant {variant!r} in serialized model")
+        arrays = {}
+        for key in ("support_points", "bandwidth_diag"):
+            if key not in body:
+                raise DensityError(f"no {key!r} in the serialized kde model")
+            try:
+                arrays[key] = np.array(body[key], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise DensityError(f"kde {key!r} is not a numeric array: {exc}") from exc
+            if not np.isfinite(arrays[key]).all():
+                raise DensityError(f"kde {key!r} holds non-finite values")
+        return DensityModel(variant="kde", dimension=dimension, kde=KdeModel(**arrays))
+    try:
+        flow = flow_from_json_dict(body)
+    except ValueError as exc:
+        raise DensityError(f"serialized flow model: {exc}") from exc
+    return DensityModel(variant="flow", dimension=dimension, flow=flow)
 
 
 def save_density_model(model: DensityModel, path):

@@ -28,6 +28,7 @@ best-iterate snapshot and likelihoods.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -111,6 +112,21 @@ def as_data_stack(latent) -> tuple[np.ndarray, bool]:
     return np.stack([as_data_array(view) for view in (given if stacked else [given])]), stacked
 
 
+_LAYER_TENSORS = ("W1", "b1", "W2", "b2", "W3", "b3")
+
+
+def _parameter_keys(layer_count: int) -> list[str]:
+    """Every parameter tensor's key, layer by layer."""
+    return [f"layer{i}.{name}" for i in range(layer_count) for name in _LAYER_TENSORS]
+
+
+def _parameter_shapes(d: int, config: FlowConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter tensor's key and unstacked shape, layer by layer."""
+    width = config.coupling_net_width
+    layer = ((d, width), (width,), (width, width), (width,), (width, 2 * d), (2 * d,))
+    return dict(zip(_parameter_keys(config.layer_count), layer * config.layer_count))
+
+
 def init_flow_model(latent, config: FlowConfig | None = None) -> FlowModel:
     """Build an untrained model: alternating masks, seeded hidden weights,
     zero output layers (so the whole flow starts as the identity map on
@@ -139,15 +155,13 @@ def init_flow_model(latent, config: FlowConfig | None = None) -> FlowModel:
     def normal(std, shape):
         return np.stack([rng.normal(0.0, std, size=shape) for rng in rngs])
 
-    width = config.coupling_net_width
-    params: dict[str, np.ndarray] = {}
-    for i in range(config.layer_count):
-        params[f"layer{i}.W1"] = normal(1.0 / np.sqrt(d), (d, width))
-        params[f"layer{i}.b1"] = np.zeros((view_count, width))
-        params[f"layer{i}.W2"] = normal(1.0 / np.sqrt(width), (width, width))
-        params[f"layer{i}.b2"] = np.zeros((view_count, width))
-        params[f"layer{i}.W3"] = np.zeros((view_count, width, 2 * d))
-        params[f"layer{i}.b3"] = np.zeros((view_count, 2 * d))
+    # The hidden weights are drawn with std 1/sqrt(fan-in), in key order.
+    params = {
+        key: normal(1.0 / np.sqrt(shape[0]), shape)
+        if key.endswith(("W1", "W2"))
+        else np.zeros((view_count, *shape))
+        for key, shape in _parameter_shapes(d, config).items()
+    }
     model = FlowModel(
         dimension=d,
         masks=masks,
@@ -175,58 +189,97 @@ def _view_model(model: FlowModel, view: int) -> FlowModel:
     )
 
 
-def _coupling(model: FlowModel, i: int, u: np.ndarray):
-    """Layer ``i``'s bounded log-scale and shift for the masked input ``u``,
-    plus the two hidden activations the backward pass reuses."""
-    p = model.params
-    h1 = np.tanh(u @ p[f"layer{i}.W1"] + p[f"layer{i}.b1"][..., None, :])
-    h2 = np.tanh(h1 @ p[f"layer{i}.W2"] + p[f"layer{i}.b2"][..., None, :])
-    out = h2 @ p[f"layer{i}.W3"] + p[f"layer{i}.b3"][..., None, :]
-    d = model.dimension
-    log_scale = SCALE_BOUND * np.tanh(out[..., :d] / SCALE_BOUND)
-    return log_scale, out[..., d:], h1, h2
+def _layer_tensors(tensors: dict, keys: list[str]) -> list[tuple[np.ndarray, ...]]:
+    """Each layer's (W1, b1, W2, b2, W3, b3) from a dict keyed like the
+    parameters, given ``_parameter_keys``."""
+    values = operator.itemgetter(*keys)(tensors)
+    step = len(_LAYER_TENSORS)
+    return [values[i:i + step] for i in range(0, len(values), step)]
 
 
-def _layer_forward(model: FlowModel, i: int, x: np.ndarray):
-    mask = model.masks[i]
-    u = x * mask
-    log_scale, shift, h1, h2 = _coupling(model, i, u)
-    grown = np.exp(log_scale)
-    inv = 1.0 - mask
-    y = u + inv * (x * grown + shift)
-    log_det = (inv * log_scale).sum(axis=-1)
-    cache = (u, h1, h2, log_scale, grown, x)
-    return y, log_det, cache
-
-
-def _layer_inverse(model: FlowModel, i: int, y: np.ndarray) -> np.ndarray:
-    mask = model.masks[i]
-    u = y * mask  # masked coordinates pass through unchanged
-    log_scale, shift, _, _ = _coupling(model, i, u)
-    inv = 1.0 - mask
-    return u + inv * ((y - shift) * np.exp(-log_scale))
+def _coupling(params, u, h1, h2, out, log_scale) -> None:
+    """One layer's perceptron on the masked input ``u``.  Writes the two
+    hidden activations into ``h1`` and ``h2``, the raw outputs (log-scale
+    half, then shift half) into ``out`` and the bounded log-scale into
+    ``log_scale``."""
+    W1, b1, W2, b2, W3, b3 = params
+    np.matmul(u, W1, h1)
+    h1 += b1[..., None, :]
+    np.tanh(h1, h1)
+    np.matmul(h1, W2, h2)
+    h2 += b2[..., None, :]
+    np.tanh(h2, h2)
+    np.matmul(h2, W3, out)
+    out += b3[..., None, :]
+    np.divide(out[..., : log_scale.shape[-1]], SCALE_BOUND, log_scale)
+    np.tanh(log_scale, log_scale)
+    log_scale *= SCALE_BOUND
 
 
 def _standardization_log_det(model: FlowModel) -> np.ndarray:
     return -np.log(model.standardize_scale).sum(axis=-1)
 
 
-def _forward_batch(model: FlowModel, data: np.ndarray, want_cache: bool = False):
-    x = (data - model.standardize_mean[..., None, :]) / model.standardize_scale[..., None, :]
-    log_det = np.full(x.shape[:-1], _standardization_log_det(model)[..., None])
-    caches = []
-    for i in range(model.config.layer_count):
-        x, ld, cache = _layer_forward(model, i, x)
-        log_det += ld
-        if want_cache:
-            caches.append(cache)
-    return (x, log_det, caches) if want_cache else (x, log_det)
+def _forward_batch(model: FlowModel, data: np.ndarray):
+    """Map a batch of points to their latent images.
+
+    Returns the latent images, their total log-determinants and the
+    pass's per-layer arrays, which the backward pass reuses: the masks
+    and their complements broadcast to the batch's shape, the layer inputs
+    (plus the output as a last entry), the masked inputs, both hidden
+    activations (lists), the bounded log-scales and their exponentials.
+    The masks are broadcast once per pass, so every elementwise step runs
+    on equal shapes, and every step writes into arrays allocated once per
+    pass.  Here and in the backward pass outputs are passed positionally or
+    by augmented assignment: numpy's ``out=`` keyword adds about 0.2 µs to
+    a call, and at the sizes the pipeline fits a pass is a few hundred
+    small calls.
+    """
+    layer_count, d = model.config.layer_count, model.dimension
+    width = model.config.coupling_net_width
+    lead = data.shape[:-1]
+    mask = np.empty((layer_count, *lead, d))
+    mask[...] = model.masks.reshape((layer_count,) + (1,) * len(lead) + (d,))
+    inv = np.subtract(1.0, mask)
+    x = np.empty((layer_count + 1, *lead, d))
+    np.subtract(data, model.standardize_mean[..., None, :], x[0])
+    x[0] /= model.standardize_scale[..., None, :]
+    u, log_scale, grown = (np.empty((layer_count, *lead, d)) for _ in range(3))
+    # Per-layer hidden arrays rather than one block each: at the sizes the
+    # pipeline fits, a (layer_count, ..., width) block is above glibc's
+    # mmap threshold, and with such blocks the pass was no faster than the
+    # layer-by-layer one it replaced.
+    h1 = [np.empty((*lead, width)) for _ in range(layer_count)]
+    h2 = [np.empty((*lead, width)) for _ in range(layer_count)]
+    out, tmp = np.empty((*lead, 2 * d)), np.empty((*lead, d))
+    layers = _layer_tensors(model.params, _parameter_keys(layer_count))
+    for i, params in enumerate(layers):
+        np.multiply(x[i], mask[i], u[i])
+        _coupling(params, u[i], h1[i], h2[i], out, log_scale[i])
+        np.exp(log_scale[i], grown[i])
+        # y = u + inv * (x * grown + shift)
+        np.multiply(x[i], grown[i], tmp)
+        tmp += out[..., d:]
+        tmp *= inv[i]
+        np.add(u[i], tmp, x[i + 1])
+    log_det = np.full(lead, _standardization_log_det(model)[..., None])
+    for layer_log_det in (inv * log_scale).sum(axis=-1):
+        log_det += layer_log_det
+    return x[layer_count], log_det, (mask, inv, x, u, h1, h2, log_scale, grown)
 
 
 def _inverse_batch(model: FlowModel, latent: np.ndarray) -> np.ndarray:
     x = np.asarray(latent, dtype=np.float64)
-    for i in reversed(range(model.config.layer_count)):
-        x = _layer_inverse(model, i, x)
+    d, width = model.dimension, model.config.coupling_net_width
+    lead = x.shape[:-1]
+    h1, h2 = np.empty((*lead, width)), np.empty((*lead, width))
+    out, log_scale = np.empty((*lead, 2 * d)), np.empty((*lead, d))
+    layers = _layer_tensors(model.params, _parameter_keys(model.config.layer_count))
+    for i in reversed(range(len(layers))):
+        mask = model.masks[i]
+        u = x * mask  # masked coordinates pass through unchanged
+        _coupling(layers[i], u, h1, h2, out, log_scale)
+        x = u + (1.0 - mask) * ((x - out[..., d:]) * np.exp(-log_scale))
     return x * model.standardize_scale[..., None, :] + model.standardize_mean[..., None, :]
 
 
@@ -234,7 +287,7 @@ def flow_forward(model: FlowModel, point) -> tuple[np.ndarray, float]:
     """Map one data point to its latent image; also return the total
     log-determinant of the transformation (standardization included)."""
     x = np.asarray(point, dtype=np.float64).reshape(1, -1)
-    latent, log_det = _forward_batch(model, x)
+    latent, log_det, _ = _forward_batch(model, x)
     return latent[0], float(log_det[0])
 
 
@@ -244,11 +297,15 @@ def flow_inverse(model: FlowModel, latent) -> np.ndarray:
     return _inverse_batch(model, z)[0]
 
 
+def _base_log_density(latent: np.ndarray) -> np.ndarray:
+    """The standard-normal log-density at each latent point."""
+    d = latent.shape[-1]
+    return -0.5 * d * np.log(2.0 * np.pi) - 0.5 * (latent ** 2).sum(axis=-1)
+
+
 def _log_density_batch(model: FlowModel, data: np.ndarray) -> np.ndarray:
-    latent, log_det = _forward_batch(model, data)
-    d = model.dimension
-    base = -0.5 * d * np.log(2.0 * np.pi) - 0.5 * (latent ** 2).sum(axis=-1)
-    return base + log_det
+    latent, log_det, _ = _forward_batch(model, data)
+    return _base_log_density(latent) + log_det
 
 
 def flow_log_density(model: FlowModel, point) -> float:
@@ -266,6 +323,12 @@ def sample_flow(model: FlowModel, count: int, seed: int) -> np.ndarray:
     return _inverse_batch(model, latent)
 
 
+def _tanh_slope(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1 - h ** 2``, tanh's derivative at the output ``h``, into ``out``."""
+    np.square(h, out)
+    return np.subtract(1.0, out, out)
+
+
 def flow_loss_and_gradients(model: FlowModel, data: np.ndarray, grads=None):
     """Mean negative log-likelihood and its gradient for every parameter.
 
@@ -274,43 +337,56 @@ def flow_loss_and_gradients(model: FlowModel, data: np.ndarray, grads=None):
     arrays.  Each gradient is written into ``grads[name]`` when given, an
     array shaped like the parameter (the trainer passes views into its
     flat gradient buffer), and into a new array otherwise.  The backward
-    pass mirrors the forward caches layer by layer; the bounded-scale
-    outputs receive both the downstream path gradient and the direct
-    log-determinant term.
+    pass walks the forward's per-layer arrays in reverse, on the same
+    full-shape masks and into buffers allocated once per call; the
+    d-wide factors that depend only on the forward are computed for all
+    layers at once.  The bounded-scale outputs receive both the downstream
+    path gradient and the direct log-determinant term.
     """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[-2]
-    latent, log_det, caches = _forward_batch(model, data, want_cache=True)
-    d = model.dimension
-    log_lik = -0.5 * d * np.log(2.0 * np.pi) - 0.5 * (latent ** 2).sum(axis=-1) + log_det
-    mean_ll = log_lik.mean(axis=-1)
+    latent, log_det, (mask, inv, x, u, h1, h2, log_scale, grown) = _forward_batch(model, data)
+    mean_ll = (_base_log_density(latent) + log_det).mean(axis=-1)
     loss = -mean_ll
 
+    layer_count, d = model.config.layer_count, model.dimension
     p = model.params
     if grads is None:
         grads = {key: np.empty_like(value) for key, value in p.items()}
+    keys = _parameter_keys(layer_count)
+    layers, layer_grads = _layer_tensors(p, keys), _layer_tensors(grads, keys)
+    det = -1.0 / n * inv  # direct d(loss)/d(log_scale) per transformed element
+    bound = 1.0 - (log_scale / SCALE_BOUND) ** 2  # d(log_scale)/d(raw output)
+    through = mask + inv * grown  # d(y)/d(x) along the diagonal
     dx = latent / n  # d(loss)/d(latent): -(1/n) * d(logN)/dz = z/n
-    det_term = -1.0 / n  # direct d(loss)/d(log_scale) per transformed element
-    for i in reversed(range(model.config.layer_count)):
-        u, h1, h2, log_scale, grown, x_in = caches[i]
-        mask = model.masks[i]
-        inv = 1.0 - mask
-        d_shift = dx * inv
-        d_scale = d_shift * x_in * grown + det_term * inv
-        d_raw = d_scale * (1.0 - (log_scale / SCALE_BOUND) ** 2)
-        d_out = np.concatenate([d_raw, d_shift], axis=-1)
-        np.matmul(h2.swapaxes(-1, -2), d_out, out=grads[f"layer{i}.W3"])
-        d_out.sum(axis=-2, out=grads[f"layer{i}.b3"])
-        dh2 = d_out @ p[f"layer{i}.W3"].swapaxes(-1, -2)
-        dz2 = dh2 * (1.0 - h2 ** 2)
-        np.matmul(h1.swapaxes(-1, -2), dz2, out=grads[f"layer{i}.W2"])
-        dz2.sum(axis=-2, out=grads[f"layer{i}.b2"])
-        dh1 = dz2 @ p[f"layer{i}.W2"].swapaxes(-1, -2)
-        dz1 = dh1 * (1.0 - h1 ** 2)
-        np.matmul(u.swapaxes(-1, -2), dz1, out=grads[f"layer{i}.W1"])
-        dz1.sum(axis=-2, out=grads[f"layer{i}.b1"])
-        du = dz1 @ p[f"layer{i}.W1"].swapaxes(-1, -2)
-        dx = dx * (mask + inv * grown) + du * mask
+    d_out = np.empty((*latent.shape[:-1], 2 * d))
+    d_raw, d_shift = d_out[..., :d], d_out[..., d:]
+    d_scale, du = np.empty_like(dx), np.empty_like(dx)
+    dh2, dh1, slope = (np.empty_like(h1[0]) for _ in range(3))
+    for i in reversed(range(layer_count)):
+        W1, _, W2, _, W3, _ = layers[i]
+        g_W1, g_b1, g_W2, g_b2, g_W3, g_b3 = layer_grads[i]
+        np.multiply(dx, inv[i], d_shift)
+        # d_scale = d_shift * x_in * grown + det
+        np.multiply(d_shift, x[i], d_scale)
+        d_scale *= grown[i]
+        d_scale += det[i]
+        np.multiply(d_scale, bound[i], d_raw)
+        np.matmul(h2[i].swapaxes(-1, -2), d_out, g_W3)
+        np.add.reduce(d_out, -2, None, g_b3)
+        np.matmul(d_out, W3.swapaxes(-1, -2), dh2)
+        dh2 *= _tanh_slope(h2[i], slope)
+        np.matmul(h1[i].swapaxes(-1, -2), dh2, g_W2)
+        np.add.reduce(dh2, -2, None, g_b2)
+        np.matmul(dh2, W2.swapaxes(-1, -2), dh1)
+        dh1 *= _tanh_slope(h1[i], slope)
+        np.matmul(u[i].swapaxes(-1, -2), dh1, g_W1)
+        np.add.reduce(dh1, -2, None, g_b1)
+        np.matmul(dh1, W1.swapaxes(-1, -2), du)
+        # dx = dx * (mask + inv * grown) + du * mask
+        dx *= through[i]
+        du *= mask[i]
+        dx += du
     return loss, grads, mean_ll
 
 
@@ -432,15 +508,71 @@ def flow_to_json_dict(model: FlowModel) -> dict:
     }
 
 
+_JSON_KEYS = ("dimension", "masks", "params", "standardize_mean", "standardize_scale", "config")
+
+
+def _json_array(payload: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``payload[key]`` as a finite float array of ``shape``."""
+    try:
+        array = np.array(payload[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key!r} is not a numeric array: {exc}") from exc
+    if array.shape != shape:
+        raise ValueError(f"{key!r} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{key!r} holds non-finite values")
+    return array
+
+
 def flow_from_json_dict(payload: dict) -> FlowModel:
-    config = FlowConfig(**payload["config"])
+    """The model ``flow_to_json_dict`` wrote.  A missing key, a config
+    ``FlowConfig`` rejects, a mask or tensor of the wrong shape, a mask
+    entry other than 0 or 1, a non-finite value or a scale that is not
+    positive raises ``ValueError`` naming the key."""
+    missing = [key for key in _JSON_KEYS if key not in payload]
+    if missing:
+        raise ValueError(f"no {missing[0]!r} in the flow payload")
+    try:
+        config = FlowConfig(**payload["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'config': {exc}") from exc
+    d = payload["dimension"]
+    for key, value in (
+        ("dimension", d),
+        ("layer_count", config.layer_count),
+        ("coupling_net_width", config.coupling_net_width),
+    ):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    if d < 2:
+        raise ValueError(f"'dimension' must be >= 2, got {d}")
+    masks = _json_array(payload, "masks", (config.layer_count, d))
+    if not ((masks == 0.0) | (masks == 1.0)).all():
+        raise ValueError("'masks' entries must be 0 or 1")
+    shapes = _parameter_shapes(d, config)
+    given = payload["params"]
+    if not isinstance(given, dict):
+        raise ValueError("'params' must be an object of tensors")
+    absent = [key for key in shapes if key not in given]
+    if absent:
+        raise ValueError(f"no {absent[0]!r} in 'params'")
+    extra = [key for key in given if key not in shapes]
+    if extra:
+        raise ValueError(
+            f"'params' holds {extra[0]!r}, a tensor no {config.layer_count}-layer flow has"
+        )
+    params = {key: _json_array(given, key, shapes[key]) for key in given}
+    mean = _json_array(payload, "standardize_mean", (d,))
+    scale = _json_array(payload, "standardize_scale", (d,))
+    if not (scale > 0.0).all():
+        raise ValueError("'standardize_scale' entries must be positive")
     return FlowModel(
-        dimension=int(payload["dimension"]),
-        masks=np.array(payload["masks"], dtype=np.float64),
-        params={k: np.array(v, dtype=np.float64) for k, v in payload["params"].items()},
+        dimension=d,
+        masks=masks,
+        params=params,
         config=config,
-        standardize_mean=np.array(payload["standardize_mean"], dtype=np.float64),
-        standardize_scale=np.array(payload["standardize_scale"], dtype=np.float64),
+        standardize_mean=mean,
+        standardize_scale=scale,
         initial_log_likelihood=payload.get("initial_log_likelihood"),
         final_log_likelihood=payload.get("final_log_likelihood"),
     )

@@ -13,12 +13,12 @@ from mvtransfer.dataset import _VIEW_HEADER, DatasetError, MultiViewDataset
 from mvtransfer.flow import (
     DUPLICATE_DISTANCE_THRESHOLD,
     MIN_TRAINING_POINTS,
+    SCALE_BOUND,
     FlowConfig,
+    FlowModel,
     FlowTrainingError,
-    _log_density_batch,
     _min_pairwise_distance,
     as_data_array,
-    flow_loss_and_gradients,
     init_flow_model,
 )
 from mvtransfer.optim import adam_update
@@ -148,9 +148,110 @@ def reference_read_view_file(path: Path, sample_ids: list[str]) -> list[np.ndarr
     return samples
 
 
+def _reference_coupling(model: FlowModel, i: int, u: np.ndarray):
+    """Layer ``i``'s bounded log-scale and shift for the masked input ``u``,
+    plus the two hidden activations the backward pass reuses."""
+    p = model.params
+    h1 = np.tanh(u @ p[f"layer{i}.W1"] + p[f"layer{i}.b1"][..., None, :])
+    h2 = np.tanh(h1 @ p[f"layer{i}.W2"] + p[f"layer{i}.b2"][..., None, :])
+    out = h2 @ p[f"layer{i}.W3"] + p[f"layer{i}.b3"][..., None, :]
+    d = model.dimension
+    log_scale = SCALE_BOUND * np.tanh(out[..., :d] / SCALE_BOUND)
+    return log_scale, out[..., d:], h1, h2
+
+
+def _reference_layer_forward(model: FlowModel, i: int, x: np.ndarray):
+    mask = model.masks[i]
+    u = x * mask
+    log_scale, shift, h1, h2 = _reference_coupling(model, i, u)
+    grown = np.exp(log_scale)
+    inv = 1.0 - mask
+    y = u + inv * (x * grown + shift)
+    log_det = (inv * log_scale).sum(axis=-1)
+    cache = (u, h1, h2, log_scale, grown, x)
+    return y, log_det, cache
+
+
+def _reference_forward_batch(model: FlowModel, data: np.ndarray, want_cache: bool = False):
+    x = (data - model.standardize_mean[..., None, :]) / model.standardize_scale[..., None, :]
+    standardization_log_det = -np.log(model.standardize_scale).sum(axis=-1)
+    log_det = np.full(x.shape[:-1], standardization_log_det[..., None])
+    caches = []
+    for i in range(model.config.layer_count):
+        x, ld, cache = _reference_layer_forward(model, i, x)
+        log_det += ld
+        if want_cache:
+            caches.append(cache)
+    return (x, log_det, caches) if want_cache else (x, log_det)
+
+
+def reference_inverse_batch(model: FlowModel, latent: np.ndarray) -> np.ndarray:
+    """The layer-by-layer inverse pass with fresh arrays and (d,) masks."""
+    x = np.asarray(latent, dtype=np.float64)
+    for i in reversed(range(model.config.layer_count)):
+        mask = model.masks[i]
+        u = x * mask  # masked coordinates pass through unchanged
+        log_scale, shift, _, _ = _reference_coupling(model, i, u)
+        inv = 1.0 - mask
+        x = u + inv * ((x - shift) * np.exp(-log_scale))
+    return x * model.standardize_scale[..., None, :] + model.standardize_mean[..., None, :]
+
+
+def reference_log_density_batch(model: FlowModel, data: np.ndarray) -> np.ndarray:
+    """Per-point log-densities by the layer-by-layer forward pass with
+    fresh arrays and (d,) masks that the in-place pass replaced."""
+    latent, log_det = _reference_forward_batch(model, data)
+    d = model.dimension
+    base = -0.5 * d * np.log(2.0 * np.pi) - 0.5 * (latent ** 2).sum(axis=-1)
+    return base + log_det
+
+
+def reference_flow_loss_and_gradients(model: FlowModel, data: np.ndarray, grads=None):
+    """The loss and gradient pass that ``flow_loss_and_gradients`` replaced,
+    kept as its bit-equality reference: per-layer (d,) masks broadcast in
+    every product, fresh arrays for every step and a concatenated output
+    gradient.  Same returns and ``grads`` contract."""
+    data = np.asarray(data, dtype=np.float64)
+    n = data.shape[-2]
+    latent, log_det, caches = _reference_forward_batch(model, data, want_cache=True)
+    d = model.dimension
+    log_lik = -0.5 * d * np.log(2.0 * np.pi) - 0.5 * (latent ** 2).sum(axis=-1) + log_det
+    mean_ll = log_lik.mean(axis=-1)
+    loss = -mean_ll
+
+    p = model.params
+    if grads is None:
+        grads = {key: np.empty_like(value) for key, value in p.items()}
+    dx = latent / n  # d(loss)/d(latent): -(1/n) * d(logN)/dz = z/n
+    det_term = -1.0 / n  # direct d(loss)/d(log_scale) per transformed element
+    for i in reversed(range(model.config.layer_count)):
+        u, h1, h2, log_scale, grown, x_in = caches[i]
+        mask = model.masks[i]
+        inv = 1.0 - mask
+        d_shift = dx * inv
+        d_scale = d_shift * x_in * grown + det_term * inv
+        d_raw = d_scale * (1.0 - (log_scale / SCALE_BOUND) ** 2)
+        d_out = np.concatenate([d_raw, d_shift], axis=-1)
+        np.matmul(h2.swapaxes(-1, -2), d_out, out=grads[f"layer{i}.W3"])
+        d_out.sum(axis=-2, out=grads[f"layer{i}.b3"])
+        dh2 = d_out @ p[f"layer{i}.W3"].swapaxes(-1, -2)
+        dz2 = dh2 * (1.0 - h2 ** 2)
+        np.matmul(h1.swapaxes(-1, -2), dz2, out=grads[f"layer{i}.W2"])
+        dz2.sum(axis=-2, out=grads[f"layer{i}.b2"])
+        dh1 = dz2 @ p[f"layer{i}.W2"].swapaxes(-1, -2)
+        dz1 = dh1 * (1.0 - h1 ** 2)
+        np.matmul(u.swapaxes(-1, -2), dz1, out=grads[f"layer{i}.W1"])
+        dz1.sum(axis=-2, out=grads[f"layer{i}.b1"])
+        du = dz1 @ p[f"layer{i}.W1"].swapaxes(-1, -2)
+        dx = dx * (mask + inv * grown) + du * mask
+    return loss, grads, mean_ll
+
+
 def reference_fit_flow(latent, config=None):
     """One latent set's flow fit, one view at a time: the training loop the
-    stacked ``fit_flow`` replaced, kept as its bit-equality reference."""
+    stacked ``fit_flow`` replaced, kept as its bit-equality reference.  It
+    runs the reference forward and loss passes above, so it checks the
+    stacked fit against the old arithmetic end to end."""
     config = config or FlowConfig()
     data = as_data_array(latent)
     n, d = data.shape
@@ -174,7 +275,7 @@ def reference_fit_flow(latent, config=None):
     grad = np.empty_like(theta)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
 
-    initial_ll = float(_log_density_batch(model, data).mean())
+    initial_ll = float(reference_log_density_batch(model, data).mean())
     model.initial_log_likelihood = initial_ll
     best_ll = initial_ll
     best = theta.copy()
@@ -183,7 +284,7 @@ def reference_fit_flow(latent, config=None):
         batch = data
         if perturb:
             batch = data + noise_rng.normal(0.0, config.perturbation, size=data.shape)
-        loss, grads, batch_ll = flow_loss_and_gradients(model, batch)
+        loss, grads, batch_ll = reference_flow_loss_and_gradients(model, batch)
         if not np.isfinite(loss):
             raise FlowTrainingError(f"non-finite loss at iteration {iteration}", iteration, 0)
         if not perturb and batch_ll > best_ll:
@@ -194,10 +295,10 @@ def reference_fit_flow(latent, config=None):
         np.concatenate([grads[k] for k in model.params], axis=None, out=grad)
         adam_update([theta], [grad], [m], [v], iteration, learning_rate=config.learning_rate)
 
-    final_ll = float(_log_density_batch(model, data).mean())
+    final_ll = float(reference_log_density_batch(model, data).mean())
     if final_ll < best_ll:
         theta[...] = best
-        final_ll = float(_log_density_batch(model, data).mean())
+        final_ll = float(reference_log_density_batch(model, data).mean())
     model.final_log_likelihood = final_ll
     return model
 

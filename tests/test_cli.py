@@ -428,6 +428,34 @@ class TestDensityGridCommand:
         )
         assert code == 1
 
+    def test_malformed_flow_model_fails_at_load(self, tmp_path, capsys):
+        """A flow file without its parameters exits 1 naming the key, not
+        with a traceback from inside the grid evaluation."""
+        model = fit_density(
+            np.random.default_rng(3).standard_normal((16, 2)),
+            override="flow",
+            flow_config=FlowConfig(layer_count=2, coupling_net_width=2, training_iterations=2),
+        )
+        model_path = tmp_path / "flow.json"
+        save_density_model(model, model_path)
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        del payload["flow"]["params"]
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        code = run_cli(
+            [
+                "density-grid",
+                "--model", str(model_path),
+                "--mins=-1,-1",
+                "--maxs=1,1",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'params'" in err
+        assert not (tmp_path / "density_grid.csv").exists()
+
     def test_malformed_bounds_and_resolution(self, tmp_path):
         model_path = tmp_path / "kde.json"
         save_density_model(fit_density(np.linspace(-1, 1, 20)[:, None]), model_path)

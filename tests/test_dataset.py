@@ -291,11 +291,10 @@ class TestRowFaults:
 
 # Ids mix the characters the csv quoting and the parsers treat specially
 # with arbitrary printable text; a line feed inside a quoted id makes the
-# reader's line count disagree with its row count.  emit_dataset leaves an
-# id holding a lone carriage return unquoted, so no id holds one here.
+# reader's line count disagree with its row count.
 sample_id_text = st.text(
     st.one_of(
-        st.sampled_from([",", '"', " ", "\n", "é", "中"]),
+        st.sampled_from([",", '"', " ", "\n", "\r", "é", "中"]),
         st.characters(exclude_categories=("Cc", "Cs")),
     ),
     min_size=1,
@@ -470,6 +469,26 @@ class TestEmitRoundTrip:
         emit_dataset(ds, tmp_path / "y")
         for name in ["manifest.json", "view_0.csv", "view_1.csv"]:
             assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
+
+    def test_id_with_carriage_return_is_quoted(self, tmp_path):
+        """A lone carriage return in an id is quoted, so the directory
+        loads; the other ids' rows keep the minimal quoting."""
+        ids = ["a\rb", "c", "d", "e"]
+        rng = np.random.default_rng(12)
+        ds = MultiViewDataset(
+            views=[[rng.normal(size=(1, 2)) for _ in ids] for _ in range(2)],
+            labels=["x", "y", "x", "y"],
+            sample_ids=ids,
+        )
+        emit_dataset(ds, tmp_path)
+        lines = (tmp_path / "view_0.csv").read_bytes().split(b"\n")
+        assert lines[1] == b'"a\rb",0,0,' + repr(float(ds.views[0][0][0, 0])).encode()
+        assert lines[3] == b"c,0,0," + repr(float(ds.views[0][1][0, 0])).encode()
+        back = load_dataset(tmp_path)
+        assert back.sample_ids == ids
+        for v in range(2):
+            for orig, rt in zip(ds.views[v], back.views[v]):
+                assert orig.tobytes() == rt.tobytes()
 
 
 def ragged_pair_dataset(lengths=(3, 5), extra=None):

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import flow_stacks, reference_fit_flow
+from conftest import (
+    flow_stacks,
+    reference_fit_flow,
+    reference_flow_loss_and_gradients,
+    reference_inverse_batch,
+    reference_log_density_batch,
+)
 from mvtransfer import flow
 from mvtransfer.flow import (
     FlowConfig,
@@ -467,3 +473,63 @@ class TestStackedFit:
             fit_flow(np.zeros((2, 5, 3)), QUICK)
         with pytest.raises(ValueError, match="non-finite"):
             fit_flow(np.full((2, 10, 3), np.nan), QUICK)
+
+
+@st.composite
+def loss_cases(draw):
+    """A model with every parameter redrawn at a random scale, so the tanh
+    units run from linear to saturated, and a batch to evaluate it on: one
+    (n, d) set or a (V, n, d) stack."""
+    stacked = draw(st.booleans())
+    views = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=8, max_value=59))
+    d = draw(st.integers(min_value=2, max_value=8))
+    config = FlowConfig(
+        layer_count=draw(st.integers(min_value=2, max_value=6)),
+        coupling_net_width=draw(st.integers(min_value=1, max_value=39)),
+    )
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = (views, n, d) if stacked else (n, d)
+    data = rng.normal(size=shape) * rng.choice([0.01, 1.0, 50.0], size=shape[-1]) + rng.normal()
+    model = init_flow_model(data, config)
+    for key, value in model.params.items():
+        scale = draw(st.floats(min_value=0.01, max_value=2.0))
+        model.params[key] = rng.normal(0.0, scale, value.shape)
+    batch = data + rng.normal(0.0, 0.1, size=shape) * data.std(axis=-2, keepdims=True)
+    return model, batch
+
+
+class TestLossPassBitEqual:
+    """The in-place loss pass on full-shape masks reproduces the per-layer
+    pass it replaced (``conftest.reference_flow_loss_and_gradients``) bit
+    for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=loss_cases())
+    def test_loss_likelihood_and_gradients_equal_the_reference(self, case):
+        model, batch = case
+        with np.errstate(over="ignore"):
+            loss, grads, mean_ll = flow_loss_and_gradients(model, batch)
+            into = {key: np.empty_like(value) for key, value in model.params.items()}
+            returned = flow_loss_and_gradients(model, batch, into)[1]
+            ref_loss, ref_grads, ref_mean_ll = reference_flow_loss_and_gradients(model, batch)
+        assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+        assert np.asarray(mean_ll).tobytes() == np.asarray(ref_mean_ll).tobytes()
+        assert returned is into
+        assert grads.keys() == ref_grads.keys()
+        for key, value in ref_grads.items():
+            assert grads[key].tobytes() == value.tobytes(), key
+            assert into[key].tobytes() == value.tobytes(), key
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=loss_cases(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_log_density_and_inverse_equal_the_reference(self, case, seed):
+        model, batch = case
+        latent = np.random.default_rng(seed).standard_normal(batch.shape)
+        with np.errstate(over="ignore"):
+            log_density = flow._log_density_batch(model, batch)
+            reference = reference_log_density_batch(model, batch)
+            inverse = flow._inverse_batch(model, latent)
+            reference_inverse = reference_inverse_batch(model, latent)
+        assert log_density.tobytes() == reference.tobytes()
+        assert inverse.tobytes() == reference_inverse.tobytes()

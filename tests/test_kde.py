@@ -246,6 +246,66 @@ class TestDensityModelWrapper:
         with pytest.raises(DensityError, match="no density model"):
             load_density_model(tmp_path / "missing.json")
 
+    @pytest.mark.parametrize(
+        "break_payload, named",
+        [
+            (lambda p: p["flow"].pop("params"), "'params'"),
+            (lambda p: p["flow"].pop("config"), "'config'"),
+            (lambda p: p["flow"]["params"].update({"layer0.W1": [[1.0, 2.0]]}), "'layer0.W1'"),
+            (lambda p: p["flow"]["params"].update({"layer1.b3": "x"}), "'layer1.b3'"),
+            (lambda p: p["flow"].update(params=[]), "'params'"),
+            (lambda p: p["flow"]["params"].pop("layer1.W2"), "'layer1.W2' in 'params'"),
+            (lambda p: p["flow"]["params"].update({"layer2.W1": [[0.0]]}), "'params' holds 'layer2.W1'"),
+            (lambda p: p["flow"].update(masks=p["flow"]["masks"][:1]), "'masks'"),
+            (lambda p: p["flow"]["masks"][0].__setitem__(0, 0.5), "'masks'"),
+            # layer_count 3 with two layers' tensors: the masks are checked first
+            (lambda p: p["flow"]["config"].update(layer_count=3), "'masks'"),
+            (
+                lambda p: (
+                    p["flow"]["config"].update(layer_count=3),
+                    p["flow"]["masks"].append([1, 0, 1, 0]),
+                ),
+                "no 'layer2.W1' in 'params'",
+            ),
+            (lambda p: p["flow"]["config"].update(layer_count=2.0), "'layer_count'"),
+            (lambda p: p["flow"]["config"].update(width=4), "'config'"),
+            (lambda p: p["flow"]["standardize_scale"].__setitem__(1, math.nan), "standardize_scale"),
+            (lambda p: p["flow"]["standardize_scale"].__setitem__(1, -1.0), "standardize_scale"),
+            (lambda p: p["flow"]["standardize_mean"].pop(), "'standardize_mean'"),
+            (lambda p: p["flow"].update(dimension=4.0), "'dimension'"),
+            (lambda p: p.pop("flow"), "'flow'"),
+            (lambda p: p.pop("dimension"), "'dimension'"),
+            (lambda p: p.update(flow=[]), "'flow'"),
+        ],
+    )
+    def test_malformed_flow_payload_is_named_at_load(self, break_payload, named):
+        config = FlowConfig(layer_count=2, coupling_net_width=3, training_iterations=2)
+        model = fit_density(np.random.default_rng(87).normal(size=(12, 4)), flow_config=config)
+        payload = density_model_to_json_dict(model)
+        break_payload(payload)
+        with pytest.raises(DensityError, match=named):
+            density_model_from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "break_payload, named",
+        [
+            (lambda p: p.pop("kde"), "'kde'"),
+            (lambda p: p["kde"].pop("support_points"), "'support_points'"),
+            (lambda p: p["kde"].update(bandwidth_diag=[[1.0], 2.0]), "'bandwidth_diag'"),
+            (lambda p: p["kde"].update(bandwidth_diag=[1.0, math.inf]), "'bandwidth_diag'"),
+            (lambda p: p.update(dimension="2"), "'dimension'"),
+        ],
+    )
+    def test_malformed_kde_payload_is_named_at_load(self, break_payload, named):
+        payload = density_model_to_json_dict(fit_density(np.random.default_rng(88).normal(size=(12, 2))))
+        break_payload(payload)
+        with pytest.raises(DensityError, match=named):
+            density_model_from_json_dict(payload)
+
+    def test_non_object_payload_rejected(self):
+        with pytest.raises(DensityError, match="JSON object"):
+            density_model_from_json_dict([1, 2])
+
     def test_round_trip_preserves_serialized_bytes(self, tmp_path):
         rng = np.random.default_rng(81)
         model = fit_density(rng.normal(size=(10, 2)))
