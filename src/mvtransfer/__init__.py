@@ -14,7 +14,6 @@ from mvtransfer.dataset import (
     ALIGNMENT_STRATEGIES,
     DatasetError,
     MultiViewDataset,
-    SplitSpec,
     align_lengths,
     emit_dataset,
     load_dataset,
@@ -76,8 +75,6 @@ from mvtransfer.networks import (
     TrainConfig,
     evaluate,
     init_network,
-    load_network,
-    save_network,
     train,
     transfer_weights,
 )
@@ -87,9 +84,7 @@ from mvtransfer.pipeline import (
     PipelineError,
     compute_schedule,
     load_experiment_config,
-    run_baseline,
     run_experiment,
-    run_transfer,
     save_experiment_config,
 )
 from mvtransfer.synthetic import make_synthetic_dataset
@@ -120,7 +115,6 @@ __all__ = [
     "PipelineError",
     "SamplingConfig",
     "SfaParams",
-    "SplitSpec",
     "TrainConfig",
     "TransferSchedule",
     "align_lengths",
@@ -147,17 +141,13 @@ __all__ = [
     "load_dataset",
     "load_density_model",
     "load_experiment_config",
-    "load_network",
     "make_synthetic_dataset",
     "matrix_norm",
-    "run_baseline",
     "run_experiment",
-    "run_transfer",
     "sample_flow",
     "sample_kde",
     "save_density_model",
     "save_experiment_config",
-    "save_network",
     "schedule_to_json_dict",
     "score_source_view",
     "select_density_method",

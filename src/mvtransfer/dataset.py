@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,15 +51,12 @@ class MultiViewDataset:
 
     ``views[v][i]`` is sample ``i`` observed in view ``v`` as an array of
     shape ``(d_v, length)``.  Sample order is identical across views, and
-    ``labels``/``sample_ids`` align with it by index.  ``groups`` optionally
-    assigns each sample id to a group id (e.g. a subject) for group-based
-    splitting.
+    ``labels``/``sample_ids`` align with it by index.
     """
 
     views: list[list[np.ndarray]]
     labels: list[str]
     sample_ids: list[str]
-    groups: dict[str, str] | None = None
 
     def __post_init__(self):
         self.validate()
@@ -100,21 +97,11 @@ class MultiViewDataset:
 
     def take(self, indices: list[int]) -> MultiViewDataset:
         """The samples at ``indices``, in that order, as a new dataset."""
-        ids = [self.sample_ids[i] for i in indices]
-        groups = None
-        if self.groups is not None:
-            groups = {sid: self.groups[sid] for sid in ids}
         return MultiViewDataset(
             views=[[view[i].copy() for i in indices] for view in self.views],
             labels=[self.labels[i] for i in indices],
-            sample_ids=ids,
-            groups=groups,
+            sample_ids=[self.sample_ids[i] for i in indices],
         )
-
-    def label_indices(self) -> np.ndarray:
-        """Labels as integer class indices into the sorted class list."""
-        index = {c: i for i, c in enumerate(self.classes)}
-        return np.array([index[label] for label in self.labels], dtype=np.int64)
 
     def validate(self):
         if self.n_views < 2:
@@ -141,36 +128,6 @@ class MultiViewDataset:
                     raise DatasetError(
                         f"view {v} sample {self.sample_ids[i]} contains non-finite values"
                     )
-        if self.groups is not None:
-            missing = [sid for sid in self.sample_ids if sid not in self.groups]
-            if missing:
-                raise DatasetError(f"samples without group assignment: {missing}")
-
-
-@dataclass
-class SplitSpec:
-    """How to partition samples into train and test.
-
-    ``fraction`` mode shuffles samples with ``seed`` and takes a
-    ``train_fraction`` prefix; ``by-group`` mode puts every sample whose
-    group is in ``train_groups`` into train and the rest into test.  The
-    group map comes from ``group_assignment`` if given, else from the
-    dataset's own ``groups``.
-    """
-
-    mode: str = "fraction"
-    train_fraction: float = 0.7
-    train_groups: set[str] = field(default_factory=set)
-    group_assignment: dict[str, str] | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("fraction", "by-group"):
-            raise DatasetError(f"unknown split mode {self.mode!r}")
-        if self.mode == "fraction" and not 0.0 < self.train_fraction < 1.0:
-            raise DatasetError(f"train_fraction must lie in (0,1), got {self.train_fraction}")
-        if self.seed < 0:
-            raise DatasetError(f"seed must be non-negative, got {self.seed}")
 
 
 def load_dataset(root_path: str | Path) -> MultiViewDataset:
@@ -201,6 +158,10 @@ def load_dataset(root_path: str | Path) -> MultiViewDataset:
     sample_ids = manifest["samples"]
     labels_map = manifest["labels"]
     view_files = manifest["view_files"]
+    if not isinstance(labels_map, dict):
+        raise DatasetError(
+            f"{manifest_path}: 'labels' must be an object mapping sample ids to classes"
+        )
     if len(set(sample_ids)) != len(sample_ids):
         duplicate = next(sid for i, sid in enumerate(sample_ids) if sid in sample_ids[:i])
         raise DatasetError(f"{manifest_path}: duplicate sample id {duplicate!r} in 'samples'")
@@ -216,17 +177,10 @@ def load_dataset(root_path: str | Path) -> MultiViewDataset:
         raise DatasetError(f"{manifest_path}: samples without labels {missing}")
     labels = [str(labels_map[sid]) for sid in sample_ids]
 
-    groups = None
-    if "groups" in manifest:
-        groups = {str(k): str(v) for k, v in manifest["groups"].items()}
-        unknown = sorted(set(groups) - set(sample_ids))
-        if unknown:
-            raise DatasetError(f"{manifest_path}: groups for unknown sample ids {unknown}")
-
     views = []
     for rel in view_files:
         views.append(_read_view_file(root / rel, sample_ids))
-    return MultiViewDataset(views=views, labels=labels, sample_ids=sample_ids, groups=groups)
+    return MultiViewDataset(views=views, labels=labels, sample_ids=sample_ids)
 
 
 def _read_view_file(path: Path, sample_ids: list[str]) -> list[np.ndarray]:
@@ -448,8 +402,6 @@ def emit_dataset(dataset: MultiViewDataset, root_path: str | Path):
         "labels": dict(zip(dataset.sample_ids, dataset.labels)),
         "view_files": view_files,
     }
-    if dataset.groups is not None:
-        manifest["groups"] = dict(dataset.groups)
     with open(root / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -496,7 +448,6 @@ def align_lengths(dataset: MultiViewDataset, strategy: str) -> MultiViewDataset:
         views=new_views,
         labels=list(dataset.labels),
         sample_ids=list(dataset.sample_ids),
-        groups=dict(dataset.groups) if dataset.groups is not None else None,
     )
 
 
@@ -512,40 +463,21 @@ def _resize_sample(sample: np.ndarray, target: int, pad_mode: str) -> np.ndarray
     return np.pad(sample, ((0, 0), (0, pad)), mode="constant")
 
 
-def split_indices(dataset: MultiViewDataset, spec: SplitSpec) -> tuple[list[int], list[int]]:
+def split_indices(
+    dataset: MultiViewDataset, train_fraction: float, seed: int
+) -> tuple[list[int], list[int]]:
     """Partition the samples into (train, test) indices, identically across
     all views; ``MultiViewDataset.take`` builds each part.
 
-    Both lists keep the original sample order.  Fraction mode is driven
-    entirely by ``spec.seed`` and is bit-reproducible.
+    The samples are shuffled with ``seed`` and the first
+    ``train_fraction`` of them, rounded half up, go to train.  Both lists
+    keep the original sample order, and the split is bit-reproducible.
     """
     n = dataset.n_samples
-    if spec.mode == "fraction":
-        n_train = int(math.floor(spec.train_fraction * n + 0.5))
-        if n_train < 1 or n_train > n - 1:
-            raise DatasetError(
-                f"fraction {spec.train_fraction} on {n} samples leaves an empty partition"
-            )
-        perm = np.random.default_rng(spec.seed).permutation(n)
-        train_idx = sorted(int(i) for i in perm[:n_train])
-        test_idx = sorted(int(i) for i in perm[n_train:])
-    else:
-        assignment = spec.group_assignment if spec.group_assignment is not None else dataset.groups
-        if assignment is None:
-            raise DatasetError("by-group split requires group assignments")
-        unassigned = [sid for sid in dataset.sample_ids if sid not in assignment]
-        if unassigned:
-            raise DatasetError(f"samples without group assignment: {unassigned}")
-        present = {assignment[sid] for sid in dataset.sample_ids}
-        phantom = sorted(set(spec.train_groups) - present)
-        if phantom:
-            raise DatasetError(f"train groups referenced by no sample: {phantom}")
-        train_idx = [
-            i for i, sid in enumerate(dataset.sample_ids)
-            if assignment[sid] in spec.train_groups
-        ]
-        chosen = set(train_idx)
-        test_idx = [i for i in range(n) if i not in chosen]
-        if not train_idx or not test_idx:
-            raise DatasetError("by-group split leaves an empty partition")
+    n_train = int(math.floor(train_fraction * n + 0.5))
+    if n_train < 1 or n_train > n - 1:
+        raise DatasetError(f"fraction {train_fraction} on {n} samples leaves an empty partition")
+    perm = np.random.default_rng(seed).permutation(n)
+    train_idx = sorted(int(i) for i in perm[:n_train])
+    test_idx = sorted(int(i) for i in perm[n_train:])
     return train_idx, test_idx

@@ -10,9 +10,7 @@ verify against finite differences.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -599,55 +597,3 @@ def transfer_weights(source_net: Network, target_net: Network) -> Network:
         name: tensor.copy() for name, tensor in source_net.running_stats.items()
     }
     return target_net
-
-
-# ---------------------------------------------------------------------------
-# Checkpointing
-# ---------------------------------------------------------------------------
-
-
-def network_to_json_dict(net: Network) -> dict:
-    """JSON-ready checkpoint: config, parameters, running statistics."""
-    return {
-        "config": asdict(net.config),
-        "params": {name: tensor.tolist() for name, tensor in net.params.items()},
-        "running_stats": {
-            name: tensor.tolist() for name, tensor in net.running_stats.items()
-        },
-        "mode": net.mode,
-    }
-
-
-def network_from_json_dict(payload: dict) -> Network:
-    """Rebuild a network from its checkpoint payload."""
-    try:
-        raw = payload["config"]
-        config = NetworkConfig(**{f.name: raw[f.name] for f in fields(NetworkConfig)})
-        params = {name: np.asarray(value, dtype=float) for name, value in payload["params"].items()}
-        stats = {
-            name: np.asarray(value, dtype=float)
-            for name, value in payload["running_stats"].items()
-        }
-        mode = payload["mode"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed network checkpoint: {exc}") from exc
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown network mode {mode!r}")
-    return Network(config=config, params=params, running_stats=stats, mode=mode)
-
-
-def save_network(net: Network, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(network_to_json_dict(net), handle, indent=2)
-        handle.write("\n")
-
-
-def load_network(path) -> Network:
-    path = Path(path)
-    if not path.exists():
-        raise ValueError(f"no network checkpoint at {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"unparseable network checkpoint {path}: {exc}") from exc
-    return network_from_json_dict(payload)

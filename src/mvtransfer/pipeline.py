@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import MultiViewDataset, SplitSpec, align_lengths, load_dataset, split_indices
+from .dataset import MultiViewDataset, align_lengths, load_dataset, split_indices
 from .density import select_density_method
 from .distance import BossParams, DtwParams, SfaParams
 from .flow import MIN_TRAINING_POINTS, FlowConfig
@@ -266,22 +266,18 @@ def _prepare(
     except ValueError as exc:
         raise PipelineError(f"invalid training config: {exc}") from exc
     class_index = {label: i for i, label in enumerate(classes)}
-    split = SplitSpec(
-        mode="fraction",
-        train_fraction=config.train_fraction,
-        seed=config.base_seed + SPLIT_SEED_OFFSET,
-    )
-    train_idx, test_idx = split_indices(dataset, split)
+    split_seed = config.base_seed + SPLIT_SEED_OFFSET
+    train_idx, test_idx = split_indices(dataset, config.train_fraction, split_seed)
     absent = sorted(set(classes) - {dataset.labels[i] for i in train_idx})
     if absent:
         raise PipelineError(
-            f"split (seed {split.seed}, train_fraction {config.train_fraction}) "
+            f"split (seed {split_seed}, train_fraction {config.train_fraction}) "
             f"leaves classes {absent} out of the training part"
         )
     held_out = sorted({dataset.labels[i] for i in test_idx})
     if len(held_out) < 2:
         raise PipelineError(
-            f"split (seed {split.seed}, train_fraction {config.train_fraction}) "
+            f"split (seed {split_seed}, train_fraction {config.train_fraction}) "
             f"holds out only class {held_out[0]!r}; the held-out part needs at least 2 classes"
         )
     train_part, test_part = dataset.take(train_idx), dataset.take(test_idx)
@@ -399,7 +395,15 @@ def compute_schedule(
 
 
 def _run_single(prepared, config, schedule, repeat_index):
-    """One repeat: a transfer run when given a schedule, else a baseline."""
+    """One repeat: a transfer run when given a schedule, else a baseline.
+
+    A transfer run visits the source views in ascending index order (or a
+    seeded permutation with ``shuffle_view_order``), training one network
+    on each for its scheduled epochs, and transfers the weights into a
+    fresh network; a baseline starts from the fresh network.  Either is
+    fine-tuned on the target view and evaluated on the target test split.
+    Returns ``(network, accuracy, curve rows)``.
+    """
     mode = "baseline" if schedule is None else "transfer"
     seeds = _repeat_seeds(config.base_seed, repeat_index)
     net_config = replace(prepared.net_config, seed=seeds["init"])
@@ -445,43 +449,6 @@ def _run_single(prepared, config, schedule, repeat_index):
         net, prepared.test_inputs[prepared.target_view], prepared.test_labels
     )
     return net, accuracy, rows
-
-
-def _run_once(config, schedule, dataset, repeat_index):
-    if dataset is None:
-        dataset = _load_config_dataset(config)
-    prepared, _ = _prepare(dataset, config)
-    net, accuracy, rows = _run_single(prepared, config, schedule, repeat_index)
-    return net, {"accuracy": accuracy, "curves": rows}
-
-
-def run_transfer(
-    config: ExperimentConfig,
-    schedule: TransferSchedule,
-    dataset: MultiViewDataset | None = None,
-    repeat_index: int = 0,
-):
-    """One transfer run: sequential pretraining, weight transfer, fine-tune.
-
-    Source views are visited in ascending index order (or a seeded
-    permutation with ``shuffle_view_order``), each trained for its
-    scheduled epochs; the resulting weights are transferred into a fresh
-    network that is fine-tuned on the target view and evaluated on the
-    target test split.  Returns ``(network, metrics)`` where metrics holds
-    the test accuracy and per-epoch curve rows.
-    """
-    if schedule is None:
-        raise PipelineError("transfer mode requires a schedule")
-    return _run_once(config, schedule, dataset, repeat_index)
-
-
-def run_baseline(
-    config: ExperimentConfig,
-    dataset: MultiViewDataset | None = None,
-    repeat_index: int = 0,
-):
-    """One baseline run: fine-tune a fresh network on the target view only."""
-    return _run_once(config, None, dataset, repeat_index)
 
 
 def run_experiment(

@@ -32,7 +32,6 @@ def make_random_dataset(
     length: int = 12,
     ragged: bool = False,
     n_classes: int = 2,
-    with_groups: bool = False,
 ) -> MultiViewDataset:
     """Build a small random but valid dataset for structural tests."""
     if isinstance(channels, int):
@@ -46,10 +45,7 @@ def make_random_dataset(
         views.append(samples)
     sample_ids = [f"s{i:03d}" for i in range(n_samples)]
     labels = [f"c{i % n_classes}" for i in range(n_samples)]
-    groups = None
-    if with_groups:
-        groups = {sid: f"g{i % 4}" for i, sid in enumerate(sample_ids)}
-    return MultiViewDataset(views=views, labels=labels, sample_ids=sample_ids, groups=groups)
+    return MultiViewDataset(views=views, labels=labels, sample_ids=sample_ids)
 
 
 def reference_dtw(x, y, band=None) -> float:

@@ -42,15 +42,14 @@ from mvtransfer.networks import (
     evaluate,
     init_network,
     loss_and_gradients,
-    save_network,
     softmax_cross_entropy,
     train,
 )
 from mvtransfer.pipeline import (
     ExperimentConfig,
-    run_baseline,
+    _prepare,
+    _run_single,
     run_experiment,
-    run_transfer,
     save_experiment_config,
 )
 from mvtransfer.synthetic import make_synthetic_dataset
@@ -483,7 +482,9 @@ class TestAcceptance:
         """With a forced all-zero pretraining schedule, transfer runs are
         byte-for-byte identical to baseline runs under equal seeds on the
         bundled synthetic dataset: equal accuracies, equal logged curves,
-        and bit-identical saved network checkpoints."""
+        and bit-identical networks: the same config and mode, and every
+        parameter and running-statistic array equal in shape, dtype and raw
+        bytes."""
         started = time.perf_counter()
         dataset = make_synthetic_dataset()
         config = ExperimentConfig(
@@ -507,14 +508,18 @@ class TestAcceptance:
         transfer_rows = [l.split(",", 1)[1] for l in lines if l.startswith("transfer,")]
         assert baseline_rows == transfer_rows
 
-        base_net, _ = run_baseline(config, dataset=dataset, repeat_index=0)
-        schedule = report.schedule
-        trans_net, _ = run_transfer(config, schedule, dataset=dataset, repeat_index=0)
-        save_network(base_net, tmp_path / "baseline_net.json")
-        save_network(trans_net, tmp_path / "transfer_net.json")
-        assert (tmp_path / "baseline_net.json").read_bytes() == (
-            tmp_path / "transfer_net.json"
-        ).read_bytes()
+        prepared, _ = _prepare(dataset, config)
+        base_net, _, _ = _run_single(prepared, config, None, 0)
+        trans_net, _, _ = _run_single(prepared, config, report.schedule, 0)
+        assert base_net.config == trans_net.config
+        assert base_net.mode == trans_net.mode
+        for group in ("params", "running_stats"):
+            base, trans = getattr(base_net, group), getattr(trans_net, group)
+            assert base.keys() == trans.keys(), group
+            for name, array in base.items():
+                other = trans[name]
+                assert (array.shape, array.dtype) == (other.shape, other.dtype), name
+                assert array.tobytes() == other.tobytes(), name
         assert time.perf_counter() - started < 60.0
 
     def test_10_transfer_outperforms_and_favors_correlated_view(self):

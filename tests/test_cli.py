@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -494,6 +495,21 @@ class TestValidateDatasetCommand:
         assert payload["classes"] == ["fast", "slow"]
         assert payload["aligned"] == [True, True, True]
         assert payload["shapes"] == [[1, 8], [1, 8], [1, 8]]
+
+    @pytest.mark.parametrize("groups", [{"s000": "subj1"}, ["a"]], ids=["object", "list"])
+    def test_manifest_groups_key_ignored(self, dataset_dir, tmp_path, capsys, groups):
+        """A manifest key the loader does not read, here 'groups' in any
+        form, leaves the summary as it is without the key."""
+        root = tmp_path / "grouped"
+        shutil.copytree(dataset_dir, root)
+        manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+        (root / "manifest.json").write_text(
+            json.dumps({**manifest, "groups": groups}), encoding="utf-8"
+        )
+        assert run_cli(["validate-dataset", "--dataset", str(dataset_dir)]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert run_cli(["validate-dataset", "--dataset", str(root)]) == 0
+        assert json.loads(capsys.readouterr().out) == plain
 
     def test_missing_directory(self, tmp_path, capsys):
         assert run_cli(["validate-dataset", "--dataset", str(tmp_path / "none")]) == 1

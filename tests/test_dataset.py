@@ -13,7 +13,6 @@ from mvtransfer.dataset import (
     ALIGNMENT_STRATEGIES,
     DatasetError,
     MultiViewDataset,
-    SplitSpec,
     _read_view_file,
     align_lengths,
     emit_dataset,
@@ -150,19 +149,23 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="header"):
             load_dataset(tmp_path)
 
-    def test_groups_loaded(self, tmp_path):
-        manifest = {
-            "views": 2,
-            "samples": ["a", "b", "c"],
-            "labels": {"a": "left", "b": "right", "c": "left"},
-            "view_files": ["view_0.csv", "view_1.csv"],
-            "groups": {"a": "subj1", "b": "subj1", "c": "subj2"},
-        }
-        write_fixture(
-            tmp_path, {"view_0.csv": basic_rows(), "view_1.csv": basic_rows()}, manifest=manifest
-        )
+    @pytest.mark.parametrize(
+        "groups",
+        [{"a": "subj1", "b": "subj1", "c": "subj2"}, ["a"]],
+        ids=["object", "list"],
+    )
+    def test_groups_key_ignored(self, tmp_path, groups):
+        """The loader ignores manifest keys it does not read, such as a
+        'groups' key of any form: the dataset loads as it does without it."""
+        views = {"view_0.csv": basic_rows(), "view_1.csv": basic_rows(scale=2.0)}
+        write_fixture(tmp_path, views)
+        plain = load_dataset(tmp_path)
+        write_fixture(tmp_path, views, manifest=base_manifest(groups=groups))
         ds = load_dataset(tmp_path)
-        assert ds.groups == {"a": "subj1", "b": "subj1", "c": "subj2"}
+        assert (ds.sample_ids, ds.labels) == (plain.sample_ids, plain.labels)
+        for v in range(ds.n_views):
+            for got, want in zip(ds.views[v], plain.views[v]):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestManifestBoundaries:
@@ -177,6 +180,18 @@ class TestManifestBoundaries:
     def test_views_string_rejected(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps(base_manifest(views="2")))
         with pytest.raises(DatasetError, match=r"manifest\.json: 'views' must be an integer, got '2'"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [5, None, ["left", "right", "left"], [["a", "left"]], "left"],
+        ids=["number", "null", "list-of-strings", "list-of-lists", "string"],
+    )
+    def test_labels_not_an_object_rejected(self, tmp_path, labels):
+        (tmp_path / "manifest.json").write_text(json.dumps(base_manifest(labels=labels)))
+        with pytest.raises(
+            DatasetError, match=r"manifest\.json: 'labels' must be an object mapping sample ids"
+        ):
             load_dataset(tmp_path)
 
     def test_duplicate_sample_id_named(self, tmp_path):
@@ -448,14 +463,12 @@ class TestEmitRoundTrip:
                 channels=int(rng.integers(1, 4)),
                 length=int(rng.integers(2, 9)),
                 ragged=bool(trial % 2),
-                with_groups=bool(trial == 4),
             )
             out = tmp_path / f"trial{trial}"
             emit_dataset(ds, out)
             back = load_dataset(out)
             assert back.sample_ids == ds.sample_ids
             assert back.labels == ds.labels
-            assert back.groups == ds.groups
             assert back.n_views == ds.n_views
             for v in range(ds.n_views):
                 for orig, rt in zip(ds.views[v], back.views[v]):
@@ -575,9 +588,8 @@ class TestSplitDataset:
         """Same seed twice gives identical splits."""
         rng = np.random.default_rng(5)
         ds = make_random_dataset(rng, n_samples=10)
-        spec = SplitSpec(mode="fraction", train_fraction=0.5, seed=42)
-        tr1, te1 = map(ds.take, split_indices(ds, spec))
-        tr2, te2 = map(ds.take, split_indices(ds, spec))
+        tr1, te1 = map(ds.take, split_indices(ds, 0.5, 42))
+        tr2, te2 = map(ds.take, split_indices(ds, 0.5, 42))
         assert tr1.sample_ids == tr2.sample_ids
         assert te1.sample_ids == te2.sample_ids
         assert len(tr1.sample_ids) == 5
@@ -586,8 +598,7 @@ class TestSplitDataset:
         """Fraction 0.7 on 100 samples: sizes 70/30, disjoint, exhaustive union."""
         rng = np.random.default_rng(6)
         ds = make_random_dataset(rng, n_samples=100, n_classes=4)
-        spec = SplitSpec(mode="fraction", train_fraction=0.7, seed=1)
-        train, test = map(ds.take, split_indices(ds, spec))
+        train, test = map(ds.take, split_indices(ds, 0.7, 1))
         train_set, test_set = set(train.sample_ids), set(test.sample_ids)
         assert len(train_set) == 70
         assert len(test_set) == 30
@@ -598,57 +609,17 @@ class TestSplitDataset:
         rng = np.random.default_rng(8)
         ds = make_random_dataset(rng, n_samples=20, n_classes=4)
         by_id = dict(zip(ds.sample_ids, ds.labels))
-        spec = SplitSpec(train_fraction=0.6, seed=3)
-        train, test = map(ds.take, split_indices(ds, spec))
+        train, test = map(ds.take, split_indices(ds, 0.6, 3))
         for part in (train, test):
             assert part.labels == [by_id[sid] for sid in part.sample_ids]
             for v in range(part.n_views):
                 assert len(part.views[v]) == part.n_samples
 
-    def test_by_group_partition(self):
-        """8 groups, train on 6 of them: group-pure 6/2 partition."""
-        rng = np.random.default_rng(9)
-        n = 16
-        views = [[rng.normal(size=(2, 5)) for _ in range(n)] for _ in range(2)]
-        ids = [f"s{i}" for i in range(n)]
-        groups = {sid: f"g{i % 8}" for i, sid in enumerate(ids)}
-        ds = MultiViewDataset(
-            views=views, labels=[f"c{i % 2}" for i in range(n)], sample_ids=ids, groups=groups
-        )
-        spec = SplitSpec(mode="by-group", train_groups={f"g{j}" for j in range(6)})
-        train, test = map(ds.take, split_indices(ds, spec))
-        assert {groups[sid] for sid in train.sample_ids} == {f"g{j}" for j in range(6)}
-        assert {groups[sid] for sid in test.sample_ids} == {"g6", "g7"}
-        assert train.n_samples + test.n_samples == n
-
-    def test_by_group_uses_spec_assignment(self):
-        rng = np.random.default_rng(10)
-        ds = make_random_dataset(rng, n_samples=8, n_classes=2)
-        assignment = {sid: ("early" if i < 4 else "late") for i, sid in enumerate(ds.sample_ids)}
-        spec = SplitSpec(mode="by-group", train_groups={"early"}, group_assignment=assignment)
-        train, test = map(ds.take, split_indices(ds, spec))
-        assert train.sample_ids == ds.sample_ids[:4]
-        assert test.sample_ids == ds.sample_ids[4:]
-
-    def test_phantom_group_rejected(self):
-        rng = np.random.default_rng(12)
-        ds = make_random_dataset(rng, n_samples=8, with_groups=True)
-        spec = SplitSpec(mode="by-group", train_groups={"g0", "nosuch"})
-        with pytest.raises(DatasetError, match="nosuch"):
-            split_indices(ds, spec)
-
     def test_empty_partition_rejected(self):
         rng = np.random.default_rng(13)
         ds = make_random_dataset(rng, n_samples=3)
         with pytest.raises(DatasetError, match="partition"):
-            split_indices(ds, SplitSpec(train_fraction=0.95))
-
-    def test_bad_specs_rejected(self):
-        with pytest.raises(DatasetError, match="mode"):
-            SplitSpec(mode="thirds")
-        with pytest.raises(DatasetError, match="fraction"):
-            SplitSpec(train_fraction=1.5)
-
+            split_indices(ds, 0.95, 0)
 
 class TestValidation:
     def test_rejects_single_view(self):
@@ -677,9 +648,3 @@ class TestValidation:
             ds.views[0][0] = rng.normal(size=(2, 99))
         with pytest.raises(DatasetError, match="align"):
             ds.view_shape(0)
-
-    def test_label_indices(self):
-        rng = np.random.default_rng(2)
-        ds = make_random_dataset(rng, n_samples=6, n_classes=3)
-        idx = ds.label_indices()
-        assert idx.tolist() == [0, 1, 2, 0, 1, 2]

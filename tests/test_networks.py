@@ -1,6 +1,5 @@
 """Tests for the from-scratch MLP/FCN classifiers and their training loop."""
 
-import json
 import math
 
 import numpy as np
@@ -22,9 +21,7 @@ from mvtransfer.networks import (
     evaluate,
     forward,
     init_network,
-    load_network,
     loss_and_gradients,
-    save_network,
     softmax_cross_entropy,
     train,
     transfer_weights,
@@ -807,32 +804,3 @@ class TestTransferWeights:
         target = init_network(fcn_config(channels=2, length=12, classes=3))
         with pytest.raises(ValueError, match="arch"):
             transfer_weights(source, target)
-
-
-class TestCheckpoint:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(141)
-        inputs, labels = separable_fixture(rng, count=10, length=12)
-        net = init_network(fcn_config(dropout=0.2, seed=5))
-        train(net, inputs, labels, TrainConfig(seed=6), epoch_budget=2)
-        path = tmp_path / "checkpoint.json"
-        save_network(net, path)
-        restored = load_network(path)
-        assert restored.config == net.config
-        assert restored.mode == net.mode
-        for name in net.params:
-            assert np.array_equal(restored.params[name], net.params[name])
-        for name in net.running_stats:
-            assert np.array_equal(restored.running_stats[name], net.running_stats[name])
-
-    def test_bad_checkpoints_rejected(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("not json")
-        with pytest.raises(ValueError, match="unparseable"):
-            load_network(path)
-        with pytest.raises(ValueError, match="no network checkpoint"):
-            load_network(tmp_path / "missing.json")
-        path2 = tmp_path / "partial.json"
-        path2.write_text(json.dumps({"config": {"arch": "mlp"}}))
-        with pytest.raises(ValueError, match="malformed"):
-            load_network(path2)

@@ -13,7 +13,6 @@ from conftest import make_random_dataset
 from mvtransfer.dataset import (
     ALIGNMENT_STRATEGIES,
     MultiViewDataset,
-    SplitSpec,
     align_lengths,
     load_dataset,
     split_indices,
@@ -27,14 +26,14 @@ from mvtransfer.pipeline import (
     ExperimentConfig,
     ExperimentReport,
     PipelineError,
+    _prepare,
+    _run_single,
     compute_schedule,
     experiment_config_from_json_dict,
     experiment_config_to_json_dict,
     load_experiment_config,
     report_to_json_dict,
-    run_baseline,
     run_experiment,
-    run_transfer,
     save_experiment_config,
 )
 from mvtransfer.synthetic import (
@@ -211,6 +210,8 @@ class TestExperimentConfig:
             tiny_config(total_pretrain_epochs=-1)
         with pytest.raises(ValueError, match="repeats"):
             tiny_config(repeats=0)
+        with pytest.raises(ValueError, match="base_seed"):
+            tiny_config(base_seed=-1)
         with pytest.raises(ValueError, match="train_fraction"):
             tiny_config(train_fraction=1.0)
         with pytest.raises(ValueError, match="target_view"):
@@ -369,6 +370,13 @@ class TestComputeSchedule:
         )
 
 
+def run_once(config, schedule, dataset, repeat_index=0):
+    """One repeat on the experiment's own path: ``(net, accuracy, rows)``;
+    a schedule of None runs the baseline."""
+    prepared, _ = _prepare(dataset, config)
+    return _run_single(prepared, config, schedule, repeat_index)
+
+
 class TestRunTransfer:
     """Single-run bookkeeping: curve rows, phases, epoch numbering."""
 
@@ -377,21 +385,19 @@ class TestRunTransfer:
         ds = tiny_dataset()
         config = tiny_config(forced_epochs=(3, 1), total_pretrain_epochs=4)
         schedule = compute_schedule(config, dataset=ds)
-        _, metrics = run_transfer(config, schedule, dataset=ds)
-        rows = metrics["curves"]
+        _, accuracy, rows = run_once(config, schedule, ds)
         assert len(rows) == sum(schedule.epochs) + config.finetune_epochs
         assert [row[2] for row in rows] == list(range(1, len(rows) + 1))
         phases = [row[3] for row in rows]
         assert phases[:3] == ["pretrain_view_0"] * 3
         assert phases[3:4] == ["pretrain_view_1"]
         assert phases[4:] == ["finetune"] * config.finetune_epochs
-        assert 0.0 <= metrics["accuracy"] <= 1.0
+        assert 0.0 <= accuracy <= 1.0
 
     def test_baseline_rows(self):
         """Baseline runs log only fine-tuning epochs."""
         ds = tiny_dataset()
-        _, metrics = run_baseline(tiny_config(), dataset=ds)
-        rows = metrics["curves"]
+        _, _, rows = run_once(tiny_config(), None, ds)
         assert len(rows) == 3
         assert all(row[3] == "finetune" for row in rows)
         assert all(row[0] == "baseline" for row in rows)
@@ -401,14 +407,10 @@ class TestRunTransfer:
         ds = tiny_dataset()
         config = tiny_config(forced_epochs=(0, 0), total_pretrain_epochs=0)
         schedule = compute_schedule(config, dataset=ds)
-        base_net, base_metrics = run_baseline(config, dataset=ds, repeat_index=1)
-        trans_net, trans_metrics = run_transfer(
-            config, schedule, dataset=ds, repeat_index=1
-        )
-        assert trans_metrics["accuracy"] == base_metrics["accuracy"]
-        base_rows = [row[2:] for row in base_metrics["curves"]]
-        trans_rows = [row[2:] for row in trans_metrics["curves"]]
-        assert base_rows == trans_rows
+        base_net, base_accuracy, base_rows = run_once(config, None, ds, repeat_index=1)
+        trans_net, trans_accuracy, trans_rows = run_once(config, schedule, ds, repeat_index=1)
+        assert trans_accuracy == base_accuracy
+        assert [row[2:] for row in base_rows] == [row[2:] for row in trans_rows]
         for name in base_net.params:
             np.testing.assert_array_equal(base_net.params[name], trans_net.params[name])
 
@@ -419,10 +421,10 @@ class TestRunTransfer:
         schedule = compute_schedule(config, dataset=ds)
         zero_config = tiny_config(forced_epochs=(0, 0), total_pretrain_epochs=0)
         zero_schedule = compute_schedule(zero_config, dataset=ds)
-        _, pretrained = run_transfer(config, schedule, dataset=ds)
-        _, fresh = run_transfer(zero_config, zero_schedule, dataset=ds)
-        pretrained_losses = [row[4] for row in pretrained["curves"] if row[3] == "finetune"]
-        fresh_losses = [row[4] for row in fresh["curves"] if row[3] == "finetune"]
+        _, _, pretrained = run_once(config, schedule, ds)
+        _, _, fresh = run_once(zero_config, zero_schedule, ds)
+        pretrained_losses = [row[4] for row in pretrained if row[3] == "finetune"]
+        fresh_losses = [row[4] for row in fresh if row[3] == "finetune"]
         assert pretrained_losses != fresh_losses
 
     def test_shuffled_view_order(self):
@@ -435,8 +437,8 @@ class TestRunTransfer:
             base_seed=0,
         )
         schedule = compute_schedule(config, dataset=ds)
-        _, metrics = run_transfer(config, schedule, dataset=ds, repeat_index=0)
-        phases = [row[3] for row in metrics["curves"] if row[3].startswith("pretrain")]
+        _, _, rows = run_once(config, schedule, ds, repeat_index=0)
+        phases = [row[3] for row in rows if row[3].startswith("pretrain")]
         # base_seed 0, repeat 0 derives a permutation that visits view 1 first.
         assert phases == ["pretrain_view_1"] * 2 + ["pretrain_view_0"] * 2
 
@@ -451,7 +453,7 @@ class TestRunTransfer:
             freeze_conv=True,
         )
         schedule = compute_schedule(config, dataset=ds)
-        net, _ = run_transfer(config, schedule, dataset=ds)
+        net, _, _ = run_once(config, schedule, ds)
         reference = init_network(
             NetworkConfig(
                 arch="fcn",
@@ -466,11 +468,6 @@ class TestRunTransfer:
         np.testing.assert_array_equal(net.params["conv1.W"], reference.params["conv1.W"])
         assert not np.array_equal(net.params["head.W"], reference.params["head.W"])
 
-    def test_transfer_requires_schedule(self):
-        ds = tiny_dataset()
-        with pytest.raises(PipelineError, match="requires a schedule"):
-            run_transfer(tiny_config(), None, dataset=ds)
-
     def test_mismatched_view_shapes_rejected(self):
         """Weight transfer needs identical (channels, length) in every view."""
         base = tiny_dataset(n_samples=6)
@@ -481,11 +478,11 @@ class TestRunTransfer:
             sample_ids=base.sample_ids,
         )
         with pytest.raises(PipelineError, match="disagree"):
-            run_baseline(tiny_config(), dataset=ds)
+            _prepare(ds, tiny_config())
 
     def test_missing_dataset_path(self):
         with pytest.raises(PipelineError, match="dataset_path"):
-            run_baseline(tiny_config(dataset_path=None))
+            run_experiment(tiny_config(dataset_path=None))
 
 
 class TestRunExperiment:
@@ -531,12 +528,9 @@ class TestRunExperiment:
         samples' target-view series leaves scores.json byte-identical."""
         ds = tiny_dataset()
         config = tiny_config(mode="transfer", repeats=1)
-        split = SplitSpec(
-            mode="fraction",
-            train_fraction=config.train_fraction,
-            seed=config.base_seed + SPLIT_SEED_OFFSET,
+        _, test_idx = split_indices(
+            ds, config.train_fraction, config.base_seed + SPLIT_SEED_OFFSET
         )
-        _, test_idx = split_indices(ds, split)
         held_out = set(test_idx)
         rng = np.random.default_rng(7)
         target = [
@@ -669,12 +663,7 @@ class TestRunExperiment:
         ds = tiny_dataset()
         config = tiny_config()
         seed = config.base_seed + SPLIT_SEED_OFFSET
-        train_part, test_part = map(
-            ds.take,
-            split_indices(
-                ds, SplitSpec(mode="fraction", train_fraction=config.train_fraction, seed=seed)
-            ),
-        )
+        train_part, test_part = map(ds.take, split_indices(ds, config.train_fraction, seed))
         if classes == 2:
             labels = ["fast" if sid in test_part.sample_ids else "slow" for sid in ds.sample_ids]
         else:
