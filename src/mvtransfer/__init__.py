@@ -33,14 +33,12 @@ from mvtransfer.density import (
     select_density_method,
 )
 from mvtransfer.distance import (
-    BossParams,
     DistanceError,
     DtwParams,
     ImportanceLatentSet,
     SfaParams,
     boss_distance,
     build_latent_set,
-    channel_pairwise_distances,
     dtw_distance,
     sfa_fit,
     sfa_transform,
@@ -94,7 +92,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALIGNMENT_STRATEGIES",
     "ARCHITECTURES",
-    "BossParams",
     "DatasetError",
     "DensityError",
     "DensityModel",
@@ -122,7 +119,6 @@ __all__ = [
     "boss_distance",
     "build_latent_set",
     "build_transfer_schedule",
-    "channel_pairwise_distances",
     "compute_schedule",
     "draw_importance_matrix",
     "dtw_distance",

@@ -175,7 +175,13 @@ def load_dataset(root_path: str | Path) -> MultiViewDataset:
     missing = [sid for sid in sample_ids if sid not in labels_map]
     if missing:
         raise DatasetError(f"{manifest_path}: samples without labels {missing}")
-    labels = [str(labels_map[sid]) for sid in sample_ids]
+    labels = [labels_map[sid] for sid in sample_ids]
+    for sid, label in zip(sample_ids, labels):
+        if not isinstance(label, str):
+            raise DatasetError(
+                f"{manifest_path}: 'labels' value for sample id {sid!r} must be a string, "
+                f"got {label!r}"
+            )
 
     views = []
     for rel in view_files:

@@ -6,18 +6,20 @@ distance built on a windowed truncated Fourier transform with
 equi-depth coefficient binning.  ``build_latent_set`` applies either
 measure channel-by-channel to every corresponding sample pair of a
 source/target view pair, stacking the distance vectors into one (N, K)
-array; ``channel_pairwise_distances`` is the same routine on one pair,
-so breakpoints fitted without given bins pool that pair's series only.
-Warping has one implementation, a batched anti-diagonal kernel;
-``dtw_distance`` runs it on one series pair.
+array; for the histogram measure it fits breakpoints once per channel on
+that channel's series pooled over both views.  Warping has one
+implementation, a batched anti-diagonal kernel; ``dtw_distance`` runs it
+on one series pair.
 
 The symbolic transform works on arrays: a series' stride-1 windows are
 one ``sliding_window_view``, their truncated Fourier coefficients one
-(windows, word_length) array, the letters one comparison against the
-breakpoints, and only the distinct words become strings.  The
-coefficients are direct-definition sums (no FFT) accumulated over the
-window offset in order, so they are bit-equal to a per-window reference
-reimplementation, which the test suite relies on.
+(windows, word_length) array, and the letters one comparison against the
+breakpoints.  A histogram is a pair of arrays, the distinct words as
+sorted fixed-width byte strings and their integer counts, and the
+histogram distance is integer arithmetic on the words both series share,
+so it is exact.  The coefficients are direct-definition sums (no FFT)
+accumulated over the window offset in order, so they are bit-equal to a
+per-window reference reimplementation, which the test suite relies on.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ class DistanceError(ValueError):
     """Raised for invalid distance parameters or incompatible inputs."""
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a parameter that is not an integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DistanceError(f"{name} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # dynamic time warping
 
@@ -46,7 +54,10 @@ class DtwParams:
     band_radius: int | None = None
 
     def __post_init__(self):
-        if self.band_radius is not None and self.band_radius < 0:
+        if self.band_radius is None:
+            return
+        _check_integer("band_radius", self.band_radius)
+        if self.band_radius < 0:
             raise DistanceError(f"band_radius must be >= 0, got {self.band_radius}")
 
 
@@ -132,6 +143,10 @@ class SfaParams:
     mean_normalize: bool = True
 
     def __post_init__(self):
+        for name in ("window_length", "word_length", "alphabet_size"):
+            _check_integer(name, getattr(self, name))
+        if not isinstance(self.mean_normalize, (bool, np.bool_)):
+            raise DistanceError(f"mean_normalize must be a bool, got {self.mean_normalize!r}")
         if self.window_length < 1:
             raise DistanceError(f"window_length must be positive, got {self.window_length}")
         if self.word_length < 2 or self.word_length % 2 != 0:
@@ -157,18 +172,6 @@ def default_sfa_params(series_length: int) -> SfaParams:
     w = min(series_length, max(8, math.ceil(series_length / 4)))
     l = 4 if w >= 4 else 2
     return SfaParams(window_length=w, word_length=l, alphabet_size=4, mean_normalize=True)
-
-
-@dataclass
-class WordHistogram:
-    """Counts of symbolic words for one series, duplicates-collapsed."""
-
-    counts: dict[str, int]
-
-    def __post_init__(self):
-        for word, count in self.counts.items():
-            if count < 1:
-                raise DistanceError(f"word {word!r} has non-positive count {count}")
 
 
 def _window_coefficients(windows: np.ndarray, params: SfaParams) -> np.ndarray:
@@ -219,13 +222,14 @@ def sfa_fit(corpus, params: SfaParams) -> np.ndarray:
     return np.ascontiguousarray(ordered[np.arange(1, a) * len(ordered) // a].T)
 
 
-def sfa_transform(x, bins: np.ndarray, params: SfaParams) -> WordHistogram:
+def sfa_transform(x, bins: np.ndarray, params: SfaParams) -> tuple[np.ndarray, np.ndarray]:
     """Symbolic word histogram of one series under fitted breakpoints.
 
     Windows slide with stride 1; each yields a word of ``word_length``
     letters (letter = count of breakpoints at or below the coefficient);
-    consecutive duplicate words collapse to one occurrence.  Words are
-    listed in order of first occurrence.
+    consecutive duplicate words collapse to one occurrence.  Returns
+    ``(words, counts)``: the distinct words as a sorted ``S{word_length}``
+    array and their counts, each at least 1.
     """
     series = np.asarray(x, dtype=np.float64).ravel()
     if len(series) < params.window_length:
@@ -243,43 +247,24 @@ def sfa_transform(x, bins: np.ndarray, params: SfaParams) -> WordHistogram:
     words = letters.astype(np.uint8).view(f"S{params.word_length}")[:, 0]
     run_starts = np.ones(len(words), dtype=bool)
     run_starts[1:] = words[1:] != words[:-1]
-    distinct, first, counts = np.unique(
-        words[run_starts], return_index=True, return_counts=True
-    )
-    order = np.argsort(first)
-    return WordHistogram(
-        counts=dict(zip(distinct[order].astype(str).tolist(), counts[order].tolist()))
-    )
+    return np.unique(words[run_starts], return_counts=True)
 
 
-def boss_distance(hist_a: WordHistogram, hist_b: WordHistogram) -> float:
-    """Symmetrized squared histogram difference.
+def boss_distance(hist_a, hist_b) -> float:
+    """Symmetrized squared histogram difference of two ``(words, counts)``
+    histograms.
 
     The one-sided form sums (count_a - count_b)^2 over the words present in
     the first histogram only; the two directions are averaged so the result
-    is symmetric.
+    is symmetric.  Every term is an integer, so the sums are exact.
     """
-    def one_sided(p: dict[str, int], q: dict[str, int]) -> float:
-        total = 0.0
-        for word, count in p.items():
-            diff = count - q.get(word, 0)
-            total += diff * diff
-        return total
-
-    a, b = hist_a.counts, hist_b.counts
-    return 0.5 * (one_sided(a, b) + one_sided(b, a))
-
-
-@dataclass
-class BossParams:
-    """Histogram-distance settings: transform params plus fitted per-channel
-    breakpoints (``channel_bins[k]`` for channel k).  Without bins, the
-    breakpoints of channel k are fitted on the channel-k series pooled over
-    the sample pairs given: both whole views for ``build_latent_set``, the
-    one pair for ``channel_pairwise_distances``."""
-
-    sfa: SfaParams
-    channel_bins: list[np.ndarray] | None = None
+    (words_a, counts_a), (words_b, counts_b) = hist_a, hist_b
+    _, in_a, in_b = np.intersect1d(words_a, words_b, assume_unique=True, return_indices=True)
+    diff_a = counts_a.copy()
+    diff_a[in_a] -= counts_b[in_b]
+    diff_b = counts_b.copy()
+    diff_b[in_b] -= counts_a[in_a]
+    return 0.5 * float(diff_a @ diff_a + diff_b @ diff_b)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +357,7 @@ def latent_set_from_json(payload: dict) -> ImportanceLatentSet:
 def _resolve_params(measure: str, params, shortest: int):
     """Check ``params`` against ``measure`` and fill in the defaults.
 
-    Returns ``DtwParams`` for dtw and ``BossParams`` for boss; boss without
+    Returns ``DtwParams`` for dtw and ``SfaParams`` for boss; boss without
     params takes the default symbolic settings for the ``shortest`` series.
     """
     if measure == "dtw":
@@ -382,12 +367,8 @@ def _resolve_params(measure: str, params, shortest: int):
         return params
     if measure == "boss":
         params = default_sfa_params(shortest) if params is None else params
-        if isinstance(params, SfaParams):
-            params = BossParams(sfa=params)
-        if not isinstance(params, BossParams):
-            raise DistanceError(
-                f"boss measure expects BossParams or SfaParams, got {type(params).__name__}"
-            )
+        if not isinstance(params, SfaParams):
+            raise DistanceError(f"boss measure expects SfaParams, got {type(params).__name__}")
         return params
     raise DistanceError(f"unknown measure {measure!r} (expected 'dtw' or 'boss')")
 
@@ -398,8 +379,8 @@ def _raw_distances(sources, targets, params) -> np.ndarray:
     resolved params.
 
     Warping runs one ``_dtw_many`` call per (source length, target length)
-    group and scatters the rows back.  Boss without bins fits breakpoints
-    once per channel on that channel's series pooled over all the pairs.
+    group and scatters the rows back.  Boss fits breakpoints once per
+    channel on that channel's series pooled over all the pairs.
     """
     k = sources[0].shape[0]
     if isinstance(params, DtwParams):
@@ -412,60 +393,14 @@ def _raw_distances(sources, targets, params) -> np.ndarray:
             y = np.concatenate([targets[i] for i in index], dtype=np.float64)
             raw[index] = _dtw_many(x, y, params.band_radius).reshape(len(index), -1)
         return raw
-    bins = params.channel_bins
-    if bins is None:
-        bins = [
-            sfa_fit([sample[c] for sample in [*sources, *targets]], params.sfa)
-            for c in range(k)
-        ]
-    elif len(bins) != k:
-        raise DistanceError(f"{len(bins)} channel bin matrices for {k} channels")
+    bins = [sfa_fit([sample[c] for sample in [*sources, *targets]], params) for c in range(k)]
     return np.array([
         [
-            boss_distance(sfa_transform(s_c, b, params.sfa), sfa_transform(t_c, b, params.sfa))
+            boss_distance(sfa_transform(s_c, b, params), sfa_transform(t_c, b, params))
             for s_c, t_c, b in zip(s, t, bins)
         ]
         for s, t in zip(sources, targets)
     ])
-
-
-def _distance_vectors(sources, targets, measure: str, measure_params, normalize: bool):
-    """``(vectors, raw)``: the (N, K) raw distances of the sample pairs
-    and the values used downstream, each row divided by the mean of its
-    pair's two lengths when ``normalize`` is on."""
-    shortest = min(sample.shape[1] for sample in [*sources, *targets])
-    params = _resolve_params(measure, measure_params, shortest)
-    raw = _raw_distances(sources, targets, params)
-    if not normalize:
-        return raw.copy(), raw
-    mean_lengths = np.array([(s.shape[1] + t.shape[1]) / 2.0 for s, t in zip(sources, targets)])
-    return raw / mean_lengths[:, None], raw
-
-
-def channel_pairwise_distances(
-    source_sample,
-    target_sample,
-    measure: str,
-    measure_params=None,
-    normalize: bool = True,
-) -> np.ndarray:
-    """Per-channel (K,) distance vector between two matched multivariate samples.
-
-    With ``normalize`` each component is divided by the mean of the two
-    series lengths, so series duration does not dominate the comparison.
-    This is ``build_latent_set``'s computation on the one pair, so boss
-    without bins fits its breakpoints on the pair's own two channel series.
-    """
-    source = np.asarray(source_sample, dtype=np.float64)
-    target = np.asarray(target_sample, dtype=np.float64)
-    if source.ndim != 2 or target.ndim != 2:
-        raise DistanceError("samples must be 2-D (channels x time)")
-    if source.shape[0] != target.shape[0]:
-        raise DistanceError(
-            f"channel counts differ: source {source.shape[0]} vs target {target.shape[0]}"
-        )
-    vectors, _ = _distance_vectors([source], [target], measure, measure_params, normalize)
-    return vectors[0]
 
 
 def build_latent_set(
@@ -474,13 +409,14 @@ def build_latent_set(
     target_view: int,
     measure: str,
     measure_params=None,
-    normalize: bool = True,
 ) -> ImportanceLatentSet:
     """Distance vectors for every corresponding sample pair, in sample order.
 
-    For the histogram measure without given bins, breakpoints are fitted
-    once per channel on the pooled channel series of both views, then
-    reused for every pair.
+    Each row is the pair's per-channel raw distances divided by the mean
+    of the pair's two series lengths, so series duration does not dominate
+    the comparison.  For the histogram measure, breakpoints are fitted once
+    per channel on the pooled channel series of both views, then reused
+    for every pair.
     """
     v = dataset.n_views
     for name, idx in (("source_view", source_view), ("target_view", target_view)):
@@ -495,14 +431,14 @@ def build_latent_set(
             f"views disagree on channel count: {k_source} vs {k_target}"
         )
 
-    vectors, raw = _distance_vectors(
-        dataset.views[source_view], dataset.views[target_view], measure, measure_params, normalize
-    )
+    sources, targets = dataset.views[source_view], dataset.views[target_view]
+    shortest = min(sample.shape[1] for sample in [*sources, *targets])
+    raw = _raw_distances(sources, targets, _resolve_params(measure, measure_params, shortest))
+    mean_lengths = np.array([(s.shape[1] + t.shape[1]) / 2.0 for s, t in zip(sources, targets)])
     return ImportanceLatentSet(
         measure=measure,
         source_view=source_view,
         target_view=target_view,
-        vectors=vectors,
-        normalize=normalize,
+        vectors=raw / mean_lengths[:, None],
         raw_vectors=raw,
     )

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import MultiViewDataset, align_lengths, load_dataset, split_indices
 from .density import select_density_method
-from .distance import BossParams, DtwParams, SfaParams
+from .distance import DtwParams, SfaParams
 from .flow import MIN_TRAINING_POINTS, FlowConfig
 from .importance import (
     SamplingConfig,
@@ -178,16 +178,14 @@ def _measure_params(measure: str, raw: dict | None):
         return None
     if not isinstance(raw, dict):
         raise PipelineError("measure_params must be a mapping or null")
-    if measure == "dtw":
-        unknown = set(raw) - {"band_radius"}
-        if unknown:
-            raise PipelineError(f"unknown dtw measure_params keys: {sorted(unknown)}")
-        return DtwParams(band_radius=raw.get("band_radius"))
-    allowed = {"window_length", "word_length", "alphabet_size", "mean_normalize"}
-    unknown = set(raw) - allowed
+    params_type = DtwParams if measure == "dtw" else SfaParams
+    unknown = set(raw) - {f.name for f in fields(params_type)}
     if unknown:
-        raise PipelineError(f"unknown boss measure_params keys: {sorted(unknown)}")
-    return BossParams(sfa=SfaParams(**raw))
+        raise PipelineError(f"unknown {measure} measure_params keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(params_type) if f.default is MISSING and f.name not in raw]
+    if missing:
+        raise PipelineError(f"{measure} measure_params missing keys: {missing}")
+    return params_type(**raw)
 
 
 @dataclass

@@ -208,6 +208,28 @@ class TestScheduleCommand:
             tmp_path / "b" / "scores.json"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "measure, params, message",
+        [
+            ("boss", {"window_length": "8"}, "window_length must be an integer, got '8'"),
+            ("boss", {"window_length": 8, "word_length": 4.0}, "word_length must be an integer"),
+            ("boss", {"window_length": 8, "mean_normalize": "yes"}, "mean_normalize must be a bool"),
+            ("boss", {}, "boss measure_params missing keys: ['window_length']"),
+            ("dtw", {"band_radius": "3"}, "band_radius must be an integer, got '3'"),
+            ("dtw", {"band_radius": True}, "band_radius must be an integer, got True"),
+        ],
+        ids=["boss-string", "boss-float", "boss-flag", "boss-empty", "dtw-string", "dtw-bool"],
+    )
+    def test_bad_measure_params_value(self, dataset_dir, tmp_path, capsys, measure, params, message):
+        """A measure_params value of the wrong type is a runtime error
+        naming the field, not a traceback."""
+        config = write_config(
+            tmp_path / "config.json", dataset_dir, measure=measure, measure_params=params
+        )
+        code = run_cli(["schedule", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_scores_equal_importance_scores(self, dataset_dir, tmp_path):
         """`schedule` and `importance` score views through one routine."""
         config = write_config(

@@ -194,6 +194,22 @@ class TestManifestBoundaries:
         ):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize(
+        "label",
+        [None, [1], 1, 1.5, True, {"class": "left"}],
+        ids=["null", "list", "integer", "float", "bool", "object"],
+    )
+    def test_non_string_label_rejected(self, tmp_path, label):
+        """Classes are JSON strings: null, a list or the number 1 used to
+        load as the classes 'None', '[1]' and '1'."""
+        manifest = base_manifest(labels={"a": "left", "b": label, "c": "left"})
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(
+            DatasetError,
+            match=r"manifest\.json: 'labels' value for sample id 'b' must be a string, got ",
+        ):
+            load_dataset(tmp_path)
+
     def test_duplicate_sample_id_named(self, tmp_path):
         manifest = base_manifest(samples=["a", "b", "a"])
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))

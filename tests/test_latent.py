@@ -11,14 +11,12 @@ from hypothesis.extra.numpy import arrays
 
 from mvtransfer.dataset import MultiViewDataset
 from mvtransfer.distance import (
-    BossParams,
     DistanceError,
     DtwParams,
     ImportanceLatentSet,
     SfaParams,
     boss_distance,
     build_latent_set,
-    channel_pairwise_distances,
     default_sfa_params,
     latent_set_from_json,
     sfa_fit,
@@ -26,95 +24,6 @@ from mvtransfer.distance import (
 )
 
 from conftest import make_random_dataset, reference_dtw
-
-
-class TestChannelPairwiseDistances:
-    def test_identical_samples_zero_vector(self):
-        rng = np.random.default_rng(20)
-        sample = rng.normal(size=(3, 10))
-        for measure in ("dtw", "boss"):
-            vec = channel_pairwise_distances(sample, sample.copy(), measure)
-            assert vec.shape == (3,)
-            assert np.all(vec == 0.0)
-
-    def test_componentwise_equals_scalar_op(self):
-        """Each component must equal the scalar distance on that channel."""
-        source = np.array([[1.0, 1.0], [0.0, 0.0]])
-        target = np.array([[5.0, 5.0], [1.0, 1.0]])
-        vec = channel_pairwise_distances(source, target, "dtw", normalize=False)
-        for k in range(2):
-            assert vec[k] == reference_dtw(source[k], target[k])
-
-    def test_normalization_divides_by_mean_length(self):
-        rng = np.random.default_rng(21)
-        source = rng.normal(size=(2, 6))
-        target = rng.normal(size=(2, 6))
-        raw = channel_pairwise_distances(source, target, "dtw", normalize=False)
-        norm = channel_pairwise_distances(source, target, "dtw", normalize=True)
-        assert np.allclose(norm, raw / 6.0)
-
-    def test_normalization_unequal_lengths(self):
-        rng = np.random.default_rng(22)
-        source = rng.normal(size=(1, 4))
-        target = rng.normal(size=(1, 8))
-        raw = channel_pairwise_distances(source, target, "dtw", normalize=False)
-        norm = channel_pairwise_distances(source, target, "dtw", normalize=True)
-        assert np.allclose(norm, raw / 6.0)
-
-    def test_mismatched_channels_rejected(self):
-        with pytest.raises(DistanceError, match="channel counts"):
-            channel_pairwise_distances(np.zeros((2, 5)), np.zeros((3, 5)), "dtw")
-
-    def test_unknown_measure_rejected(self):
-        with pytest.raises(DistanceError, match="measure"):
-            channel_pairwise_distances(np.zeros((1, 5)), np.zeros((1, 5)), "euclid")
-
-    @pytest.mark.parametrize("side", ["source", "target"])
-    def test_non_finite_dtw_input_named(self, side):
-        """A NaN in either sample is named as the input at fault, not
-        reported as a band too narrow for any warp path."""
-        samples = {"source": np.zeros((2, 5)), "target": np.ones((2, 5))}
-        samples[side][1, 2] = np.nan
-        name = "x (the first series)" if side == "source" else "y (the second series)"
-        with pytest.raises(DistanceError, match=rf"input {re.escape(name)} contains non-finite"):
-            channel_pairwise_distances(samples["source"], samples["target"], "dtw")
-
-    def test_wrong_params_type_rejected(self):
-        with pytest.raises(DistanceError, match="DtwParams"):
-            channel_pairwise_distances(
-                np.zeros((1, 5)), np.zeros((1, 5)), "dtw",
-                measure_params=SfaParams(window_length=4),
-            )
-
-    def test_bin_count_must_match_channels(self):
-        params = SfaParams(window_length=4, word_length=2, alphabet_size=2)
-        bins = BossParams(params, channel_bins=[np.zeros((2, 1))])
-        with pytest.raises(DistanceError, match="1 channel bin matrices for 2 channels"):
-            channel_pairwise_distances(np.zeros((2, 6)), np.ones((2, 6)), "boss", bins)
-
-    @pytest.mark.parametrize("seed", [40, 41, 42])
-    def test_boss_without_bins_fits_on_the_pair(self, seed):
-        """Without bins, channel c's breakpoints are fitted on the pair's
-        own two channel-c series, exactly."""
-        rng = np.random.default_rng(seed)
-        source, target = rng.normal(size=(3, 14)), rng.normal(size=(3, 19))
-        sfa = SfaParams(window_length=6, word_length=4, alphabet_size=3)
-        for given in (sfa, BossParams(sfa)):
-            vec = channel_pairwise_distances(source, target, "boss", given)
-            for c in range(3):
-                bins = sfa_fit([source[c], target[c]], sfa)
-                expected = boss_distance(
-                    sfa_transform(source[c], bins, sfa), sfa_transform(target[c], bins, sfa)
-                )
-                assert vec[c] == expected / ((14 + 19) / 2.0)
-
-    def test_vector_invariants(self):
-        for bad in (-0.5, np.nan):
-            rows = np.array([[1.0, bad], [0.0, 0.0]])
-            with pytest.raises(DistanceError, match="non-negative"):
-                ImportanceLatentSet("dtw", 0, 1, vectors=rows)
-            with pytest.raises(DistanceError, match="non-negative"):
-                ImportanceLatentSet("dtw", 0, 1, vectors=np.ones((2, 2)), raw_vectors=rows)
 
 
 def two_view_dataset(rng, n=4, k=2, m=12, copy_target=False):
@@ -141,26 +50,91 @@ def distance_arrays(draw):
     )
 
 
+def pair_dataset(sources, targets):
+    """Two views holding the given (K, length) samples, pair by pair."""
+    n = len(sources)
+    return MultiViewDataset(
+        views=[list(sources), list(targets)],
+        labels=[f"c{i % 2}" for i in range(n)],
+        sample_ids=[f"s{i}" for i in range(n)],
+    )
+
+
 class TestBuildLatentSet:
     def test_identical_views_all_zero(self):
         rng = np.random.default_rng(23)
-        ds = two_view_dataset(rng, copy_target=True)
+        ds = two_view_dataset(rng, k=3, m=10, copy_target=True)
         for measure in ("dtw", "boss"):
             latent = build_latent_set(ds, 0, 1, measure)
+            assert latent.vectors.shape == (4, 3)
             assert np.all(latent.vectors == 0.0)
+            assert np.all(latent.raw_vectors == 0.0)
 
     def test_compositional_oracle(self):
-        """Each vector equals channel_pairwise_distances on that pair."""
+        """Each vector is the per-channel reference warping distance of
+        that pair over the pair's mean length."""
         rng = np.random.default_rng(24)
         ds = two_view_dataset(rng, n=3, k=2)
-        latent = build_latent_set(ds, 0, 1, "dtw", normalize=True)
+        latent = build_latent_set(ds, 0, 1, "dtw")
         assert latent.size == 3
         assert latent.dimension == 2
         for i in range(3):
-            expected = channel_pairwise_distances(
-                ds.views[0][i], ds.views[1][i], "dtw", normalize=True
-            )
+            pair = zip(ds.views[0][i], ds.views[1][i])
+            expected = np.array([reference_dtw(a, b) for a, b in pair]) / 12.0
             assert np.array_equal(latent.vectors[i], expected)
+
+    def test_componentwise_equals_scalar_op(self):
+        """Each raw component equals the scalar distance on that channel."""
+        source = np.array([[1.0, 1.0], [0.0, 0.0]])
+        target = np.array([[5.0, 5.0], [1.0, 1.0]])
+        latent = build_latent_set(pair_dataset([source, target], [target, source]), 0, 1, "dtw")
+        for k in range(2):
+            assert latent.raw_vectors[0, k] == reference_dtw(source[k], target[k]) == (8.0, 2.0)[k]
+            assert latent.raw_vectors[1, k] == reference_dtw(target[k], source[k])
+
+    def test_normalization_unequal_lengths(self):
+        """On a ragged view pair each row is divided by the mean of its own
+        pair's two lengths: (4 + 8) / 2 and (5 + 3) / 2."""
+        rng = np.random.default_rng(22)
+        sources = [rng.normal(size=(1, 4)), rng.normal(size=(1, 5))]
+        targets = [rng.normal(size=(1, 8)), rng.normal(size=(1, 3))]
+        latent = build_latent_set(pair_dataset(sources, targets), 0, 1, "dtw")
+        assert np.array_equal(latent.vectors, latent.raw_vectors / np.array([[6.0], [4.0]]))
+        for i, (s, t) in enumerate(zip(sources, targets)):
+            assert latent.raw_vectors[i, 0] == reference_dtw(s[0], t[0])
+
+    def test_unknown_measure_rejected(self):
+        ds = two_view_dataset(np.random.default_rng(20))
+        with pytest.raises(DistanceError, match="unknown measure 'euclid'"):
+            build_latent_set(ds, 0, 1, "euclid")
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_non_finite_dtw_input_named(self, side):
+        """A NaN in either view is named as the input at fault, not
+        reported as a band too narrow for any warp path.  The dataset
+        rejects NaN on construction, so it is written in afterwards."""
+        ds = pair_dataset([np.zeros((2, 5))] * 2, [np.ones((2, 5))] * 2)
+        view = 0 if side == "source" else 1
+        ds.views[view][1] = ds.views[view][1].copy()
+        ds.views[view][1][1, 2] = np.nan
+        name = "x (the first series)" if side == "source" else "y (the second series)"
+        with pytest.raises(DistanceError, match=rf"input {re.escape(name)} contains non-finite"):
+            build_latent_set(ds, 0, 1, "dtw")
+
+    def test_wrong_params_type_rejected(self):
+        ds = two_view_dataset(np.random.default_rng(21))
+        with pytest.raises(DistanceError, match="dtw measure expects DtwParams, got SfaParams"):
+            build_latent_set(ds, 0, 1, "dtw", measure_params=SfaParams(window_length=4))
+        with pytest.raises(DistanceError, match="boss measure expects SfaParams, got DtwParams"):
+            build_latent_set(ds, 0, 1, "boss", measure_params=DtwParams())
+
+    def test_vector_invariants(self):
+        for bad in (-0.5, np.nan):
+            rows = np.array([[1.0, bad], [0.0, 0.0]])
+            with pytest.raises(DistanceError, match="non-negative"):
+                ImportanceLatentSet("dtw", 0, 1, vectors=rows)
+            with pytest.raises(DistanceError, match="non-negative"):
+                ImportanceLatentSet("dtw", 0, 1, vectors=np.ones((2, 2)), raw_vectors=rows)
 
     def test_permutation_gives_same_multiset(self):
         rng = np.random.default_rng(25)
@@ -187,31 +161,36 @@ class TestBuildLatentSet:
         assert latent.size == 4
         assert np.all(latent.vectors >= 0.0)
 
-    @pytest.mark.parametrize("given", ["sfa", "boss_without_bins", "none"])
+    @pytest.mark.parametrize("given", ["sfa", "none"])
     def test_boss_rows_match_pooled_bin_oracle(self, given):
-        """Each row equals the pairwise distance under breakpoints fitted
-        per channel on the pooled channel series of both views."""
+        """Each row equals the channel-wise histogram distances under
+        breakpoints fitted per channel on the pooled channel series of both
+        views, over the pair's mean length."""
         rng = np.random.default_rng(33)
         n, k, m = 5, 2, 20
         ds = two_view_dataset(rng, n=n, k=k, m=m)
         sfa = SfaParams(window_length=8, word_length=4, alphabet_size=3)
-        measure_params = {"sfa": sfa, "boss_without_bins": BossParams(sfa), "none": None}[given]
+        latent = build_latent_set(ds, 0, 1, "boss", measure_params=sfa if given == "sfa" else None)
         if given == "none":
             sfa = default_sfa_params(m)
-        latent = build_latent_set(ds, 0, 1, "boss", measure_params=measure_params)
-        pooled = BossParams(sfa, channel_bins=[
-            sfa_fit([sample[c] for view in ds.views for sample in view], sfa)
-            for c in range(k)
-        ])
+
+        def distances(pair, bins):
+            return np.array([
+                boss_distance(sfa_transform(s, b, sfa), sfa_transform(t, b, sfa))
+                for s, t, b in zip(*pair, bins)
+            ])
+
+        pooled = [
+            sfa_fit([sample[c] for view in ds.views for sample in view], sfa) for c in range(k)
+        ]
         per_pair_differs = False
         for i in range(n):
             pair = (ds.views[0][i], ds.views[1][i])
-            expected = channel_pairwise_distances(*pair, "boss", pooled)
-            assert np.array_equal(latent.vectors[i], expected)
-            raw = channel_pairwise_distances(*pair, "boss", pooled, normalize=False)
+            raw = distances(pair, pooled)
             assert np.array_equal(latent.raw_vectors[i], raw)
-            own_bins = channel_pairwise_distances(*pair, "boss", sfa)
-            per_pair_differs |= not np.array_equal(own_bins, expected)
+            assert np.array_equal(latent.vectors[i], raw / float(m))
+            own_bins = [sfa_fit([pair[0][c], pair[1][c]], sfa) for c in range(k)]
+            per_pair_differs |= not np.array_equal(distances(pair, own_bins), raw)
         # The oracle would not tell pooled from per-pair bins otherwise.
         assert per_pair_differs
 
@@ -225,7 +204,6 @@ class TestBuildLatentSet:
         monkeypatch.setattr(distance, "dtw_distance", refuse)
         ds = make_random_dataset(np.random.default_rng(34), n_samples=5, ragged=True)
         assert build_latent_set(ds, 0, 1, "dtw").size == 5
-        assert channel_pairwise_distances(ds.views[0][0], ds.views[1][0], "dtw").shape == (2,)
 
     @pytest.mark.parametrize("band", [None, 8], ids=["free", "band"])
     def test_ragged_dtw_rows_equal_per_pair_reference(self, band):
@@ -257,8 +235,9 @@ class TestBuildLatentSet:
     def test_raw_vectors_follow_normalization(self):
         rng = np.random.default_rng(29)
         ds = two_view_dataset(rng, m=10)
-        latent = build_latent_set(ds, 0, 1, "dtw", normalize=True)
-        assert np.allclose(latent.vectors, latent.raw_vectors / 10.0)
+        latent = build_latent_set(ds, 0, 1, "dtw")
+        assert np.array_equal(latent.vectors, latent.raw_vectors / 10.0)
+        assert latent.normalize is True
 
     def test_band_parameter_threads_through(self):
         rng = np.random.default_rng(30)

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvtransfer.distance import (
-    BossParams,
     DistanceError,
+    DtwParams,
     SfaParams,
-    WordHistogram,
     boss_distance,
     default_sfa_params,
     sfa_fit,
@@ -85,6 +84,21 @@ def naive_histogram(series, bins, params):
     return counts
 
 
+def as_dict(hist):
+    """A ``(words, counts)`` histogram as the reference's word -> count dict."""
+    words, counts = hist
+    return dict(zip(words.astype(str).tolist(), counts.tolist()))
+
+
+def as_arrays(counts):
+    """A word -> count dict as a ``(words, counts)`` histogram."""
+    words = sorted(counts)
+    return (
+        np.array(words, dtype=f"S{max(map(len, words), default=1)}"),
+        np.array([counts[w] for w in words], dtype=np.intp),
+    )
+
+
 def naive_boss(counts_a, counts_b):
     """Two-loop reference for the symmetrized histogram distance."""
     d_ab = 0.0
@@ -108,6 +122,34 @@ class TestSfaParams:
     def test_rejects_tiny_alphabet(self):
         with pytest.raises(DistanceError, match="alphabet"):
             SfaParams(window_length=8, alphabet_size=1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("window_length", "8"),
+            ("window_length", 8.0),
+            ("word_length", True),
+            ("alphabet_size", None),
+            ("mean_normalize", "yes"),
+            ("mean_normalize", 1),
+        ],
+    )
+    def test_rejects_wrong_types_naming_the_field(self, field, value):
+        kwargs = {"window_length": 8, field: value}
+        with pytest.raises(DistanceError, match=rf"{field} must be an? (integer|bool), got "):
+            SfaParams(**kwargs)
+
+    def test_accepts_numpy_integers_and_bools(self):
+        params = SfaParams(
+            window_length=np.int64(8), word_length=np.int32(4), mean_normalize=np.bool_(False)
+        )
+        assert params.window_length == 8
+        assert DtwParams(band_radius=np.int64(3)).band_radius == 3
+
+    @pytest.mark.parametrize("value", ["3", 3.0, True])
+    def test_dtw_rejects_non_integer_band(self, value):
+        with pytest.raises(DistanceError, match="band_radius must be an integer"):
+            DtwParams(band_radius=value)
 
     def test_defaults_scale_with_length(self):
         p = default_sfa_params(32)
@@ -200,9 +242,8 @@ class TestSfaTransform:
         params = SfaParams(window_length=8, word_length=4, alphabet_size=3)
         x = rng.normal(size=25)
         bins = sfa_fit([x], params)
-        h1 = sfa_transform(x, bins, params)
-        h2 = sfa_transform(x.copy(), bins, params)
-        assert h1.counts == h2.counts
+        (w1, c1), (w2, c2) = sfa_transform(x, bins, params), sfa_transform(x.copy(), bins, params)
+        assert np.array_equal(w1, w2) and np.array_equal(c1, c2)
 
     def test_constant_series_single_word(self):
         """All windows identical, so duplicate collapsing leaves one word
@@ -210,17 +251,18 @@ class TestSfaTransform:
         params = SfaParams(window_length=4, word_length=4, alphabet_size=3)
         x = np.full(12, 2.0)
         bins = sfa_fit([x], params)
-        hist = sfa_transform(x, bins, params)
-        assert len(hist.counts) == 1
-        assert list(hist.counts.values()) == [1]
+        words, counts = sfa_transform(x, bins, params)
+        assert len(words) == 1
+        assert counts.tolist() == [1]
 
     def test_word_shape(self):
         rng = np.random.default_rng(13)
         params = SfaParams(window_length=8, word_length=6, alphabet_size=5)
         x = rng.normal(size=30)
         bins = sfa_fit([x], params)
-        hist = sfa_transform(x, bins, params)
-        for word, count in hist.counts.items():
+        words, counts = sfa_transform(x, bins, params)
+        assert words.dtype == np.dtype("S6")
+        for word, count in as_dict((words, counts)).items():
             assert len(word) == 6
             assert all("a" <= ch <= "e" for ch in word)
             assert count >= 1
@@ -239,7 +281,7 @@ class TestSfaTransform:
         for _ in range(25):
             x = rng.normal(size=int(rng.integers(8, 31)))
             bins = sfa_fit([x], params)
-            assert sfa_transform(x, bins, params).counts == naive_histogram(x, bins, params)
+            assert as_dict(sfa_transform(x, bins, params)) == naive_histogram(x, bins, params)
 
     def test_matches_naive_reference_no_centering(self):
         rng = np.random.default_rng(15)
@@ -250,7 +292,7 @@ class TestSfaTransform:
             corpus = [rng.normal(size=int(rng.integers(6, 25))) for _ in range(3)]
             bins = sfa_fit(corpus, params)
             for x in corpus:
-                assert sfa_transform(x, bins, params).counts == naive_histogram(x, bins, params)
+                assert as_dict(sfa_transform(x, bins, params)) == naive_histogram(x, bins, params)
 
 
 @st.composite
@@ -282,19 +324,35 @@ class TestSfaHypothesis:
         bins = sfa_fit(corpus, params)
         assert bins.tolist() == naive_bins(corpus, params)
         for series in corpus:
-            assert sfa_transform(series, bins, params).counts == naive_histogram(
+            assert as_dict(sfa_transform(series, bins, params)) == naive_histogram(
                 series, bins, params
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sfa_cases())
+    def test_histograms_sorted_positive_and_distances_exact(self, case):
+        """Words come back sorted and distinct with counts of at least 1,
+        and every pairwise distance, over the corpus and its reversed
+        series, equals the two-loop dict reference bit for bit."""
+        params, corpus = case
+        bins = sfa_fit(corpus, params)
+        hists = [sfa_transform(s, bins, params) for s in [*corpus, *(s[::-1] for s in corpus)]]
+        for words, counts in hists:
+            assert np.all(words[:-1] < words[1:])
+            assert np.all(counts >= 1)
+        for ha in hists:
+            for hb in hists:
+                assert boss_distance(ha, hb) == naive_boss(as_dict(ha), as_dict(hb))
 
 
 class TestBossDistance:
     def test_identical_histograms(self):
-        h = WordHistogram(counts={"ab": 3, "ba": 1})
+        h = as_arrays({"ab": 3, "ba": 1})
         assert boss_distance(h, h) == 0.0
 
     def test_one_sided_example(self):
         """{ab: 2} vs empty: half of (2-0)^2 plus an empty sum."""
-        assert boss_distance(WordHistogram({"ab": 2}), WordHistogram({})) == 2.0
+        assert boss_distance(as_arrays({"ab": 2}), as_arrays({})) == 2.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(16)
@@ -306,20 +364,14 @@ class TestBossDistance:
         rng = np.random.default_rng(17)
         for _ in range(30):
             ha, hb = _random_histograms(rng)
-            assert boss_distance(ha, hb) == pytest.approx(
-                naive_boss(ha.counts, hb.counts), abs=1e-12
-            )
-
-    def test_rejects_nonpositive_counts(self):
-        with pytest.raises(DistanceError, match="count"):
-            WordHistogram(counts={"aa": 0})
+            assert boss_distance(ha, hb) == naive_boss(as_dict(ha), as_dict(hb))
 
 
 def _random_histograms(rng):
     vocab = ["".join(c) for c in zip("abcab", "abcba")]
     ha = {w: int(rng.integers(1, 6)) for w in vocab if rng.random() < 0.6}
     hb = {w: int(rng.integers(1, 6)) for w in vocab if rng.random() < 0.6}
-    return WordHistogram(ha), WordHistogram(hb)
+    return as_arrays(ha), as_arrays(hb)
 
 
 class TestBossEndToEnd:
@@ -331,8 +383,3 @@ class TestBossEndToEnd:
         ha = sfa_transform(x, bins, params)
         hb = sfa_transform(x.copy(), bins, params)
         assert boss_distance(ha, hb) == 0.0
-
-    def test_boss_params_carry_bins(self):
-        params = SfaParams(window_length=4, word_length=2, alphabet_size=2)
-        bp = BossParams(sfa=params, channel_bins=[np.zeros((2, 1))])
-        assert bp.channel_bins[0].shape == (2, 1)
