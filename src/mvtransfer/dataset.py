@@ -1,9 +1,11 @@
 """Loading, validation, alignment and splitting of multi-view time series data.
 
 A dataset is a set of V views of the same N labelled samples.  Each view
-holds one multivariate series per sample, stored as a float array of shape
-``(channels, length)``.  Within a view the channel count is fixed; sample
-lengths may differ until :func:`align_lengths` has been applied.
+holds one multivariate series per sample with a fixed channel count.  A view
+whose samples share one length is a single C-contiguous float64 array of
+shape ``(N, channels, length)``; a ragged view, as a directory with unequal
+lengths loads, is a list of ``(channels, length_i)`` arrays until
+:func:`align_lengths` turns it into one such array.
 
 On disk a dataset is a directory with a ``manifest.json`` and one long-format
 CSV per view (``sample_id,channel,t,value``).  :func:`load_dataset` and
@@ -47,18 +49,22 @@ class DatasetError(ValueError):
 
 @dataclass
 class MultiViewDataset:
-    """V aligned views of N labelled multivariate time series samples.
+    """V views of N labelled multivariate time series samples.
 
     ``views[v][i]`` is sample ``i`` observed in view ``v`` as an array of
-    shape ``(d_v, length)``.  Sample order is identical across views, and
-    ``labels``/``sample_ids`` align with it by index.
+    shape ``(d_v, length)``.  An aligned view is one ``(N, d_v, length)``
+    float64 array; a list of equal-shape samples passed in is stacked into
+    one.  A ragged view stays a list of samples, which only
+    :func:`align_lengths` accepts.  Sample order is identical across
+    views, and ``labels``/``sample_ids`` align with it by index.
     """
 
-    views: list[list[np.ndarray]]
+    views: list[np.ndarray | list[np.ndarray]]
     labels: list[str]
     sample_ids: list[str]
 
     def __post_init__(self):
+        self.views = [_as_view(samples) for samples in self.views]
         self.validate()
 
     @property
@@ -84,21 +90,23 @@ class MultiViewDataset:
         return [sample.shape[1] for sample in self.views[view]]
 
     def is_aligned(self, view: int) -> bool:
-        return len(set(self.lengths(view))) == 1
+        return isinstance(self.views[view], np.ndarray)
 
     def view_shape(self, view: int) -> tuple[int, int]:
-        """(channels, length) of a view whose samples all share one length."""
+        """(channels, length) of an aligned view."""
         if not self.is_aligned(view):
             raise DatasetError(
                 f"view {view} has unequal sample lengths {sorted(set(self.lengths(view)))}; "
                 "align_lengths must run first"
             )
-        return self.views[view][0].shape
+        return self.views[view].shape[1:]
 
     def take(self, indices: list[int]) -> MultiViewDataset:
         """The samples at ``indices``, in that order, as a new dataset."""
+        if not all(map(self.is_aligned, range(self.n_views))):
+            raise DatasetError("take needs aligned views; align_lengths must run first")
         return MultiViewDataset(
-            views=[[view[i].copy() for i in indices] for view in self.views],
+            views=[view[indices] for view in self.views],
             labels=[self.labels[i] for i in indices],
             sample_ids=[self.sample_ids[i] for i in indices],
         )
@@ -128,6 +136,17 @@ class MultiViewDataset:
                     raise DatasetError(
                         f"view {v} sample {self.sample_ids[i]} contains non-finite values"
                     )
+
+
+def _as_view(samples):
+    """One C-contiguous float64 (N, channels, length) array when every
+    sample has one 2-D shape (``samples`` itself when it already is that
+    array), else the list of samples."""
+    try:
+        view = np.ascontiguousarray(samples, dtype=np.float64)
+    except ValueError:  # samples of unequal shapes
+        return list(samples)
+    return view if view.ndim == 3 else list(samples)
 
 
 def load_dataset(root_path: str | Path) -> MultiViewDataset:
@@ -189,13 +208,14 @@ def load_dataset(root_path: str | Path) -> MultiViewDataset:
     return MultiViewDataset(views=views, labels=labels, sample_ids=sample_ids)
 
 
-def _read_view_file(path: Path, sample_ids: list[str]) -> list[np.ndarray]:
+def _read_view_file(path: Path, sample_ids: list[str]) -> np.ndarray | list[np.ndarray]:
     """One view's samples in ``sample_ids`` order, read column-wise.
 
     numpy's C parser reads every row into one structured array; the row
     checks run as masks over it, and each value is scattered to its place
-    in one flat buffer of which every sample is a ``(channels, length)``
-    view.  A file with any fault is read once more, row by row, so that the
+    in one flat buffer.  When every sample has one length that buffer comes
+    back reshaped to ``(n, channels, length)``; otherwise every sample is a
+    ``(channels, length_i)`` view of it.  A file with any fault is read once more, row by row, so that the
     message names the first faulty row.
     """
     if not path.is_file():
@@ -281,10 +301,12 @@ def _is_plain(path: Path, ids: list[str], id_counts: list[int], n_rows: int) -> 
     return lines - 1 == n_rows and _unplain_bytes(data) == in_ids
 
 
-def _scatter(n, code, channel, t, value) -> list[np.ndarray] | None:
-    """Each sample as a ``(channels, length)`` view of one flat buffer, or
-    None unless the rows hold every sample's channels 0..d-1 at one length
-    per sample and each (sample, channel, t) cell exactly once."""
+def _scatter(n, code, channel, t, value) -> np.ndarray | list[np.ndarray] | None:
+    """The samples as views of one flat buffer: the ``(n, channels, length)``
+    buffer itself when all lengths are equal, else one ``(channels,
+    length_i)`` view per sample.  None unless the rows hold every sample's
+    channels 0..d-1 at one length per sample and each (sample, channel, t)
+    cell exactly once."""
     size = len(code)
     d = int(channel.max()) + 1 if size else 0
     if not 0 < n * d <= size:
@@ -302,6 +324,8 @@ def _scatter(n, code, channel, t, value) -> list[np.ndarray] | None:
         return None
     flat = np.empty(size, dtype=np.float64)
     flat[slot] = value
+    if (lengths == lengths[0]).all():
+        return flat.reshape(n, d, int(lengths[0]))
     ends = np.cumsum(lengths * d).tolist()
     return [flat[end - m * d:end].reshape(d, m) for end, m in zip(ends, lengths.tolist())]
 
@@ -426,7 +450,8 @@ def emit_dataset(dataset: MultiViewDataset, root_path: str | Path):
 
 
 def align_lengths(dataset: MultiViewDataset, strategy: str) -> MultiViewDataset:
-    """Return a copy in which all samples of each view share one length.
+    """Return a copy in which each view is one ``(N, channels, length)``
+    array.
 
     ``zero-pad-to-max`` and ``last-value-pad-to-max`` extend to the view
     maximum, ``truncate-to-min`` cuts to the view minimum, and
@@ -436,37 +461,27 @@ def align_lengths(dataset: MultiViewDataset, strategy: str) -> MultiViewDataset:
     """
     if strategy not in ALIGNMENT_STRATEGIES:
         raise DatasetError(f"unknown alignment strategy {strategy!r}")
+    edge = strategy == "last-value-pad-to-max"
     new_views = []
     for v in range(dataset.n_views):
         lengths = dataset.lengths(v)
-        if strategy == "zero-pad-to-max":
-            target, mode = max(lengths), "zero"
-        elif strategy == "last-value-pad-to-max":
-            target, mode = max(lengths), "edge"
+        if strategy in ("zero-pad-to-max", "last-value-pad-to-max"):
+            target = max(lengths)
         elif strategy == "truncate-to-min":
-            target, mode = min(lengths), "zero"
-            if target == 0:
-                raise DatasetError(f"view {v}: cannot truncate to minimum length 0")
+            target = min(lengths)
         else:
-            target, mode = int(math.floor(sum(lengths) / len(lengths) + 0.5)), "zero"
-        new_views.append([_resize_sample(s, target, mode) for s in dataset.views[v]])
+            target = int(math.floor(sum(lengths) / len(lengths) + 0.5))
+        aligned = np.empty((dataset.n_samples, dataset.channel_count(v), target))
+        for sample, out in zip(dataset.views[v], aligned):
+            keep = min(sample.shape[1], target)
+            out[:, :keep] = sample[:, :keep]
+            out[:, keep:] = sample[:, keep - 1:keep] if edge else 0.0
+        new_views.append(aligned)
     return MultiViewDataset(
         views=new_views,
         labels=list(dataset.labels),
         sample_ids=list(dataset.sample_ids),
     )
-
-
-def _resize_sample(sample: np.ndarray, target: int, pad_mode: str) -> np.ndarray:
-    length = sample.shape[1]
-    if length == target:
-        return sample.copy()
-    if length > target:
-        return sample[:, :target].copy()
-    pad = target - length
-    if pad_mode == "edge":
-        return np.pad(sample, ((0, 0), (0, pad)), mode="edge")
-    return np.pad(sample, ((0, 0), (0, pad)), mode="constant")
 
 
 def split_indices(

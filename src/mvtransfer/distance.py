@@ -335,25 +335,6 @@ class ImportanceLatentSet:
         return payload
 
 
-def latent_set_from_json(payload: dict) -> ImportanceLatentSet:
-    for key in ("measure", "source_view", "target_view", "K", "vectors"):
-        if key not in payload:
-            raise DistanceError(f"latent-set payload missing key {key!r}")
-    latent = ImportanceLatentSet(
-        measure=str(payload["measure"]),
-        source_view=int(payload["source_view"]),
-        target_view=int(payload["target_view"]),
-        vectors=payload["vectors"],
-        normalize=bool(payload.get("normalize", True)),
-        raw_vectors=payload.get("vectors_raw"),
-    )
-    if latent.dimension != int(payload["K"]):
-        raise DistanceError(
-            f"payload K={payload['K']} but vectors have dimension {latent.dimension}"
-        )
-    return latent
-
-
 def _resolve_params(measure: str, params, shortest: int):
     """Check ``params`` against ``measure`` and fill in the defaults.
 
@@ -373,27 +354,20 @@ def _resolve_params(measure: str, params, shortest: int):
     raise DistanceError(f"unknown measure {measure!r} (expected 'dtw' or 'boss')")
 
 
-def _raw_distances(sources, targets, params) -> np.ndarray:
+def _raw_distances(sources: np.ndarray, targets: np.ndarray, params) -> np.ndarray:
     """(N, K) distances between the matching channels of every
-    (source, target) pair of (K, length) samples, in pair order, under
-    resolved params.
+    (source, target) pair of an aligned (N, K, length) view pair, in pair
+    order, under resolved params.
 
-    Warping runs one ``_dtw_many`` call per (source length, target length)
-    group and scatters the rows back.  Boss fits breakpoints once per
-    channel on that channel's series pooled over all the pairs.
+    Warping runs one ``_dtw_many`` call on the (N * K, length) rows.  Boss
+    fits breakpoints once per channel on that channel's series pooled over
+    both views, then transforms each series once.
     """
-    k = sources[0].shape[0]
+    n, k = sources.shape[:2]
     if isinstance(params, DtwParams):
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i, (s, t) in enumerate(zip(sources, targets)):
-            groups.setdefault((s.shape[1], t.shape[1]), []).append(i)
-        raw = np.empty((len(sources), k))
-        for index in groups.values():
-            x = np.concatenate([sources[i] for i in index], dtype=np.float64)
-            y = np.concatenate([targets[i] for i in index], dtype=np.float64)
-            raw[index] = _dtw_many(x, y, params.band_radius).reshape(len(index), -1)
-        return raw
-    bins = [sfa_fit([sample[c] for sample in [*sources, *targets]], params) for c in range(k)]
+        x, y = sources.reshape(n * k, -1), targets.reshape(n * k, -1)
+        return _dtw_many(x, y, params.band_radius).reshape(n, k)
+    bins = [sfa_fit([*sources[:, c], *targets[:, c]], params) for c in range(k)]
     return np.array([
         [
             boss_distance(sfa_transform(s_c, b, params), sfa_transform(t_c, b, params))
@@ -410,10 +384,11 @@ def build_latent_set(
     measure: str,
     measure_params=None,
 ) -> ImportanceLatentSet:
-    """Distance vectors for every corresponding sample pair, in sample order.
+    """Distance vectors for every corresponding sample pair of two aligned
+    views, in sample order.
 
     Each row is the pair's per-channel raw distances divided by the mean
-    of the pair's two series lengths, so series duration does not dominate
+    of the two views' series lengths, so series duration does not dominate
     the comparison.  For the histogram measure, breakpoints are fitted once
     per channel on the pooled channel series of both views, then reused
     for every pair.
@@ -424,21 +399,20 @@ def build_latent_set(
             raise DistanceError(f"{name} {idx} out of range for {v} views")
     if source_view == target_view:
         raise DistanceError("source_view and target_view must differ")
-    k_source = dataset.channel_count(source_view)
-    k_target = dataset.channel_count(target_view)
+    k_source, l_source = dataset.view_shape(source_view)
+    k_target, l_target = dataset.view_shape(target_view)
     if k_source != k_target:
         raise DistanceError(
             f"views disagree on channel count: {k_source} vs {k_target}"
         )
 
     sources, targets = dataset.views[source_view], dataset.views[target_view]
-    shortest = min(sample.shape[1] for sample in [*sources, *targets])
-    raw = _raw_distances(sources, targets, _resolve_params(measure, measure_params, shortest))
-    mean_lengths = np.array([(s.shape[1] + t.shape[1]) / 2.0 for s, t in zip(sources, targets)])
+    params = _resolve_params(measure, measure_params, min(l_source, l_target))
+    raw = _raw_distances(sources, targets, params)
     return ImportanceLatentSet(
         measure=measure,
         source_view=source_view,
         target_view=target_view,
-        vectors=raw / mean_lengths[:, None],
+        vectors=raw / ((l_source + l_target) / 2.0),
         raw_vectors=raw,
     )

@@ -284,8 +284,8 @@ def _prepare(
         source_views=source_views,
         net_config=net_config,
         train_config=train_config,
-        train_inputs=[np.stack(train_part.views[v]) for v in range(dataset.n_views)],
-        test_inputs=[np.stack(test_part.views[v]) for v in range(dataset.n_views)],
+        train_inputs=train_part.views,
+        test_inputs=test_part.views,
         train_labels=np.array([class_index[l] for l in train_part.labels], dtype=np.int64),
         test_labels=np.array([class_index[l] for l in test_part.labels], dtype=np.int64),
     )

@@ -46,9 +46,9 @@ def make_synthetic_dataset(
         raise ValueError("noise_scale must be non-negative")
     rng = np.random.default_rng(seed)
     times = np.arange(length) / length
-    target_samples = []
-    correlated_samples = []
-    distractor_samples = []
+    target = np.empty((n_samples, channels, length))
+    correlated = np.empty_like(target)
+    distractor = np.empty_like(target)
     labels = []
     for index in range(n_samples):
         label = index % 2
@@ -58,16 +58,13 @@ def make_synthetic_dataset(
         # that read the series at fixed time positions.
         phases = rng.uniform(0.0, np.pi, size=channels)
         clean = np.sin(2.0 * np.pi * frequency * times[None, :] + phases[:, None])
-        target = clean + 0.05 * rng.standard_normal((channels, length))
-        target_samples.append(target)
-        correlated_samples.append(
-            target + noise_scale * rng.standard_normal((channels, length))
-        )
-        distractor_samples.append(rng.standard_normal((channels, length)))
+        target[index] = clean + 0.05 * rng.standard_normal((channels, length))
+        correlated[index] = target[index] + noise_scale * rng.standard_normal((channels, length))
+        distractor[index] = rng.standard_normal((channels, length))
         labels.append("slow" if label == 0 else "fast")
     sample_ids = [f"s{index:03d}" for index in range(n_samples)]
     return MultiViewDataset(
-        views=[correlated_samples, distractor_samples, target_samples],
+        views=[correlated, distractor, target],
         labels=labels,
         sample_ids=sample_ids,
     )

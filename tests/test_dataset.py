@@ -94,6 +94,31 @@ class TestLoadDataset:
             for s1, s2 in zip(ds1.views[v], ds2.views[v]):
                 assert np.array_equal(s1, s2)
 
+    def test_aligned_file_loads_as_the_reader_buffer(self, tmp_path):
+        """Equal lengths load as one (N, C, L) float64 array per view: a
+        reshape of the reader's flat buffer, not a copy of it."""
+        write_fixture(tmp_path, {"view_0.csv": basic_rows(), "view_1.csv": basic_rows(m=4)})
+        ds = load_dataset(tmp_path)
+        for v, length in enumerate((3, 4)):
+            view = ds.views[v]
+            assert isinstance(view, np.ndarray) and view.shape == (3, 2, length)
+            assert view.dtype == np.float64 and view.flags.c_contiguous
+            # the base is the reader's 1-D buffer of every value, so no copy was made
+            assert not view.flags.owndata and view.base.shape == (view.size,)
+
+    def test_ragged_file_loads_as_lists_until_aligned(self, tmp_path):
+        rows = basic_rows(("a", "b"), m=3) + basic_rows(("c",), m=5)
+        write_fixture(tmp_path, {"view_0.csv": rows, "view_1.csv": basic_rows()})
+        ds = load_dataset(tmp_path)
+        assert isinstance(ds.views[0], list) and not ds.is_aligned(0)
+        assert [sample.shape for sample in ds.views[0]] == [(2, 3), (2, 3), (2, 5)]
+        assert ds.is_aligned(1)
+        aligned = align_lengths(ds, "zero-pad-to-max")
+        assert isinstance(aligned.views[0], np.ndarray) and aligned.views[0].shape == (3, 2, 5)
+        for got, want in zip(aligned.views[0], ds.views[0]):
+            assert got[:, :want.shape[1]].tobytes() == want.tobytes()
+        assert aligned.views[1].tobytes() == ds.views[1].tobytes()
+
     def test_nan_cell_names_file_and_row(self, tmp_path):
         rows = basic_rows()
         rows[4] = "a,1,1,NaN"
@@ -631,6 +656,15 @@ class TestSplitDataset:
             for v in range(part.n_views):
                 assert len(part.views[v]) == part.n_samples
 
+    def test_take_rejects_ragged_views(self):
+        ds = make_random_dataset(np.random.default_rng(14), ragged=True)
+        with pytest.raises(DatasetError, match="align_lengths must run first"):
+            ds.take([0, 1])
+        aligned = align_lengths(ds, "truncate-to-min")
+        part = aligned.take([3, 0])
+        for v in range(ds.n_views):
+            assert part.views[v].tobytes() == aligned.views[v][[3, 0]].tobytes()
+
     def test_empty_partition_rejected(self):
         rng = np.random.default_rng(13)
         ds = make_random_dataset(rng, n_samples=3)
@@ -646,9 +680,12 @@ class TestValidation:
     def test_rejects_mixed_channel_counts(self):
         rng = np.random.default_rng(2)
         ds = make_random_dataset(rng)
-        ds.views[0][1] = rng.normal(size=(3, 12))
+        mixed = list(ds.views[0])
+        mixed[1] = rng.normal(size=(3, 12))
         with pytest.raises(DatasetError, match="channel counts"):
-            ds.validate()
+            MultiViewDataset(
+                views=[mixed, ds.views[1]], labels=ds.labels, sample_ids=ds.sample_ids
+            )
 
     def test_rejects_nonfinite(self):
         rng = np.random.default_rng(2)

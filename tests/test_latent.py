@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mvtransfer.dataset import MultiViewDataset
+from mvtransfer.dataset import DatasetError, MultiViewDataset
 from mvtransfer.distance import (
     DistanceError,
     DtwParams,
@@ -18,7 +18,6 @@ from mvtransfer.distance import (
     boss_distance,
     build_latent_set,
     default_sfa_params,
-    latent_set_from_json,
     sfa_fit,
     sfa_transform,
 )
@@ -47,6 +46,13 @@ def distance_arrays(draw):
     return (
         draw(arrays(np.float64, shape, elements=distances)),
         draw(arrays(np.float64, shape, elements=distances)),
+    )
+
+
+def unequal_views_dataset(rng, n=6, k=2, source_length=12, target_length=17):
+    """Two aligned views whose lengths differ from each other."""
+    return pair_dataset(
+        rng.normal(size=(n, k, source_length)), rng.normal(size=(n, k, target_length))
     )
 
 
@@ -93,15 +99,21 @@ class TestBuildLatentSet:
             assert latent.raw_vectors[1, k] == reference_dtw(target[k], source[k])
 
     def test_normalization_unequal_lengths(self):
-        """On a ragged view pair each row is divided by the mean of its own
-        pair's two lengths: (4 + 8) / 2 and (5 + 3) / 2."""
-        rng = np.random.default_rng(22)
-        sources = [rng.normal(size=(1, 4)), rng.normal(size=(1, 5))]
-        targets = [rng.normal(size=(1, 8)), rng.normal(size=(1, 3))]
-        latent = build_latent_set(pair_dataset(sources, targets), 0, 1, "dtw")
-        assert np.array_equal(latent.vectors, latent.raw_vectors / np.array([[6.0], [4.0]]))
-        for i, (s, t) in enumerate(zip(sources, targets)):
+        """Views of lengths 12 and 17: every row is divided by the mean of
+        the two lengths, (12 + 17) / 2."""
+        ds = unequal_views_dataset(np.random.default_rng(22), n=2, k=1)
+        latent = build_latent_set(ds, 0, 1, "dtw")
+        assert np.array_equal(latent.vectors, latent.raw_vectors / np.full((2, 1), 14.5))
+        for i, (s, t) in enumerate(zip(*ds.views)):
             assert latent.raw_vectors[i, 0] == reference_dtw(s[0], t[0])
+
+    def test_ragged_views_rejected(self):
+        """Distances compare aligned views only; ragged ones must be
+        aligned first."""
+        ds = make_random_dataset(np.random.default_rng(36), ragged=True)
+        assert not ds.is_aligned(0)
+        with pytest.raises(DatasetError, match="align_lengths must run first"):
+            build_latent_set(ds, 0, 1, "dtw")
 
     def test_unknown_measure_rejected(self):
         ds = two_view_dataset(np.random.default_rng(20))
@@ -115,8 +127,7 @@ class TestBuildLatentSet:
         rejects NaN on construction, so it is written in afterwards."""
         ds = pair_dataset([np.zeros((2, 5))] * 2, [np.ones((2, 5))] * 2)
         view = 0 if side == "source" else 1
-        ds.views[view][1] = ds.views[view][1].copy()
-        ds.views[view][1][1, 2] = np.nan
+        ds.views[view][1, 1, 2] = np.nan
         name = "x (the first series)" if side == "source" else "y (the second series)"
         with pytest.raises(DistanceError, match=rf"input {re.escape(name)} contains non-finite"):
             build_latent_set(ds, 0, 1, "dtw")
@@ -202,21 +213,20 @@ class TestBuildLatentSet:
             raise AssertionError("dtw_distance was called")
 
         monkeypatch.setattr(distance, "dtw_distance", refuse)
-        ds = make_random_dataset(np.random.default_rng(34), n_samples=5, ragged=True)
+        ds = unequal_views_dataset(np.random.default_rng(34), n=5)
         assert build_latent_set(ds, 0, 1, "dtw").size == 5
 
     @pytest.mark.parametrize("band", [None, 8], ids=["free", "band"])
-    def test_ragged_dtw_rows_equal_per_pair_reference(self, band):
-        """Pairs grouped by length come back in sample order, bit-equal to
-        the row-by-row reference per channel pair."""
-        ds = make_random_dataset(np.random.default_rng(35), n_samples=12, channels=3, ragged=True)
+    def test_unequal_view_lengths_rows_equal_per_pair_reference(self, band):
+        """Views of lengths 12 and 17 come back in sample order, bit-equal
+        to the row-by-row reference per channel pair over the mean length."""
+        ds = unequal_views_dataset(np.random.default_rng(35), n=12, k=3)
         params = DtwParams(band_radius=band)
         latent = build_latent_set(ds, 0, 1, "dtw", measure_params=params)
-        assert len({(s.shape[1], t.shape[1]) for s, t in zip(*ds.views)}) > 1
         for i, (s, t) in enumerate(zip(*ds.views)):
             raw = np.array([reference_dtw(a, b, band) for a, b in zip(s, t)])
             assert np.array_equal(latent.raw_vectors[i], raw)
-            assert np.array_equal(latent.vectors[i], raw / ((s.shape[1] + t.shape[1]) / 2.0))
+            assert np.array_equal(latent.vectors[i], raw / ((12 + 17) / 2.0))
 
     def test_bad_view_indices(self):
         rng = np.random.default_rng(27)
@@ -251,17 +261,16 @@ class TestBuildLatentSet:
 
 
 class TestLatentSerialization:
-    def test_json_round_trip(self):
+    def test_json_payload(self):
         rng = np.random.default_rng(31)
         ds = two_view_dataset(rng)
         latent = build_latent_set(ds, 0, 1, "dtw")
-        payload = latent.to_json_dict()
+        payload = json.loads(json.dumps(latent.to_json_dict()))
         assert set(payload) >= {"measure", "source_view", "target_view", "K", "vectors"}
-        back = latent_set_from_json(payload)
-        assert back.measure == latent.measure
-        assert back.source_view == 0 and back.target_view == 1
-        assert back.dimension == latent.dimension
-        assert np.array_equal(back.vectors, latent.vectors)
+        assert payload["measure"] == latent.measure
+        assert payload["source_view"] == 0 and payload["target_view"] == 1
+        assert payload["K"] == latent.dimension
+        assert np.array_equal(payload["vectors"], latent.vectors)
 
     @settings(max_examples=60, deadline=None)
     @given(data=distance_arrays(), with_raw=st.booleans())
@@ -270,14 +279,12 @@ class TestLatentSerialization:
         latent = ImportanceLatentSet(
             "boss", 1, 0, vectors=vectors, raw_vectors=raw if with_raw else None
         )
-        text = json.dumps(latent.to_json_dict())
-        back = latent_set_from_json(json.loads(text))
-        assert json.dumps(back.to_json_dict()) == text
-        assert back.vectors.tobytes() == vectors.tobytes()
+        payload = json.loads(json.dumps(latent.to_json_dict()))
+        assert np.array(payload["vectors"]).tobytes() == vectors.tobytes()
         if with_raw:
-            assert back.raw_vectors.tobytes() == raw.tobytes()
+            assert np.array(payload["vectors_raw"]).tobytes() == raw.tobytes()
         else:
-            assert back.raw_vectors is None
+            assert "vectors_raw" not in payload
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -290,26 +297,14 @@ class TestLatentSerialization:
         vectors, raw = data
         target = raw if in_raw else vectors
         target[where[0] % target.shape[0], where[1] % target.shape[1]] = bad
-        payload = {
-            "measure": "dtw", "source_view": 0, "target_view": 1,
-            "K": vectors.shape[1], "vectors": vectors.tolist(), "vectors_raw": raw.tolist(),
-        }
         with pytest.raises(DistanceError, match="non-negative"):
             ImportanceLatentSet("dtw", 0, 1, vectors=vectors, raw_vectors=raw)
         with pytest.raises(DistanceError, match="non-negative"):
-            latent_set_from_json(payload)
+            ImportanceLatentSet("dtw", 0, 1, vectors=vectors.tolist(), raw_vectors=raw.tolist())
 
-    def test_dimension_mismatch_rejected(self):
-        payload = {
-            "measure": "dtw", "source_view": 0, "target_view": 1,
-            "K": 3, "vectors": [[0.0, 1.0], [1.0, 0.0]],
-        }
-        with pytest.raises(DistanceError, match="K"):
-            latent_set_from_json(payload)
-        ragged = {**payload, "K": 2, "vectors": [[0.0, 1.0], [1.0]]}
+    def test_ragged_rows_rejected(self):
+        ragged = [[0.0, 1.0], [1.0]]
         with pytest.raises(DistanceError, match="differ in length"):
-            latent_set_from_json(ragged)
-
-    def test_missing_key_rejected(self):
-        with pytest.raises(DistanceError, match="missing key"):
-            latent_set_from_json({"measure": "dtw"})
+            ImportanceLatentSet("dtw", 0, 1, vectors=ragged)
+        with pytest.raises(DistanceError, match="differ in length"):
+            ImportanceLatentSet("dtw", 0, 1, vectors=np.ones((2, 2)), raw_vectors=ragged)
