@@ -26,7 +26,6 @@ from mvtransfer.density import (
     evaluate_density_grid,
     fit_density,
     fit_kde,
-    kde_log_density,
     load_density_model,
     sample_kde,
     save_density_model,
@@ -47,9 +46,7 @@ from mvtransfer.flow import (
     FlowConfig,
     FlowTrainingError,
     fit_flow,
-    flow_forward,
     flow_inverse,
-    flow_log_density,
     init_flow_model,
     sample_flow,
 )
@@ -83,7 +80,6 @@ from mvtransfer.pipeline import (
     compute_schedule,
     load_experiment_config,
     run_experiment,
-    save_experiment_config,
 )
 from mvtransfer.synthetic import make_synthetic_dataset
 
@@ -128,12 +124,9 @@ __all__ = [
     "fit_density",
     "fit_flow",
     "fit_kde",
-    "flow_forward",
     "flow_inverse",
-    "flow_log_density",
     "init_flow_model",
     "init_network",
-    "kde_log_density",
     "load_dataset",
     "load_density_model",
     "load_experiment_config",
@@ -143,7 +136,6 @@ __all__ = [
     "sample_flow",
     "sample_kde",
     "save_density_model",
-    "save_experiment_config",
     "schedule_to_json_dict",
     "score_source_view",
     "select_density_method",

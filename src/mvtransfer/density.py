@@ -4,13 +4,15 @@ Low-dimensional sets (up to three channels) get a Gaussian-kernel
 density estimate with a diagonal bandwidth matrix; higher-dimensional
 sets get the invertible coupling flow.  ``fit_density`` applies the
 dimension rule (overridable) and returns a tagged ``DensityModel`` that
-exposes log-density evaluation and seeded sampling for either variant.
+exposes seeded sampling and one batched log-density evaluation for either
+variant: ``log_density`` takes an (n, d) array of points, checks it once
+and evaluates it in blocks of ``LOG_DENSITY_BLOCK_ROWS`` rows, so its
+working memory stays bounded however many points a grid holds.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,18 +22,22 @@ import numpy as np
 from mvtransfer.flow import (
     FlowConfig,
     FlowModel,
+    _log_density_batch,
     as_data_array,
     as_data_stack,
     fit_flow,
     flow_from_json_dict,
     flow_inverse,
-    flow_log_density,
     flow_to_json_dict,
     sample_flow,
 )
 
 KDE_MAX_DIMENSION = 3
 BANDWIDTH_FLOOR = 1e-6
+# Rows per block of a log-density evaluation.  A flow block of this size
+# takes about 22 MB with the default config (about 5.3 KB a row); a kernel
+# block takes a few (rows, support points) float arrays.
+LOG_DENSITY_BLOCK_ROWS = 4096
 
 
 class DensityError(ValueError):
@@ -117,22 +123,20 @@ def fit_kde(latent, bandwidth_rule="silverman") -> KdeModel:
     return KdeModel(support_points=data, bandwidth_diag=widths ** 2)
 
 
-def kde_log_density(model: KdeModel, point) -> float:
-    """Log of the kernel mixture value, computed with log-sum-exp."""
-    x = np.asarray(point, dtype=np.float64).ravel()
-    if x.shape[0] != model.dimension:
-        raise DensityError(f"point has dimension {x.shape[0]}, model {model.dimension}")
-    if not np.all(np.isfinite(x)):
-        raise DensityError("point contains non-finite values")
-    diff = x - model.support_points
-    exponents = -0.5 * (diff ** 2 / model.bandwidth_diag).sum(axis=1)
-    peak = exponents.max()
-    lse = peak + math.log(np.exp(exponents - peak).sum())
-    n, d = model.support_points.shape
-    norm = -math.log(n) - 0.5 * d * math.log(2.0 * math.pi) - 0.5 * float(
-        np.log(model.bandwidth_diag).sum()
-    )
-    return norm + float(lse)
+def _kde_log_density(model: KdeModel, points: np.ndarray) -> np.ndarray:
+    """Log of the kernel mixture at each row of ``points``, by log-sum-exp
+    over the (rows, support) exponents."""
+    support, widths = model.support_points, model.bandwidth_diag
+    exponents = np.zeros((points.shape[0], support.shape[0]))
+    for k in range(model.dimension):
+        exponents += (points[:, k, None] - support[:, k]) ** 2 / widths[k]
+    exponents *= -0.5
+    peak = exponents.max(axis=1)
+    exponents -= peak[:, None]
+    lse = peak + np.log(np.exp(exponents).sum(axis=1))
+    n, d = support.shape
+    norm = -np.log(n) - 0.5 * d * np.log(2.0 * np.pi) - 0.5 * np.log(widths).sum()
+    return norm + lse
 
 
 def sample_kde(model: KdeModel, count: int, seed: int) -> np.ndarray:
@@ -148,7 +152,12 @@ def sample_kde(model: KdeModel, count: int, seed: int) -> np.ndarray:
 
 @dataclass
 class DensityModel:
-    """Tagged union over the two density variants."""
+    """Tagged union over the two density variants.
+
+    ``log_density`` is the one density evaluation: it takes an (n, d)
+    array of points and returns their (n,) log-densities, whichever
+    variant the model holds.
+    """
 
     variant: str
     dimension: int
@@ -167,10 +176,25 @@ class DensityModel:
         if self.variant == "flow" and self.flow.dimension != self.dimension:
             raise DensityError("flow dimension disagrees with the declared dimension")
 
-    def log_density(self, point) -> float:
+    def log_density(self, points) -> np.ndarray:
+        """The log-density at each row of an (n, d) array of points, as an
+        (n,) array, evaluated in blocks of ``LOG_DENSITY_BLOCK_ROWS`` rows."""
+        x = np.asarray(points, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.dimension:
+            raise DensityError(
+                f"points must be an (n, {self.dimension}) array, got shape {x.shape}"
+            )
+        if not np.all(np.isfinite(x)):
+            raise DensityError("points contain non-finite values")
         if self.variant == "kde":
-            return kde_log_density(self.kde, point)
-        return flow_log_density(self.flow, point)
+            evaluate, payload = _kde_log_density, self.kde
+        else:
+            evaluate, payload = _log_density_batch, self.flow
+        values = np.empty(x.shape[0])
+        for start in range(0, x.shape[0], LOG_DENSITY_BLOCK_ROWS):
+            stop = start + LOG_DENSITY_BLOCK_ROWS
+            values[start:stop] = evaluate(payload, x[start:stop])
+        return values
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         if self.variant == "kde":
@@ -295,6 +319,8 @@ def evaluate_density_grid(
         raise DensityError(
             f"need {len(dims)} min/max bounds, got {mins.shape[0]}/{maxs.shape[0]}"
         )
+    if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
+        raise DensityError(f"grid bounds must be finite: mins {mins}, maxs {maxs}")
     if np.any(mins >= maxs):
         raise DensityError(f"grid bounds reversed or empty: mins {mins}, maxs {maxs}")
     if resolution < 2:
@@ -303,7 +329,7 @@ def evaluate_density_grid(
     if model.variant == "kde":
         center = model.kde.support_points.mean(axis=0)
     else:
-        center = flow_inverse(model.flow, np.zeros(model.dimension))
+        center = flow_inverse(model.flow, np.zeros((1, model.dimension)))[0]
     axes = [np.linspace(mins[i], maxs[i], resolution) for i in range(len(dims))]
     if len(dims) == 1:
         grid = axes[0][:, None]
@@ -313,5 +339,5 @@ def evaluate_density_grid(
     points = np.tile(center, (grid.shape[0], 1))
     for col, k in enumerate(dims):
         points[:, k] = grid[:, col]
-    densities = np.array([math.exp(model.log_density(p)) for p in points])
+    densities = np.exp(model.log_density(points))
     return points, densities

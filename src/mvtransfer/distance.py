@@ -291,7 +291,8 @@ class ImportanceLatentSet:
     """All per-sample distance vectors for one source/target view pair.
 
     ``vectors`` is the (N, K) array of values actually consumed downstream
-    (length-normalized when ``normalize`` is on), one row per sample pair;
+    (the distances divided by the pair's mean series length), one row per
+    sample pair;
     ``raw_vectors``, of the same shape, keeps the unnormalized distances for
     inspection.
     """
@@ -300,7 +301,6 @@ class ImportanceLatentSet:
     source_view: int
     target_view: int
     vectors: np.ndarray
-    normalize: bool = True
     raw_vectors: np.ndarray | None = None
 
     def __post_init__(self):
@@ -328,7 +328,6 @@ class ImportanceLatentSet:
             "target_view": self.target_view,
             "K": self.dimension,
             "vectors": self.vectors.tolist(),
-            "normalize": self.normalize,
         }
         if self.raw_vectors is not None:
             payload["vectors_raw"] = self.raw_vectors.tolist()

@@ -268,7 +268,9 @@ def _forward_batch(model: FlowModel, data: np.ndarray):
     return x[layer_count], log_det, (mask, inv, x, u, h1, h2, log_scale, grown)
 
 
-def _inverse_batch(model: FlowModel, latent: np.ndarray) -> np.ndarray:
+def flow_inverse(model: FlowModel, latent) -> np.ndarray:
+    """Exact algebraic inverse of the forward pass: the data points whose
+    latent images are the rows of ``latent``."""
     x = np.asarray(latent, dtype=np.float64)
     d, width = model.dimension, model.config.coupling_net_width
     lead = x.shape[:-1]
@@ -283,20 +285,6 @@ def _inverse_batch(model: FlowModel, latent: np.ndarray) -> np.ndarray:
     return x * model.standardize_scale[..., None, :] + model.standardize_mean[..., None, :]
 
 
-def flow_forward(model: FlowModel, point) -> tuple[np.ndarray, float]:
-    """Map one data point to its latent image; also return the total
-    log-determinant of the transformation (standardization included)."""
-    x = np.asarray(point, dtype=np.float64).reshape(1, -1)
-    latent, log_det, _ = _forward_batch(model, x)
-    return latent[0], float(log_det[0])
-
-
-def flow_inverse(model: FlowModel, latent) -> np.ndarray:
-    """Exact algebraic inverse of flow_forward."""
-    z = np.asarray(latent, dtype=np.float64).reshape(1, -1)
-    return _inverse_batch(model, z)[0]
-
-
 def _base_log_density(latent: np.ndarray) -> np.ndarray:
     """The standard-normal log-density at each latent point."""
     d = latent.shape[-1]
@@ -308,11 +296,6 @@ def _log_density_batch(model: FlowModel, data: np.ndarray) -> np.ndarray:
     return _base_log_density(latent) + log_det
 
 
-def flow_log_density(model: FlowModel, point) -> float:
-    x = np.asarray(point, dtype=np.float64).reshape(1, -1)
-    return float(_log_density_batch(model, x)[0])
-
-
 def sample_flow(model: FlowModel, count: int, seed: int) -> np.ndarray:
     """Draw standard-normal latents and pull them back through the inverse
     transformation.  Deterministic given the seed."""
@@ -320,7 +303,7 @@ def sample_flow(model: FlowModel, count: int, seed: int) -> np.ndarray:
         raise ValueError(f"count must be positive, got {count}")
     rng = np.random.default_rng(seed)
     latent = rng.standard_normal((count, model.dimension))
-    return _inverse_batch(model, latent)
+    return flow_inverse(model, latent)
 
 
 def _tanh_slope(h: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -68,8 +68,7 @@ def draw_importance_matrix(model: DensityModel, config: SamplingConfig) -> np.nd
     """
     samples = model.sample(config.batch_size, config.seed)
     if config.sampling_mode == "density_weights":
-        weights = [np.exp(model.log_density(row)) for row in samples]
-        matrix = np.asarray(weights, dtype=float).reshape(-1, 1)
+        matrix = np.exp(model.log_density(samples))[:, None]
     else:
         matrix = samples
     if not np.all(np.isfinite(matrix)):

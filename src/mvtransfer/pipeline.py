@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -574,12 +574,8 @@ def write_curves_csv(path, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Config file round-trip
+# Config file loading
 # ---------------------------------------------------------------------------
-
-def experiment_config_to_json_dict(config: ExperimentConfig) -> dict:
-    return asdict(config)
-
 
 def experiment_config_from_json_dict(payload: dict) -> ExperimentConfig:
     if not isinstance(payload, dict):
@@ -613,8 +609,3 @@ def load_experiment_config(path) -> ExperimentConfig:
     except TypeError as exc:
         raise ValueError(f"invalid experiment config {path}: {exc}") from exc
 
-
-def save_experiment_config(path, config: ExperimentConfig) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(experiment_config_to_json_dict(config), handle, indent=2)
-        handle.write("\n")

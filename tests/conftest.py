@@ -202,6 +202,22 @@ def reference_log_density_batch(model: FlowModel, data: np.ndarray) -> np.ndarra
     return base + log_det
 
 
+def reference_kde_log_density(model, point) -> float:
+    """One point's kernel log-density by the one-point formula the batched
+    ``_kde_log_density`` replaced: log-sum-exp over the support points on
+    Python floats."""
+    x = np.asarray(point, dtype=np.float64).ravel()
+    diff = x - model.support_points
+    exponents = -0.5 * (diff ** 2 / model.bandwidth_diag).sum(axis=1)
+    peak = exponents.max()
+    lse = peak + math.log(np.exp(exponents - peak).sum())
+    n, d = model.support_points.shape
+    norm = -math.log(n) - 0.5 * d * math.log(2.0 * math.pi) - 0.5 * float(
+        np.log(model.bandwidth_diag).sum()
+    )
+    return norm + float(lse)
+
+
 def reference_flow_loss_and_gradients(model: FlowModel, data: np.ndarray, grads=None):
     """The loss and gradient pass that ``flow_loss_and_gradients`` replaced,
     kept as its bit-equality reference: per-layer (d,) masks broadcast in

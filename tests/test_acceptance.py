@@ -9,6 +9,7 @@ test.  Every test also enforces its runtime budget.
 import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,12 +24,11 @@ from mvtransfer.distance import (
     sfa_fit,
     sfa_transform,
 )
+from mvtransfer import flow
 from mvtransfer.flow import (
     FlowConfig,
     fit_flow,
-    flow_forward,
     flow_inverse,
-    flow_log_density,
     flow_loss_and_gradients,
 )
 from mvtransfer.importance import SamplingConfig, allocate_epochs
@@ -50,7 +50,6 @@ from mvtransfer.pipeline import (
     _prepare,
     _run_single,
     run_experiment,
-    save_experiment_config,
 )
 from mvtransfer.synthetic import make_synthetic_dataset
 
@@ -248,7 +247,7 @@ class TestAcceptance:
         model = fit_density(data_1d)
         mean, sigma = data_1d.mean(), data_1d.std()
         grid = np.linspace(mean - 10 * sigma, mean + 10 * sigma, 4001)
-        values = np.array([math.exp(model.log_density([g])) for g in grid])
+        values = np.exp(model.log_density(grid[:, None]))
         assert abs(np.trapezoid(values, grid) - 1.0) < 1e-3
 
         data_2d = rng.standard_normal((60, 2)) @ np.array([[1.0, 0.3], [0.0, 0.8]])
@@ -257,10 +256,9 @@ class TestAcceptance:
         sigma = data_2d.std(axis=0)
         xs = np.linspace(mean[0] - 10 * sigma[0], mean[0] + 10 * sigma[0], 201)
         ys = np.linspace(mean[1] - 10 * sigma[1], mean[1] + 10 * sigma[1], 201)
-        rows = np.empty((201, 201))
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                rows[i, j] = math.exp(model.log_density([x, y]))
+        grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
+        points = np.column_stack([grid_x.ravel(), grid_y.ravel()])
+        rows = np.exp(model.log_density(points)).reshape(201, 201)
         inner = np.trapezoid(rows, ys, axis=1)
         assert abs(np.trapezoid(inner, xs) - 1.0) < 1e-3
         assert time.perf_counter() - started < 5.0
@@ -279,23 +277,21 @@ class TestAcceptance:
 
         rng = np.random.default_rng(1005)
         points = 2.0 * rng.standard_normal((100, 2))
-        for point in points:
-            latent, _ = flow_forward(model, point)
-            recovered = flow_inverse(model, latent)
-            assert np.max(np.abs(recovered - point)) < 1e-9
+        latent, _, _ = flow._forward_batch(model, points)
+        assert np.max(np.abs(flow_inverse(model, latent) - points)) < 1e-9
 
         step = 1e-5
-        for point in rng.standard_normal((20, 2)):
-            _, analytic = flow_forward(model, point)
-            jacobian = np.empty((2, 2))
-            for j in range(2):
-                bump = np.zeros(2)
-                bump[j] = step
-                plus, _ = flow_forward(model, point + bump)
-                minus, _ = flow_forward(model, point - bump)
-                jacobian[:, j] = (plus - minus) / (2.0 * step)
-            numeric = math.log(abs(np.linalg.det(jacobian)))
-            assert abs(numeric - analytic) < 1e-4
+        probes = rng.standard_normal((20, 2))
+        _, analytic, _ = flow._forward_batch(model, probes)
+        jacobian = np.empty((20, 2, 2))
+        for j in range(2):
+            bump = np.zeros(2)
+            bump[j] = step
+            plus = flow._forward_batch(model, probes + bump)[0]
+            minus = flow._forward_batch(model, probes - bump)[0]
+            jacobian[:, :, j] = (plus - minus) / (2.0 * step)
+        numeric = np.log(np.abs(np.linalg.det(jacobian)))
+        assert np.max(np.abs(numeric - analytic)) < 1e-4
 
         loss, grads, _ = flow_loss_and_gradients(model, data)
         fd_step = 1e-6
@@ -331,7 +327,8 @@ class TestAcceptance:
         )
         model = fit_flow(data, config)
         peak = -math.log(2.0 * math.pi)
-        assert abs(flow_log_density(model, data.mean(axis=0)) - peak) < 0.15
+        (at_mean,) = flow._log_density_batch(model, data.mean(axis=0)[None])
+        assert abs(at_mean - peak) < 0.15
         assert abs(model.final_log_likelihood - (peak - 1.0)) < 0.15
         assert time.perf_counter() - started < 120.0
 
@@ -568,7 +565,7 @@ class TestAcceptance:
             base_seed=0,
             mode="both",
         )
-        save_experiment_config(tmp_path / "config.json", config)
+        (tmp_path / "config.json").write_text(json.dumps(asdict(config)), encoding="utf-8")
         for name in ("run1", "run2"):
             code = cli_main(
                 [

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mvtransfer.cli import main
 from mvtransfer.density import fit_density, save_density_model
 from mvtransfer.flow import FlowConfig
 from mvtransfer.importance import SamplingConfig
-from mvtransfer.pipeline import ExperimentConfig, save_experiment_config
+from mvtransfer.pipeline import ExperimentConfig
 from mvtransfer.synthetic import make_synthetic_dataset
 from mvtransfer.dataset import emit_dataset
 
@@ -47,7 +48,7 @@ def write_config(path, dataset_dir, **overrides):
         repeats=2,
     )
     defaults.update(overrides)
-    save_experiment_config(path, ExperimentConfig(**defaults))
+    path.write_text(json.dumps(asdict(ExperimentConfig(**defaults))), encoding="utf-8")
     return path
 
 
@@ -487,18 +488,47 @@ class TestDensityGridCommand:
         assert run_cli(base + ["--mins=-1,-1", "--maxs=1"]) == 2
         assert run_cli(base + ["--mins=-1", "--maxs=1", "--resolution", "1"]) == 2
 
-    def test_rerun_byte_identical(self, tmp_path):
-        model_path = tmp_path / "kde.json"
-        save_density_model(fit_density(np.linspace(-1, 1, 20)[:, None]), model_path)
+    @pytest.mark.parametrize(
+        "variant, bounds",
+        [
+            ("flow", ["--mins=nan,0", "--maxs=1,1"]),
+            ("kde", ["--mins=nan,0", "--maxs=1,1"]),
+            ("kde", ["--mins=0,-inf", "--maxs=1,1"]),
+            ("kde", ["--mins=0,0", "--maxs=inf,1"]),
+        ],
+        ids=["flow-nan", "kde-nan", "kde-minus-inf", "kde-inf"],
+    )
+    def test_non_finite_bounds_exit_2(self, tmp_path, capsys, variant, bounds):
+        """A NaN or infinite bound is a usage error naming the bounds,
+        raised before the grid is built."""
+        data = np.random.default_rng(4).standard_normal((16, 4 if variant == "flow" else 2))
+        config = FlowConfig(layer_count=2, coupling_net_width=2, training_iterations=2)
+        model_path = tmp_path / "model.json"
+        save_density_model(fit_density(data, flow_config=config), model_path)
+        args = ["density-grid", "--model", str(model_path), *bounds, "--out", str(tmp_path)]
+        if variant == "flow":
+            args += ["--project", "0,1"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert "grid bounds must be finite: mins" in err
+        assert not (tmp_path / "density_grid.csv").exists()
+
+    @pytest.mark.parametrize("variant", ["kde", "flow"])
+    def test_rerun_byte_identical(self, tmp_path, variant):
+        """Two runs write the same bytes; the flow's default 101x101 grid
+        spans several evaluation blocks."""
+        model_path = tmp_path / "model.json"
+        if variant == "kde":
+            save_density_model(fit_density(np.linspace(-1, 1, 20)[:, None]), model_path)
+            grid = ["--mins=-2", "--maxs=2"]
+        else:
+            data = np.random.default_rng(5).standard_normal((32, 6))
+            config = FlowConfig(layer_count=2, coupling_net_width=4, training_iterations=5)
+            save_density_model(fit_density(data, flow_config=config), model_path)
+            grid = ["--mins=-2,-2", "--maxs=2,2", "--project", "0,1"]
         for name in ("a", "b"):
             assert run_cli(
-                [
-                    "density-grid",
-                    "--model", str(model_path),
-                    "--mins=-2",
-                    "--maxs=2",
-                    "--out", str(tmp_path / name),
-                ]
+                ["density-grid", "--model", str(model_path), *grid, "--out", str(tmp_path / name)]
             ) == 0
         assert (tmp_path / "a" / "density_grid.csv").read_bytes() == (
             tmp_path / "b" / "density_grid.csv"

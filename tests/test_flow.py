@@ -19,10 +19,8 @@ from mvtransfer.flow import (
     FlowConfig,
     FlowTrainingError,
     fit_flow,
-    flow_forward,
     flow_from_json_dict,
     flow_inverse,
-    flow_log_density,
     flow_loss_and_gradients,
     flow_to_json_dict,
     init_flow_model,
@@ -50,36 +48,53 @@ def randomized_model(rng, d=3, layers=4, width=6):
     return model
 
 
+def forward(model, points):
+    """The latent images and total log-determinants of the rows of ``points``."""
+    latent, log_det, _ = flow._forward_batch(model, points)
+    return latent, log_det
+
+
+def numeric_log_dets(model, points, step=1e-6):
+    """log|det| of each point's central-difference Jacobian of the forward map."""
+    n, d = points.shape
+    jacobians = np.empty((n, d, d))
+    for j in range(d):
+        bump = np.zeros(d)
+        bump[j] = step
+        plus, minus = forward(model, points + bump)[0], forward(model, points - bump)[0]
+        jacobians[:, :, j] = (plus - minus) / (2 * step)
+    return np.log(np.abs(np.linalg.det(jacobians)))
+
+
 class TestIdentityAtInit:
     def test_forward_is_standardization_only(self):
         """Zero output layers make every coupling layer the identity."""
         rng = np.random.default_rng(40)
         data = rng.normal(loc=3.0, scale=2.0, size=(50, 3))
         model = init_flow_model(data, QUICK)
-        point = data[7]
-        latent, log_det = flow_forward(model, point)
-        expected = (point - model.standardize_mean) / model.standardize_scale
-        assert np.array_equal(latent, expected)
-        assert log_det == pytest.approx(-np.log(model.standardize_scale).sum(), abs=0)
+        latent, log_det = forward(model, data[7:8])
+        expected = (data[7] - model.standardize_mean) / model.standardize_scale
+        assert np.array_equal(latent[0], expected)
+        assert log_det[0] == pytest.approx(-np.log(model.standardize_scale).sum(), abs=0)
 
     def test_log_density_is_base_normal_plus_jacobian(self):
         rng = np.random.default_rng(41)
         data = rng.normal(size=(40, 2))
         model = init_flow_model(data, QUICK)
-        for point in data[:5]:
+        for point, value in zip(data[:5], flow._log_density_batch(model, data[:5])):
             std = (point - model.standardize_mean) / model.standardize_scale
             expected = (
                 -math.log(2.0 * math.pi)
                 - 0.5 * float(std @ std)
                 - float(np.log(model.standardize_scale).sum())
             )
-            assert flow_log_density(model, point) == pytest.approx(expected, abs=1e-12)
+            assert value == pytest.approx(expected, abs=1e-12)
 
     def test_inverse_of_zero_latent_is_data_mean(self):
         rng = np.random.default_rng(42)
         data = rng.normal(loc=-1.5, size=(30, 2))
         model = init_flow_model(data, QUICK)
-        assert np.allclose(flow_inverse(model, np.zeros(2)), model.standardize_mean)
+        assert np.allclose(flow_inverse(model, np.zeros((1, 2)))[0], model.standardize_mean)
 
     def test_init_is_seed_deterministic(self):
         rng = np.random.default_rng(43)
@@ -96,27 +111,22 @@ class TestInvertibility:
         for d in (2, 3, 5):
             model = randomized_model(rng, d=d)
             points = rng.normal(size=(100, d)) * 3.0
-            for point in points:
-                latent, _ = flow_forward(model, point)
-                back = flow_inverse(model, latent)
-                assert np.max(np.abs(back - point)) < 1e-9
+            latent, _ = forward(model, points)
+            assert np.max(np.abs(flow_inverse(model, latent) - points)) < 1e-9
 
     def test_round_trip_other_direction(self):
         rng = np.random.default_rng(45)
         model = randomized_model(rng, d=2)
         latents = rng.normal(size=(50, 2))
-        for z in latents:
-            point = flow_inverse(model, z)
-            z_back, _ = flow_forward(model, point)
-            assert np.max(np.abs(z_back - z)) < 1e-9
+        z_back, _ = forward(model, flow_inverse(model, latents))
+        assert np.max(np.abs(z_back - latents)) < 1e-9
 
     def test_inverse_continuous_on_grid(self):
         """1-coordinate slices of the inverse produce no non-finite values."""
         rng = np.random.default_rng(46)
         model = randomized_model(rng, d=2)
-        for v in np.linspace(-4, 4, 41):
-            out = flow_inverse(model, np.array([v, 0.3]))
-            assert np.all(np.isfinite(out))
+        latents = np.column_stack([np.linspace(-4, 4, 41), np.full(41, 0.3)])
+        assert np.all(np.isfinite(flow_inverse(model, latents)))
 
 
 class TestJacobian:
@@ -125,37 +135,15 @@ class TestJacobian:
         rng = np.random.default_rng(47)
         model, _ = small_trained_model(rng)
         points = rng.normal(size=(20, 2), scale=1.5)
-        step = 1e-6
-        for point in points:
-            _, log_det = flow_forward(model, point)
-            jac = np.empty((2, 2))
-            for j in range(2):
-                plus = point.copy()
-                minus = point.copy()
-                plus[j] += step
-                minus[j] -= step
-                hp, _ = flow_forward(model, plus)
-                hm, _ = flow_forward(model, minus)
-                jac[:, j] = (hp - hm) / (2 * step)
-            numeric = math.log(abs(np.linalg.det(jac)))
-            assert log_det == pytest.approx(numeric, abs=1e-4)
+        _, log_det = forward(model, points)
+        assert np.allclose(log_det, numeric_log_dets(model, points), rtol=0, atol=1e-4)
 
     def test_log_det_on_randomized_model(self):
         rng = np.random.default_rng(48)
         model = randomized_model(rng, d=3)
-        step = 1e-6
-        for _ in range(5):
-            point = rng.normal(size=3)
-            _, log_det = flow_forward(model, point)
-            jac = np.empty((3, 3))
-            for j in range(3):
-                plus, minus = point.copy(), point.copy()
-                plus[j] += step
-                minus[j] -= step
-                jac[:, j] = (flow_forward(model, plus)[0] - flow_forward(model, minus)[0]) / (
-                    2 * step
-                )
-            assert log_det == pytest.approx(math.log(abs(np.linalg.det(jac))), abs=1e-4)
+        points = rng.normal(size=(5, 3))
+        _, log_det = forward(model, points)
+        assert np.allclose(log_det, numeric_log_dets(model, points), rtol=0, atol=1e-4)
 
 
 def max_gradient_relative_error(model, data, step=1e-5):
@@ -200,7 +188,7 @@ class TestGradients:
         model = randomized_model(rng, d=2)
         data = rng.normal(size=(10, 2))
         loss, _, mean_ll = flow_loss_and_gradients(model, data)
-        direct = np.mean([flow_log_density(model, p) for p in data])
+        direct = np.mean([reference_log_density_batch(model, p[None])[0] for p in data])
         assert mean_ll == pytest.approx(direct, abs=1e-12)
         assert loss == pytest.approx(-direct, abs=1e-12)
 
@@ -235,7 +223,8 @@ class TestTraining:
         # and the recovered density peaks near the data mean at the height
         # of a standard normal mode
         mode_value = -math.log(2.0 * math.pi)
-        assert abs(flow_log_density(model, data.mean(axis=0)) - mode_value) < 0.15
+        (at_mean,) = flow._log_density_batch(model, data.mean(axis=0)[None])
+        assert abs(at_mean - mode_value) < 0.15
 
     def test_determinism(self):
         rng = np.random.default_rng(55)
@@ -309,10 +298,12 @@ class TestSerialization:
         model, data = small_trained_model(rng, iterations=30)
         payload = flow_to_json_dict(model)
         back = flow_from_json_dict(payload)
-        for point in data[:10]:
-            assert flow_log_density(back, point) == pytest.approx(
-                flow_log_density(model, point), abs=1e-12
-            )
+        assert np.allclose(
+            flow._log_density_batch(back, data[:10]),
+            flow._log_density_batch(model, data[:10]),
+            rtol=0,
+            atol=1e-12,
+        )
         assert back.final_log_likelihood == model.final_log_likelihood
 
     def test_non_finite_loss_aborts_with_iteration(self):
@@ -372,9 +363,8 @@ class TestFittedFlowProperties:
         rng = np.random.default_rng(seed)
         spread = data.mean(axis=0) + data.std(axis=0) * rng.normal(size=(4, data.shape[1]))
         points = np.concatenate([data[:4], spread])
-        for point in points:
-            latent, _ = flow_forward(model, point)
-            assert np.max(np.abs(flow_inverse(model, latent) - point)) < 1e-9
+        latent, _ = forward(model, points)
+        assert np.max(np.abs(flow_inverse(model, latent) - points)) < 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(fitted=fitted_flows())
@@ -529,7 +519,7 @@ class TestLossPassBitEqual:
         with np.errstate(over="ignore"):
             log_density = flow._log_density_batch(model, batch)
             reference = reference_log_density_batch(model, batch)
-            inverse = flow._inverse_batch(model, latent)
+            inverse = flow_inverse(model, latent)
             reference_inverse = reference_inverse_batch(model, latent)
         assert log_density.tobytes() == reference.tobytes()
         assert inverse.tobytes() == reference_inverse.tobytes()

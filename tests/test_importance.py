@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_random_dataset
+from conftest import make_random_dataset, reference_kde_log_density
 from mvtransfer import flow
 from mvtransfer.dataset import MultiViewDataset
 from mvtransfer.density import DensityModel, KdeModel, fit_density
@@ -83,8 +83,8 @@ class TestDrawImportanceMatrix:
         assert matrix.shape == (16, 1)
         assert np.all(matrix > 0)
         samples = model.sample(16, seed=4)
-        expected = [np.exp(model.log_density(row)) for row in samples]
-        assert np.allclose(matrix[:, 0], expected, rtol=0, atol=0)
+        expected = [math.exp(reference_kde_log_density(model.kde, row)) for row in samples]
+        assert np.allclose(matrix[:, 0], expected, rtol=1e-15, atol=0)
 
 
 class TestMatrixNorm:

@@ -2,29 +2,36 @@
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import flow_stacks, reference_fit_flow
+from conftest import (
+    flow_stacks,
+    reference_fit_flow,
+    reference_kde_log_density,
+    reference_log_density_batch,
+)
+from mvtransfer import density
 from mvtransfer.density import (
     DensityError,
     DensityModel,
     KdeModel,
+    _kde_log_density,
     density_model_from_json_dict,
     density_model_to_json_dict,
     evaluate_density_grid,
     fit_density,
     fit_kde,
-    kde_log_density,
     load_density_model,
     sample_kde,
     save_density_model,
     select_density_method,
 )
-from mvtransfer.flow import FlowConfig
+from mvtransfer.flow import FlowConfig, init_flow_model
 
 
 class TestMethodSelection:
@@ -53,7 +60,7 @@ class TestFitKde:
         """Directly constructed one-point model: density at the support
         point is the standard-normal mode 1/sqrt(2*pi)."""
         model = KdeModel(support_points=[[0.0]], bandwidth_diag=[1.0])
-        value = math.exp(kde_log_density(model, [0.0]))
+        value = math.exp(_kde_log_density(model, np.zeros((1, 1)))[0])
         assert value == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
 
     def test_silverman_bandwidth_on_normal_draws(self):
@@ -101,10 +108,9 @@ class TestFitKde:
 class TestKdeLogDensity:
     def test_symmetry_around_symmetric_support(self):
         model = KdeModel(support_points=[[-1.0], [1.0]], bandwidth_diag=[0.4])
-        for x in np.linspace(0.1, 3.0, 15):
-            assert kde_log_density(model, [x]) == pytest.approx(
-                kde_log_density(model, [-x]), abs=1e-12
-            )
+        xs = np.linspace(0.1, 3.0, 15)[:, None]
+        left, right = _kde_log_density(model, xs), _kde_log_density(model, -xs)
+        assert np.allclose(left, right, rtol=0, atol=1e-12)
 
     def test_matches_naive_summation(self):
         """exp(log-density) equals the direct mixture sum within 1e-12."""
@@ -112,8 +118,8 @@ class TestKdeLogDensity:
         data = rng.normal(size=(20, 2))
         model = fit_kde(data, "silverman")
         h = model.bandwidth_diag
-        for _ in range(20):
-            x = rng.normal(size=2) * 2.0
+        points = rng.normal(size=(20, 2)) * 2.0
+        for x, value in zip(points, np.exp(_kde_log_density(model, points))):
             total = 0.0
             for p in model.support_points:
                 quad = (x[0] - p[0]) ** 2 / h[0] + (x[1] - p[1]) ** 2 / h[1]
@@ -123,7 +129,7 @@ class TestKdeLogDensity:
                     * math.exp(-0.5 * quad)
                 )
             total /= len(model.support_points)
-            assert math.exp(kde_log_density(model, x)) == pytest.approx(total, abs=1e-12)
+            assert value == pytest.approx(total, abs=1e-12)
 
     def test_integral_one_dimensional(self):
         """Trapezoidal quadrature over +-10 sigma sums to 1 within 1e-3."""
@@ -132,7 +138,7 @@ class TestKdeLogDensity:
         model = fit_kde(data, "silverman")
         sigma = data.std(ddof=1)
         grid = np.linspace(data.mean() - 10 * sigma, data.mean() + 10 * sigma, 4001)
-        values = np.array([math.exp(kde_log_density(model, [x])) for x in grid])
+        values = np.exp(_kde_log_density(model, grid[:, None]))
         integral = np.trapezoid(values, grid)
         assert abs(integral - 1.0) < 1e-3
 
@@ -144,10 +150,9 @@ class TestKdeLogDensity:
         sigma = data.std(axis=0, ddof=1)
         ax0 = np.linspace(mean[0] - 10 * sigma[0], mean[0] + 10 * sigma[0], 201)
         ax1 = np.linspace(mean[1] - 10 * sigma[1], mean[1] + 10 * sigma[1], 201)
-        values = np.empty((201, 201))
-        for i, x in enumerate(ax0):
-            for j, y in enumerate(ax1):
-                values[i, j] = math.exp(kde_log_density(model, [x, y]))
+        xs, ys = np.meshgrid(ax0, ax1, indexing="ij")
+        points = np.column_stack([xs.ravel(), ys.ravel()])
+        values = np.exp(_kde_log_density(model, points)).reshape(201, 201)
         integral = np.trapezoid(np.trapezoid(values, ax1, axis=1), ax0)
         assert abs(integral - 1.0) < 1e-3
 
@@ -155,14 +160,23 @@ class TestKdeLogDensity:
         """Log-sum-exp keeps far-field evaluations finite (no underflow to
         -inf within float range of the exponent)."""
         model = KdeModel(support_points=[[0.0], [1.0]], bandwidth_diag=[0.01])
-        value = kde_log_density(model, [8.0])
+        (value,) = _kde_log_density(model, np.array([[8.0]]))
         assert np.isfinite(value)
         assert value < -100
 
-    def test_dimension_mismatch(self):
-        model = KdeModel(support_points=[[0.0, 0.0]], bandwidth_diag=[1.0, 1.0])
-        with pytest.raises(DensityError, match="dimension"):
-            kde_log_density(model, [1.0])
+    @pytest.mark.parametrize(
+        "seed, n, d", [(94, 1, 1), (95, 30, 2), (96, 12, 3), (97, 40, 5), (98, 25, 9)]
+    )
+    def test_matches_the_one_point_reference(self, seed, n, d):
+        """The batched kernel density equals the one-point formula it
+        replaced, row by row, within 1e-15 relative."""
+        rng = np.random.default_rng(seed)
+        model = KdeModel(
+            support_points=rng.normal(size=(n, d)), bandwidth_diag=rng.uniform(0.05, 2.0, size=d)
+        )
+        points = rng.normal(size=(200, d)) * 2.0
+        expected = [reference_kde_log_density(model, point) for point in points]
+        assert np.allclose(_kde_log_density(model, points), expected, rtol=1e-15, atol=0)
 
 
 class TestSampleKde:
@@ -192,7 +206,7 @@ class TestDensityModelWrapper:
         rng = np.random.default_rng(76)
         model = fit_density(rng.normal(size=(30, 2)))
         assert model.variant == "kde"
-        assert np.isfinite(model.log_density([0.0, 0.0]))
+        assert np.isfinite(model.log_density([[0.0, 0.0]])).all()
         assert model.sample(10, seed=3).shape == (10, 2)
 
     def test_fit_density_high_dimension(self):
@@ -200,7 +214,7 @@ class TestDensityModelWrapper:
         config = FlowConfig(layer_count=2, coupling_net_width=4, training_iterations=10)
         model = fit_density(rng.normal(size=(40, 4)), flow_config=config)
         assert model.variant == "flow"
-        assert np.isfinite(model.log_density(np.zeros(4)))
+        assert np.isfinite(model.log_density(np.zeros((1, 4)))).all()
         assert model.sample(8, seed=4).shape == (8, 4)
 
     def test_override_forces_flow_in_low_dimension(self):
@@ -223,8 +237,8 @@ class TestDensityModelWrapper:
         save_density_model(model, path)
         back = load_density_model(path)
         assert back.variant == "kde"
-        probe = rng.normal(size=3)
-        assert back.log_density(probe) == pytest.approx(model.log_density(probe), abs=0)
+        probe = rng.normal(size=3)[None]
+        assert np.array_equal(back.log_density(probe), model.log_density(probe))
 
     def test_json_round_trip_flow(self, tmp_path):
         rng = np.random.default_rng(80)
@@ -233,8 +247,8 @@ class TestDensityModelWrapper:
         path = tmp_path / "model.json"
         save_density_model(model, path)
         back = load_density_model(path)
-        probe = rng.normal(size=4)
-        assert back.log_density(probe) == pytest.approx(model.log_density(probe), abs=1e-12)
+        probe = rng.normal(size=4)[None]
+        assert np.allclose(back.log_density(probe), model.log_density(probe), rtol=0, atol=1e-12)
 
     def test_bad_payloads(self, tmp_path):
         with pytest.raises(DensityError, match="variant"):
@@ -315,6 +329,65 @@ class TestDensityModelWrapper:
         assert a.read_bytes() == b.read_bytes()
 
 
+def kde_and_flow_models(d: int = 4) -> list[DensityModel]:
+    """A kernel and an untrained default-config flow model over the same
+    ``d``-dimensional data."""
+    data = np.random.default_rng(99).normal(size=(40, d))
+    flow = init_flow_model(data, FlowConfig())
+    return [
+        fit_density(data, override="kde"),
+        DensityModel(variant="flow", dimension=d, flow=flow),
+    ]
+
+
+class TestLogDensity:
+    """``DensityModel.log_density``: one checked, blocked evaluation of an
+    (n, d) array for either variant."""
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            (np.zeros(4), r"points must be an \(n, 4\) array, got shape \(4,\)"),
+            (np.zeros((2, 3)), r"points must be an \(n, 4\) array, got shape \(2, 3\)"),
+            (np.array([[0.0] * 4, [0.0, math.nan, 0.0, 0.0]]), "points contain non-finite values"),
+        ],
+        ids=["one-point", "wrong-width", "nan-row"],
+    )
+    def test_bad_points_rejected_alike_by_both_variants(self, points, message):
+        messages = []
+        for model in kde_and_flow_models():
+            with pytest.raises(DensityError, match=message) as caught:
+                model.log_density(points)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    def test_no_points_give_no_values(self):
+        for model in kde_and_flow_models():
+            assert model.log_density(np.zeros((0, 4))).shape == (0,)
+
+    def test_blocks_match_the_reference_row_by_row(self, monkeypatch):
+        """Evaluated in blocks of 7 rows, each variant's log-density equals
+        its one-row reference within 1e-15 relative."""
+        monkeypatch.setattr(density, "LOG_DENSITY_BLOCK_ROWS", 7)
+        data = np.random.default_rng(99).normal(size=(40, 4))
+        config = FlowConfig(layer_count=4, coupling_net_width=8, training_iterations=50)
+        kde = fit_density(data, override="kde")
+        flow = fit_density(data, override="flow", flow_config=config)
+        points = np.random.default_rng(100).normal(size=(50, 4))
+        assert np.allclose(
+            kde.log_density(points),
+            [reference_kde_log_density(kde.kde, point) for point in points],
+            rtol=1e-15,
+            atol=0,
+        )
+        assert np.allclose(
+            flow.log_density(points),
+            [reference_log_density_batch(flow.flow, point[None])[0] for point in points],
+            rtol=1e-15,
+            atol=0,
+        )
+
+
 class TestDensityGrid:
     def test_one_dimensional_grid_integrates_to_one(self):
         rng = np.random.default_rng(82)
@@ -352,6 +425,22 @@ class TestDensityGrid:
         model = fit_density(rng.normal(size=(10, 1)))
         with pytest.raises(DensityError, match="reversed"):
             evaluate_density_grid(model, [2.0], [-2.0], 10)
+
+    def test_large_flow_grid_memory_is_bounded(self):
+        """A 301x301 grid on a 6-d default-config flow peaks below 48 MB:
+        evaluated in one block it took about 490 MB."""
+        model = kde_and_flow_models(d=6)[1]
+        tracemalloc.start()
+        try:
+            points, densities = evaluate_density_grid(
+                model, [-3.0, -3.0], [3.0, 3.0], 301, project_dims=[0, 1]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert densities.shape == (301 * 301,)
+        assert np.isfinite(densities).all()
+        assert peak < 48e6
 
     def test_high_dimension_without_projection_rejected(self):
         rng = np.random.default_rng(86)

@@ -247,7 +247,6 @@ class TestBuildLatentSet:
         ds = two_view_dataset(rng, m=10)
         latent = build_latent_set(ds, 0, 1, "dtw")
         assert np.array_equal(latent.vectors, latent.raw_vectors / 10.0)
-        assert latent.normalize is True
 
     def test_band_parameter_threads_through(self):
         rng = np.random.default_rng(30)

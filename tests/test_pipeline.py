@@ -3,6 +3,7 @@
 import json
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,9 @@ from mvtransfer.pipeline import (
     _run_single,
     compute_schedule,
     experiment_config_from_json_dict,
-    experiment_config_to_json_dict,
     load_experiment_config,
     report_to_json_dict,
     run_experiment,
-    save_experiment_config,
 )
 from mvtransfer.synthetic import (
     CORRELATED_VIEW,
@@ -50,6 +49,11 @@ def tiny_dataset(n_samples=12, channels=1, length=8, seed=0):
     return make_synthetic_dataset(
         n_samples=n_samples, channels=channels, length=length, seed=seed
     )
+
+
+def write_config(path, config: ExperimentConfig) -> None:
+    """Write ``config`` as the JSON file ``load_experiment_config`` reads."""
+    path.write_text(json.dumps(asdict(config), indent=2) + "\n", encoding="utf-8")
 
 
 def tiny_config(**overrides):
@@ -233,13 +237,13 @@ class TestExperimentConfig:
             forced_epochs=(2, 2),
             fcn_kernel_sizes=(3, 3, 3),
         )
-        payload = experiment_config_to_json_dict(config)
+        payload = asdict(config)
         assert payload["sampling"]["seed"] == 9
         restored = experiment_config_from_json_dict(json.loads(json.dumps(payload)))
         assert restored == config
 
     def test_rejects_unknown_keys(self):
-        payload = experiment_config_to_json_dict(tiny_config())
+        payload = asdict(tiny_config())
         payload["epochs"] = 10
         with pytest.raises(ValueError, match="unknown experiment config keys"):
             experiment_config_from_json_dict(payload)
@@ -261,20 +265,20 @@ class TestExperimentConfig:
     def test_file_round_trip(self, tmp_path):
         config = tiny_config()
         path = tmp_path / "config.json"
-        save_experiment_config(path, config)
+        write_config(path, config)
         assert load_experiment_config(path) == config
 
     @settings(max_examples=60, deadline=None)
     @given(config=experiment_configs())
     def test_file_bytes_round_trip(self, config):
-        """Save then load gives an equal config, and saving that again
+        """Write then load gives an equal config, and writing that again
         gives the same bytes."""
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
-            save_experiment_config(first, config)
+            write_config(first, config)
             restored = load_experiment_config(first)
             assert restored == config
-            save_experiment_config(second, restored)
+            write_config(second, restored)
             assert second.read_bytes() == first.read_bytes()
 
 
