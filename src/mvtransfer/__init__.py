@@ -58,7 +58,6 @@ from mvtransfer.importance import (
     build_transfer_schedule,
     draw_importance_matrix,
     matrix_norm,
-    schedule_to_json_dict,
     score_source_view,
     write_schedule_json,
 )
@@ -136,7 +135,6 @@ __all__ = [
     "sample_flow",
     "sample_kde",
     "save_density_model",
-    "schedule_to_json_dict",
     "score_source_view",
     "select_density_method",
     "sfa_fit",

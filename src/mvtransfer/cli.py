@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .dataset import DatasetError, load_dataset
+from .dataset import DatasetError, load_dataset, write_json
 from .density import DensityError, evaluate_density_grid, load_density_model
 from .distance import DistanceError
 from .flow import FlowTrainingError
@@ -65,12 +65,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
 def _resolve_dataset_path(config_path: Path, dataset_path: str) -> Path:
     """Dataset paths in a config file are relative to the config file."""
     path = Path(dataset_path)
@@ -111,7 +105,7 @@ def cmd_importance(args) -> int:
         scores = score_views(config, dataset)
     except (_RUNTIME_ERRORS + (ValueError,)) as exc:
         return _fail_runtime(str(exc))
-    _write_json(
+    write_json(
         _out_dir(args) / "scores.json",
         {
             "target_view": args.target_view,

@@ -415,6 +415,14 @@ def _layout_fault(path: Path, sample_ids: list[str], code, channel, t) -> str:
     raise AssertionError("_layout_fault called on rows that cover every sample")
 
 
+def write_json(path, payload) -> None:
+    """Write ``payload`` as UTF-8 JSON with two-space indents, LF line ends
+    and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+
 def emit_dataset(dataset: MultiViewDataset, root_path: str | Path):
     """Write ``dataset`` in the on-disk directory format (UTF-8, LF endings).
 
@@ -432,9 +440,7 @@ def emit_dataset(dataset: MultiViewDataset, root_path: str | Path):
         "labels": dict(zip(dataset.sample_ids, dataset.labels)),
         "view_files": view_files,
     }
-    with open(root / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(root / "manifest.json", manifest)
     for v, rel in enumerate(view_files):
         with open(root / rel, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -35,9 +35,11 @@ from mvtransfer.flow import (
 KDE_MAX_DIMENSION = 3
 BANDWIDTH_FLOOR = 1e-6
 # Rows per block of a log-density evaluation.  A flow block of this size
-# takes about 22 MB with the default config (about 5.3 KB a row); a kernel
-# block takes a few (rows, support points) float arrays.
+# takes about 22 MB with the default config (about 5.3 KB a row).  A kernel
+# block holds a few (rows, support points) float arrays, so it also stops
+# near LOG_DENSITY_BLOCK_CELLS cells: 524 rows for 2000 support points.
 LOG_DENSITY_BLOCK_ROWS = 4096
+LOG_DENSITY_BLOCK_CELLS = 1 << 20
 
 
 class DensityError(ValueError):
@@ -86,32 +88,18 @@ class KdeModel:
         return self.support_points.shape[1]
 
 
-def fit_kde(latent, bandwidth_rule="silverman") -> KdeModel:
-    """Fit the kernel model with a per-dimension plug-in bandwidth.
+def fit_kde(latent) -> KdeModel:
+    """Fit the kernel model with Silverman's per-dimension bandwidth.
 
-    ``bandwidth_rule`` is "silverman", "scott", or a positive number used
-    directly as the kernel standard deviation in every dimension.  A
-    zero-variance dimension falls back to a fixed floor bandwidth with a
+    A zero-variance dimension falls back to a fixed floor bandwidth with a
     warning instead of failing.
     """
     data = as_data_array(latent)
     n, d = data.shape
     if n < 2:
         raise DensityError(f"need at least 2 support points, got {n}")
-    if isinstance(bandwidth_rule, str):
-        sigma = data.std(axis=0, ddof=1)
-        if bandwidth_rule == "silverman":
-            factor = (4.0 / (d + 2.0)) ** (1.0 / (d + 4.0)) * n ** (-1.0 / (d + 4.0))
-        elif bandwidth_rule == "scott":
-            factor = n ** (-1.0 / (d + 4.0))
-        else:
-            raise DensityError(f"unknown bandwidth rule {bandwidth_rule!r}")
-        widths = factor * sigma
-    else:
-        h = float(bandwidth_rule)
-        if h <= 0:
-            raise DensityError(f"fixed bandwidth must be positive, got {h}")
-        widths = np.full(d, h)
+    factor = (4.0 / (d + 2.0)) ** (1.0 / (d + 4.0)) * n ** (-1.0 / (d + 4.0))
+    widths = factor * data.std(axis=0, ddof=1)
     low = widths < BANDWIDTH_FLOOR
     if np.any(low):
         warnings.warn(
@@ -178,7 +166,9 @@ class DensityModel:
 
     def log_density(self, points) -> np.ndarray:
         """The log-density at each row of an (n, d) array of points, as an
-        (n,) array, evaluated in blocks of ``LOG_DENSITY_BLOCK_ROWS`` rows."""
+        (n,) array, evaluated in blocks of ``LOG_DENSITY_BLOCK_ROWS`` rows;
+        a kernel block also keeps rows x support points near
+        ``LOG_DENSITY_BLOCK_CELLS``."""
         x = np.asarray(points, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dimension:
             raise DensityError(
@@ -188,12 +178,13 @@ class DensityModel:
             raise DensityError("points contain non-finite values")
         if self.variant == "kde":
             evaluate, payload = _kde_log_density, self.kde
+            support = self.kde.support_points.shape[0]
+            rows = min(LOG_DENSITY_BLOCK_ROWS, max(1, LOG_DENSITY_BLOCK_CELLS // support))
         else:
-            evaluate, payload = _log_density_batch, self.flow
+            evaluate, payload, rows = _log_density_batch, self.flow, LOG_DENSITY_BLOCK_ROWS
         values = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], LOG_DENSITY_BLOCK_ROWS):
-            stop = start + LOG_DENSITY_BLOCK_ROWS
-            values[start:stop] = evaluate(payload, x[start:stop])
+        for start in range(0, x.shape[0], rows):
+            values[start:start + rows] = evaluate(payload, x[start:start + rows])
         return values
 
     def sample(self, count: int, seed: int) -> np.ndarray:

@@ -13,13 +13,13 @@ Scoring one view is the same routine with one view.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .dataset import write_json
 from .density import DensityModel, fit_density, save_density_model
 from .distance import build_latent_set
 from .flow import FlowTrainingError
@@ -144,12 +144,16 @@ def allocate_epochs(scores, total_epochs: int) -> list[int]:
 
 @dataclass(frozen=True)
 class TransferSchedule:
-    """Per-source-view scores and the integer epoch split they induce."""
+    """Per-source-view scores and the integer epoch split they induce.
 
+    The field order is the order of the keys in scores.json and in
+    report.json's ``schedule``.
+    """
+
+    target_view: int
     scores: tuple
     epochs: tuple
     total_epochs: int
-    target_view: int
 
     def __post_init__(self):
         object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
@@ -183,29 +187,14 @@ def build_transfer_schedule(scores, total_epochs: int, target_view: int) -> Tran
     )
 
 
-def schedule_to_json_dict(
-    schedule: TransferSchedule, measure: str, norm_kind: str, seeds: dict
-) -> dict:
-    """Lay out a schedule as the JSON payload consumed by the pipeline."""
-    return {
-        "target_view": schedule.target_view,
-        "measure": measure,
-        "norm": norm_kind,
-        "scores": list(schedule.scores),
-        "epochs": list(schedule.epochs),
-        "total_epochs": schedule.total_epochs,
-        "seeds": dict(seeds),
-    }
-
-
 def write_schedule_json(
     path, schedule: TransferSchedule, measure: str, norm_kind: str, seeds: dict
 ) -> None:
-    """Write the schedule payload to ``path`` with stable formatting."""
-    payload = schedule_to_json_dict(schedule, measure, norm_kind, seeds)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    """Write the schedule as scores.json: its fields, with the measure and
+    norm after ``target_view`` and the scoring seeds last."""
+    body = asdict(schedule)
+    head = {"target_view": body.pop("target_view"), "measure": measure, "norm": norm_kind}
+    write_json(path, {**head, **body, "seeds": dict(seeds)})
 
 
 def score_source_view(
@@ -297,8 +286,5 @@ def score_source_views(
 def _persist_artifacts(artifact_dir, source_view: int, latent, model: DensityModel) -> None:
     directory = Path(artifact_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    latent_path = directory / f"latent_view{source_view}.json"
-    with open(latent_path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(latent.to_json_dict(), handle, indent=2)
-        handle.write("\n")
+    write_json(directory / f"latent_view{source_view}.json", latent.to_json_dict())
     save_density_model(model, directory / f"density_view{source_view}.json")

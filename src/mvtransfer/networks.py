@@ -78,7 +78,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_epsilon: float = 1e-8
-    epochs: int = 100
     seed: int = 0
 
     def __post_init__(self):
@@ -92,8 +91,6 @@ class TrainConfig:
             raise ValueError("beta2 must lie in (0, 1)")
         if self.adam_epsilon <= 0.0:
             raise ValueError("adam_epsilon must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -239,19 +236,19 @@ def batchnorm_forward(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     train_mode: bool,
-    momentum: float = BN_MOMENTUM,
 ):
     """Per-channel batch normalization over the batch and time axes.
 
     Returns ``(out, cache, new_running_mean, new_running_var)``; the new
-    running statistics are the exponential moving averages the caller may
-    store when training (the inputs are never mutated).
+    running statistics are the exponential moving averages, with momentum
+    ``BN_MOMENTUM``, that the caller may store when training (the inputs
+    are never mutated).
     """
     if train_mode:
         mean = x.mean(axis=(0, 2))
         var = x.var(axis=(0, 2))
-        new_mean = momentum * running_mean + (1.0 - momentum) * mean
-        new_var = momentum * running_var + (1.0 - momentum) * var
+        new_mean = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
+        new_var = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
     else:
         mean = running_mean
         var = running_var
@@ -509,10 +506,10 @@ def train(
     batch,
     labels,
     config: TrainConfig,
-    epoch_budget: int | None = None,
+    epoch_budget: int,
     frozen_params=(),
 ) -> list:
-    """Mini-batch training for ``epoch_budget`` epochs (default: config).
+    """Mini-batch training for ``epoch_budget`` epochs.
 
     Each epoch shuffles the samples with a generator seeded once from
     ``config.seed``, walks batches of ``config.batch_size``, and records
@@ -524,7 +521,7 @@ def train(
     optimizer step, and its moment estimates, cover only the other tensors.
     The network is left in eval mode when training finishes.
     """
-    budget = config.epochs if epoch_budget is None else int(epoch_budget)
+    budget = int(epoch_budget)
     if budget < 0:
         raise ValueError("epoch_budget must be non-negative")
     if budget == 0:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import MultiViewDataset, align_lengths, load_dataset, split_indices
+from .dataset import MultiViewDataset, align_lengths, load_dataset, split_indices, write_json
 from .density import select_density_method
 from .distance import DtwParams, SfaParams
 from .flow import MIN_TRAINING_POINTS, FlowConfig
@@ -136,31 +136,46 @@ class ExperimentConfig:
             raise ValueError("train_fraction must lie in (0, 1)")
 
 
+@dataclass(frozen=True)
+class ModeResult:
+    """One mode's held-out accuracy per repeat, and their mean."""
+
+    accuracies: tuple
+    mean: float = field(init=False)
+
+    def __post_init__(self):
+        accuracies = tuple(float(a) for a in self.accuracies)
+        if not accuracies:
+            raise ValueError("a mode result needs at least one accuracy")
+        if any(not 0.0 <= a <= 1.0 for a in accuracies):
+            raise ValueError("accuracies must lie in [0, 1]")
+        object.__setattr__(self, "accuracies", accuracies)
+        object.__setattr__(self, "mean", sum(accuracies) / len(accuracies))
+
+
 @dataclass
 class ExperimentReport:
-    """Aggregated outcome of one experiment."""
+    """Aggregated outcome of one experiment.
+
+    The fields up to ``seeds`` are report.json's keys, in file order;
+    ``wall_clock_seconds`` goes to timings.json instead.
+    """
 
     mode: str
     target_view: int
     repeats: int
-    baseline_accuracies: list | None
-    transfer_accuracies: list | None
-    baseline_mean: float | None
-    transfer_mean: float | None
     schedule: TransferSchedule | None
+    baseline: ModeResult | None
+    transfer: ModeResult | None
     seeds: dict
     wall_clock_seconds: dict
 
     def __post_init__(self):
-        for accuracies in (self.baseline_accuracies, self.transfer_accuracies):
-            if accuracies is None:
-                continue
-            if len(accuracies) != self.repeats:
+        for result in (self.baseline, self.transfer):
+            if result is not None and len(result.accuracies) != self.repeats:
                 raise ValueError(
-                    f"expected {self.repeats} accuracies, got {len(accuracies)}"
+                    f"expected {self.repeats} accuracies, got {len(result.accuracies)}"
                 )
-            if any(not 0.0 <= a <= 1.0 for a in accuracies):
-                raise ValueError("accuracies must lie in [0, 1]")
 
 
 def _repeat_seeds(base_seed: int, repeat_index: int) -> dict:
@@ -510,58 +525,24 @@ def run_experiment(
             for repeat in range(config.repeats)
         ],
     }
-    means = {mode: sum(values) / len(values) for mode, values in accuracies.items()}
+    results = {mode: ModeResult(values) for mode, values in accuracies.items()}
     report = ExperimentReport(
         mode=config.mode,
         target_view=config.target_view,
         repeats=config.repeats,
-        baseline_accuracies=accuracies.get("baseline"),
-        transfer_accuracies=accuracies.get("transfer"),
-        baseline_mean=means.get("baseline"),
-        transfer_mean=means.get("transfer"),
         schedule=schedule,
+        baseline=results.get("baseline"),
+        transfer=results.get("transfer"),
         seeds=seeds,
         wall_clock_seconds=timings,
     )
     if out is not None:
-        save_report(out / "report.json", report)
+        payload = asdict(report)
+        del payload["wall_clock_seconds"]
+        write_json(out / "report.json", payload)
         write_curves_csv(out / "curves.csv", rows)
-        with open(out / "timings.json", "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(timings, handle, indent=2)
-            handle.write("\n")
+        write_json(out / "timings.json", timings)
     return report
-
-
-def report_to_json_dict(report: ExperimentReport) -> dict:
-    """Deterministic report payload (wall-clock timings excluded)."""
-    schedule_payload = None
-    if report.schedule is not None:
-        schedule_payload = {
-            "target_view": report.schedule.target_view,
-            "scores": list(report.schedule.scores),
-            "epochs": list(report.schedule.epochs),
-            "total_epochs": report.schedule.total_epochs,
-        }
-    def mode_payload(accuracies, mean):
-        if accuracies is None:
-            return None
-        return {"accuracies": [float(a) for a in accuracies], "mean": float(mean)}
-
-    return {
-        "mode": report.mode,
-        "target_view": report.target_view,
-        "repeats": report.repeats,
-        "schedule": schedule_payload,
-        "baseline": mode_payload(report.baseline_accuracies, report.baseline_mean),
-        "transfer": mode_payload(report.transfer_accuracies, report.transfer_mean),
-        "seeds": report.seeds,
-    }
-
-
-def save_report(path, report: ExperimentReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(report_to_json_dict(report), handle, indent=2)
-        handle.write("\n")
 
 
 def write_curves_csv(path, rows) -> None:

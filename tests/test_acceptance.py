@@ -498,7 +498,7 @@ class TestAcceptance:
             mode="both",
         )
         report = run_experiment(config, dataset=dataset, out_dir=tmp_path)
-        assert report.transfer_accuracies == report.baseline_accuracies
+        assert report.transfer.accuracies == report.baseline.accuracies
         lines = (
             (tmp_path / "curves.csv").read_text(encoding="utf-8").strip().split("\n")[1:]
         )
@@ -544,7 +544,7 @@ class TestAcceptance:
         )
         report = run_experiment(config, dataset=dataset)
         assert report.schedule.epochs[0] > report.schedule.epochs[1]
-        assert report.transfer_mean >= report.baseline_mean
+        assert report.transfer.mean >= report.baseline.mean
         assert time.perf_counter() - started < 300.0
 
     def test_11_cli_runs_byte_identical(self, tmp_path):

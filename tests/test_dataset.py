@@ -18,6 +18,7 @@ from mvtransfer.dataset import (
     emit_dataset,
     load_dataset,
     split_indices,
+    write_json,
 )
 
 from conftest import make_random_dataset, reference_read_view_file
@@ -523,6 +524,20 @@ class TestEmitRoundTrip:
         emit_dataset(ds, tmp_path / "y")
         for name in ["manifest.json", "view_0.csv", "view_1.csv"]:
             assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
+
+    def test_write_json_layout(self, tmp_path):
+        """write_json writes two-space indented JSON with LF line ends and
+        a final newline; emit_dataset's manifest is written the same way."""
+        payload = {"b": [1, 2.5], "a": {"nested": None, "text": "caf\u00e9"}}
+        write_json(tmp_path / "out.json", payload)
+        data = (tmp_path / "out.json").read_bytes()
+        assert data == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        assert b"\r" not in data
+        assert json.loads(data.decode("utf-8")) == payload
+        ds = make_random_dataset(np.random.default_rng(13))
+        emit_dataset(ds, tmp_path / "ds")
+        manifest = (tmp_path / "ds" / "manifest.json").read_bytes()
+        assert manifest == (json.dumps(json.loads(manifest), indent=2) + "\n").encode("utf-8")
 
     def test_id_with_carriage_return_is_quoted(self, tmp_path):
         """A lone carriage return in an id is quoted, so the directory

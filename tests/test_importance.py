@@ -22,7 +22,6 @@ from mvtransfer.importance import (
     build_transfer_schedule,
     draw_importance_matrix,
     matrix_norm,
-    schedule_to_json_dict,
     score_source_view,
     score_source_views,
     write_schedule_json,
@@ -272,9 +271,10 @@ class TestTransferSchedule:
 
     def test_json_payload_layout(self, tmp_path):
         schedule = build_transfer_schedule([2.0, 6.0], 8, target_view=2)
-        payload = schedule_to_json_dict(
-            schedule, measure="dtw", norm_kind="frobenius", seeds={"scoring": 11}
-        )
+        path = tmp_path / "scores.json"
+        write_schedule_json(path, schedule, "dtw", "frobenius", {"scoring": 11})
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text)
         assert list(payload) == [
             "target_view",
             "measure",
@@ -284,11 +284,16 @@ class TestTransferSchedule:
             "total_epochs",
             "seeds",
         ]
-        assert payload["epochs"] == [2, 6]
-        path = tmp_path / "scores.json"
-        write_schedule_json(path, schedule, "dtw", "frobenius", {"scoring": 11})
-        assert json.loads(path.read_text()) == payload
-        assert path.read_text().endswith("\n")
+        assert payload == {
+            "target_view": 2,
+            "measure": "dtw",
+            "norm": "frobenius",
+            "scores": [2.0, 6.0],
+            "epochs": [2, 6],
+            "total_epochs": 8,
+            "seeds": {"scoring": 11},
+        }
+        assert text == json.dumps(payload, indent=2) + "\n"
 
 
 class TestScheduleJsonHypothesis:

@@ -67,42 +67,22 @@ class TestFitKde:
         """1-D rule evaluated directly: h = (4/3)^(1/5) * n^(-1/5) * sigma."""
         rng = np.random.default_rng(70)
         data = rng.standard_normal((100, 1))
-        model = fit_kde(data, "silverman")
+        model = fit_kde(data)
         sigma = data.std(ddof=1)
         expected = (4.0 / 3.0) ** 0.2 * 100 ** (-0.2) * sigma
         assert math.sqrt(model.bandwidth_diag[0]) == pytest.approx(expected, rel=1e-12)
         assert 0.2 < math.sqrt(model.bandwidth_diag[0]) < 0.8
 
-    def test_scott_factor(self):
-        rng = np.random.default_rng(71)
-        data = rng.standard_normal((50, 2))
-        model = fit_kde(data, "scott")
-        sigma = data.std(axis=0, ddof=1)
-        expected = (50 ** (-1.0 / 6.0) * sigma) ** 2
-        assert np.allclose(model.bandwidth_diag, expected, rtol=1e-12)
-
-    def test_fixed_bandwidth(self):
-        data = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
-        model = fit_kde(data, 0.5)
-        assert np.allclose(model.bandwidth_diag, 0.25)
-
     def test_zero_variance_dimension_floors_with_warning(self):
         data = np.column_stack([np.zeros(10), np.linspace(0, 1, 10)])
         with pytest.warns(UserWarning, match="floored"):
-            model = fit_kde(data, "silverman")
+            model = fit_kde(data)
         assert math.sqrt(model.bandwidth_diag[0]) == pytest.approx(1e-6)
         assert model.bandwidth_diag[1] > model.bandwidth_diag[0]
 
     def test_single_point_rejected_by_fit(self):
         with pytest.raises(DensityError, match="at least 2"):
             fit_kde(np.zeros((1, 2)))
-
-    def test_bad_rules_rejected(self):
-        data = np.random.default_rng(0).normal(size=(10, 1))
-        with pytest.raises(DensityError, match="rule"):
-            fit_kde(data, "epanechnikov")
-        with pytest.raises(DensityError, match="positive"):
-            fit_kde(data, -1.0)
 
 
 class TestKdeLogDensity:
@@ -116,7 +96,7 @@ class TestKdeLogDensity:
         """exp(log-density) equals the direct mixture sum within 1e-12."""
         rng = np.random.default_rng(72)
         data = rng.normal(size=(20, 2))
-        model = fit_kde(data, "silverman")
+        model = fit_kde(data)
         h = model.bandwidth_diag
         points = rng.normal(size=(20, 2)) * 2.0
         for x, value in zip(points, np.exp(_kde_log_density(model, points))):
@@ -135,7 +115,7 @@ class TestKdeLogDensity:
         """Trapezoidal quadrature over +-10 sigma sums to 1 within 1e-3."""
         rng = np.random.default_rng(73)
         data = rng.normal(loc=2.0, scale=1.5, size=(40, 1))
-        model = fit_kde(data, "silverman")
+        model = fit_kde(data)
         sigma = data.std(ddof=1)
         grid = np.linspace(data.mean() - 10 * sigma, data.mean() + 10 * sigma, 4001)
         values = np.exp(_kde_log_density(model, grid[:, None]))
@@ -145,7 +125,7 @@ class TestKdeLogDensity:
     def test_integral_two_dimensional(self):
         rng = np.random.default_rng(74)
         data = rng.normal(size=(25, 2))
-        model = fit_kde(data, "silverman")
+        model = fit_kde(data)
         mean = data.mean(axis=0)
         sigma = data.std(axis=0, ddof=1)
         ax0 = np.linspace(mean[0] - 10 * sigma[0], mean[0] + 10 * sigma[0], 201)
@@ -386,6 +366,21 @@ class TestLogDensity:
             rtol=1e-15,
             atol=0,
         )
+
+    def test_kernel_grid_blocks_by_cells(self):
+        """A 101x101 grid on a 2-d kernel model with 2000 support points
+        peaks below 32 MiB: its blocks hold about 2^20 (rows, support)
+        cells, not 4096 rows.  Each row reduces along its own row, so the
+        blocked densities equal one unblocked evaluation bit for bit."""
+        model = fit_density(np.random.default_rng(101).normal(size=(2000, 2)))
+        tracemalloc.start()
+        try:
+            points, densities = evaluate_density_grid(model, [-3.0, -3.0], [3.0, 3.0], 101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert np.array_equal(densities, np.exp(_kde_log_density(model.kde, points)))
 
 
 class TestDensityGrid:

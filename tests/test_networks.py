@@ -1,5 +1,6 @@
 """Tests for the from-scratch MLP/FCN classifiers and their training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -726,6 +727,16 @@ class TestTraining:
         net = init_network(mlp_config(channels=2, length=5, classes=2))
         train(net, inputs, labels, TrainConfig(), epoch_budget=1)
         assert net.mode == "eval"
+
+
+    def test_epoch_budget_is_required(self):
+        """The epoch count comes only from ``epoch_budget``: TrainConfig
+        holds no epoch field, and train without a budget is an error."""
+        assert "epochs" not in {f.name for f in dataclasses.fields(TrainConfig)}
+        net = init_network(fcn_config())
+        inputs = np.zeros((4, 2, 12))
+        with pytest.raises(TypeError, match="epoch_budget"):
+            train(net, inputs, np.array([0, 1, 0, 1]), TrainConfig())
 
 
 class TestEvaluate:

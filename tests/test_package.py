@@ -10,7 +10,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_every_export_resolves_once():
     names = mvtransfer.__all__
-    assert len(names) == len(set(names)) == 58
+    assert len(names) == len(set(names)) == 57
     for name in names:
         assert hasattr(mvtransfer, name), name
     for removed in (
@@ -29,6 +29,7 @@ def test_every_export_resolves_once():
         "flow_log_density",
         "kde_log_density",
         "save_experiment_config",
+        "schedule_to_json_dict",
     ):
         assert removed not in names
         assert not hasattr(mvtransfer, removed)

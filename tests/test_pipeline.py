@@ -26,13 +26,13 @@ from mvtransfer.pipeline import (
     SPLIT_SEED_OFFSET,
     ExperimentConfig,
     ExperimentReport,
+    ModeResult,
     PipelineError,
     _prepare,
     _run_single,
     compute_schedule,
     experiment_config_from_json_dict,
     load_experiment_config,
-    report_to_json_dict,
     run_experiment,
 )
 from mvtransfer.synthetic import (
@@ -497,22 +497,21 @@ class TestRunExperiment:
         ds = tiny_dataset()
         config = tiny_config(forced_epochs=(2, 2), total_pretrain_epochs=4, repeats=3)
         report = run_experiment(config, dataset=ds)
-        assert len(report.baseline_accuracies) == 3
-        assert len(report.transfer_accuracies) == 3
-        assert report.baseline_mean == sum(report.baseline_accuracies) / 3
-        assert report.transfer_mean == sum(report.transfer_accuracies) / 3
+        assert len(report.baseline.accuracies) == 3
+        assert len(report.transfer.accuracies) == 3
+        assert report.baseline.mean == sum(report.baseline.accuracies) / 3
+        assert report.transfer.mean == sum(report.transfer.accuracies) / 3
 
     def test_modes_limit_sections(self):
         ds = tiny_dataset()
         baseline_only = run_experiment(tiny_config(mode="baseline"), dataset=ds)
-        assert baseline_only.transfer_accuracies is None
-        assert baseline_only.transfer_mean is None
+        assert baseline_only.transfer is None
         assert baseline_only.schedule is None
         transfer_only = run_experiment(
             tiny_config(mode="transfer", forced_epochs=(2, 2), total_pretrain_epochs=4),
             dataset=ds,
         )
-        assert transfer_only.baseline_accuracies is None
+        assert transfer_only.baseline is None
         assert transfer_only.schedule is not None
 
     def test_persisted_outputs_byte_identical(self, tmp_path):
@@ -568,6 +567,28 @@ class TestRunExperiment:
         assert "total" in timings
         assert len(timings["baseline"]) == 2
 
+    def test_report_json_key_order(self, tmp_path):
+        """report.json lists its keys in a fixed order at every level."""
+        ds = tiny_dataset()
+        report = run_experiment(tiny_config(), dataset=ds, out_dir=tmp_path)
+        text = (tmp_path / "report.json").read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert list(payload) == [
+            "mode",
+            "target_view",
+            "repeats",
+            "schedule",
+            "baseline",
+            "transfer",
+            "seeds",
+        ]
+        assert list(payload["schedule"]) == ["target_view", "scores", "epochs", "total_epochs"]
+        for mode in ("baseline", "transfer"):
+            assert list(payload[mode]) == ["accuracies", "mean"]
+            assert payload[mode]["mean"] == getattr(report, mode).mean
+        assert list(payload["seeds"]) == ["base", "scoring", "flow", "split", "per_repeat"]
+        assert text == json.dumps(payload, indent=2) + "\n"
+
     def test_curves_csv_row_count(self, tmp_path):
         """CSV rows: transfer R*(T+F) plus baseline R*F, plus header."""
         ds = tiny_dataset()
@@ -584,8 +605,7 @@ class TestRunExperiment:
         ds = tiny_dataset()
         config = tiny_config(forced_epochs=(0, 0), total_pretrain_epochs=0)
         report = run_experiment(config, dataset=ds)
-        assert report.transfer_accuracies == report.baseline_accuracies
-        assert report.transfer_mean == report.baseline_mean
+        assert report.transfer == report.baseline
 
     def test_repeat_failure_names_repeat(self):
         """A training blow-up aborts the experiment naming the repeat."""
@@ -711,27 +731,17 @@ class TestRunExperiment:
                 mode="baseline",
                 target_view=2,
                 repeats=2,
-                baseline_accuracies=[0.5],
-                transfer_accuracies=None,
-                baseline_mean=0.5,
-                transfer_mean=None,
                 schedule=None,
+                baseline=ModeResult([0.5]),
+                transfer=None,
                 seeds={},
                 wall_clock_seconds={},
             )
         with pytest.raises(ValueError, match="lie in"):
-            ExperimentReport(
-                mode="baseline",
-                target_view=2,
-                repeats=1,
-                baseline_accuracies=[1.5],
-                transfer_accuracies=None,
-                baseline_mean=1.5,
-                transfer_mean=None,
-                schedule=None,
-                seeds={},
-                wall_clock_seconds={},
-            )
+            ModeResult([1.5])
+        with pytest.raises(ValueError, match="at least one accuracy"):
+            ModeResult([])
+        assert ModeResult([0.25, 0.5, 1.0]).mean == (0.25 + 0.5 + 1.0) / 3
 
     def test_report_payload_round_trips_schedule(self):
         schedule = TransferSchedule(
@@ -741,15 +751,14 @@ class TestRunExperiment:
             mode="transfer",
             target_view=2,
             repeats=1,
-            baseline_accuracies=None,
-            transfer_accuracies=[0.75],
-            baseline_mean=None,
-            transfer_mean=0.75,
             schedule=schedule,
+            baseline=None,
+            transfer=ModeResult([0.75]),
             seeds={"base": 0},
             wall_clock_seconds={"total": 1.0},
         )
-        payload = report_to_json_dict(report)
+        payload = json.loads(json.dumps(asdict(report)))
+        assert TransferSchedule(**payload["schedule"]) == schedule
         assert payload["schedule"] == {
             "target_view": 2,
             "scores": [0.25, 0.75],
