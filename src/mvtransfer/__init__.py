@@ -80,7 +80,6 @@ from mvtransfer.pipeline import (
     load_experiment_config,
     run_experiment,
 )
-from mvtransfer.synthetic import make_synthetic_dataset
 
 __version__ = "0.1.0"
 
@@ -129,7 +128,6 @@ __all__ = [
     "load_dataset",
     "load_density_model",
     "load_experiment_config",
-    "make_synthetic_dataset",
     "matrix_norm",
     "run_experiment",
     "sample_flow",

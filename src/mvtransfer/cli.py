@@ -90,7 +90,6 @@ def cmd_importance(args) -> int:
             f"{dataset.n_views} views",
         )
     config = ExperimentConfig(
-        dataset_path=None,
         target_view=args.target_view,
         measure=args.measure,
         density_override=args.density,

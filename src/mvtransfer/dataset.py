@@ -17,8 +17,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import types
+import typing
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,7 @@ _NUMBER_FORM = (
     "channel and t must be ASCII decimal integers and value an ASCII float "
     "that numpy's text parser reads"
 )
+_JSON_KINDS = {bool: "a bool", int: "an integer", float: "a number", str: "a string"}
 
 
 class DatasetError(ValueError):
@@ -421,6 +424,45 @@ def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
+
+
+def from_json(cls, payload, where: str, **types_of):
+    """The config dataclass ``cls`` read from the JSON object ``payload`` at key
+    path ``where`` ("" at the top), each value checked against its field's
+    annotation or ``types_of``; a fault raises ``ValueError`` naming the path."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where or cls.__name__} must be a JSON object, got {payload!r}")
+    prefix = f"{where}." if where else ""
+    hints = {**typing.get_type_hints(cls), **types_of}
+    unknown = sorted(set(payload) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown key {prefix + unknown[0]!r}")
+    for f in fields(cls):
+        if f.name not in payload and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing key {prefix + f.name!r}")
+    values = {k: _from_json_value(hints[k], v, prefix + k) for k, v in payload.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}" if where else str(exc)) from exc
+
+
+def _from_json_value(hint, value, where: str):
+    if isinstance(hint, types.UnionType) and type(None) in typing.get_args(hint):
+        if value is None:
+            return None
+        (hint,) = set(typing.get_args(hint)) - {type(None)}
+    if is_dataclass(hint):
+        return from_json(hint, value, where)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_from_json_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    accepted = (int, float) if hint is float else hint
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ValueError(f"{where} must be {_JSON_KINDS[hint]}, got {value!r}")
+    return value
 
 
 def emit_dataset(dataset: MultiViewDataset, root_path: str | Path):

@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from mvtransfer.dataset import from_json
 from mvtransfer.optim import adam_update
 
 SCALE_BOUND = 5.0
@@ -515,18 +516,10 @@ def flow_from_json_dict(payload: dict) -> FlowModel:
     missing = [key for key in _JSON_KEYS if key not in payload]
     if missing:
         raise ValueError(f"no {missing[0]!r} in the flow payload")
-    try:
-        config = FlowConfig(**payload["config"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"'config': {exc}") from exc
+    config = from_json(FlowConfig, payload["config"], "config")
     d = payload["dimension"]
-    for key, value in (
-        ("dimension", d),
-        ("layer_count", config.layer_count),
-        ("coupling_net_width", config.coupling_net_width),
-    ):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"'dimension' must be an integer, got {d!r}")
     if d < 2:
         raise ValueError(f"'dimension' must be >= 2, got {d}")
     masks = _json_array(payload, "masks", (config.layer_count, d))

@@ -39,7 +39,6 @@ class SamplingConfig:
     """
 
     batch_size: int = 1024
-    seed: int = 0
     norm_kind: str = "frobenius"
     invert_importance: bool = False
     sampling_mode: str = "vectors"
@@ -47,8 +46,6 @@ class SamplingConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(
                 f"unknown norm_kind {self.norm_kind!r}; expected one of {NORM_KINDS}"
@@ -60,13 +57,13 @@ class SamplingConfig:
             )
 
 
-def draw_importance_matrix(model: DensityModel, config: SamplingConfig) -> np.ndarray:
-    """Draw a seeded batch of latent samples as a (batch_size, K) matrix.
+def draw_importance_matrix(model: DensityModel, config: SamplingConfig, seed: int) -> np.ndarray:
+    """Draw a batch of latent samples with ``seed`` as a (batch_size, K) matrix.
 
     In ``density_weights`` mode the result is instead the (batch_size, 1)
     column of density values at the sampled points.
     """
-    samples = model.sample(config.batch_size, config.seed)
+    samples = model.sample(config.batch_size, seed)
     if config.sampling_mode == "density_weights":
         matrix = np.exp(model.log_density(samples))[:, None]
     else:
@@ -206,14 +203,15 @@ def score_source_view(
     density_override: str | None = None,
     sampling: SamplingConfig | None = None,
     *,
+    seed: int = 0,
     flow_config=None,
     artifact_dir=None,
 ) -> float:
     """Score one source view against the target view.
 
     Composes the full scoring chain: build the latent set of channel-wise
-    distance vectors, fit a density model over it, draw a seeded importance
-    batch, and reduce the batch to a scalar through the configured matrix
+    distance vectors, fit a density model over it, draw an importance batch
+    with ``seed``, and reduce it to a scalar through the configured matrix
     norm.  With ``invert_importance`` the distance-flavoured score ``g`` is
     converted to the affinity ``1 / (1 + g)`` so that more similar views
     score higher.  When ``artifact_dir`` is given, the intermediate latent
@@ -228,6 +226,7 @@ def score_source_view(
         measure_params,
         density_override,
         sampling,
+        seed=seed,
         flow_config=flow_config,
         artifact_dir=artifact_dir,
     )
@@ -243,6 +242,7 @@ def score_source_views(
     density_override: str | None = None,
     sampling: SamplingConfig | None = None,
     *,
+    seed: int = 0,
     flow_config=None,
     artifact_dir=None,
 ) -> list[float]:
@@ -274,7 +274,7 @@ def score_source_views(
         ) from exc
     scores = []
     for source, latent, model in zip(source_views, latents, models):
-        score = matrix_norm(draw_importance_matrix(model, config), config.norm_kind)
+        score = matrix_norm(draw_importance_matrix(model, config, seed), config.norm_kind)
         if config.invert_importance:
             score = 1.0 / (1.0 + score)
         if artifact_dir is not None:

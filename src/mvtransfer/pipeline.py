@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import MultiViewDataset, align_lengths, load_dataset, split_indices, write_json
+from .dataset import (
+    MultiViewDataset, align_lengths, from_json, load_dataset, split_indices, write_json
+)
 from .density import select_density_method
 from .distance import DtwParams, SfaParams
 from .flow import MIN_TRAINING_POINTS, FlowConfig
@@ -68,23 +70,23 @@ class ExperimentConfig:
     ``base_seed + r`` shifted by fixed million-spaced offsets for network
     init, per-view pretraining, and fine-tuning; the importance-scoring
     seed, the flow seed, and the train/test split seed are derived once per
-    experiment (the ``seed`` field of ``sampling`` is replaced by the
-    derived scoring seed).  ``dropout_rate`` applies to the FCN only; the
-    MLP has no dropout layer.
+    experiment.  ``measure_params`` is the ``DtwParams`` or ``SfaParams`` of
+    ``measure``.  ``dropout_rate`` applies to the FCN only; the MLP has no
+    dropout layer.
     """
 
-    dataset_path: str | None
     target_view: int
+    dataset_path: str | None = None
     measure: str = "dtw"
-    measure_params: dict | None = None
+    measure_params: DtwParams | SfaParams | None = None
     density_override: str | None = None
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     total_pretrain_epochs: int = 100
     finetune_epochs: int = 50
-    forced_epochs: tuple | None = None
+    forced_epochs: tuple[int, ...] | None = None
     arch: str = "mlp"
     dropout_rate: float = 0.2
-    fcn_kernel_sizes: tuple = (8, 5, 3)
+    fcn_kernel_sizes: tuple[int, ...] = (8, 5, 3)
     train_batch_size: int = 64
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -99,11 +101,6 @@ class ExperimentConfig:
     freeze_conv: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "fcn_kernel_sizes", tuple(int(k) for k in self.fcn_kernel_sizes))
-        if self.forced_epochs is not None:
-            object.__setattr__(
-                self, "forced_epochs", tuple(int(e) for e in self.forced_epochs)
-            )
         if self.target_view < 0:
             raise ValueError("target_view must be non-negative")
         if self.measure not in MEASURES:
@@ -186,21 +183,6 @@ def _repeat_seeds(base_seed: int, repeat_index: int) -> dict:
         "finetune": root + FINETUNE_SEED_OFFSET,
         "view_order": root + VIEW_ORDER_SEED_OFFSET,
     }
-
-
-def _measure_params(measure: str, raw: dict | None):
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise PipelineError("measure_params must be a mapping or null")
-    params_type = DtwParams if measure == "dtw" else SfaParams
-    unknown = set(raw) - {f.name for f in fields(params_type)}
-    if unknown:
-        raise PipelineError(f"unknown {measure} measure_params keys: {sorted(unknown)}")
-    missing = [f.name for f in fields(params_type) if f.default is MISSING and f.name not in raw]
-    if missing:
-        raise PipelineError(f"{measure} measure_params missing keys: {missing}")
-    return params_type(**raw)
 
 
 @dataclass
@@ -346,16 +328,15 @@ def score_views(config: ExperimentConfig, dataset: MultiViewDataset) -> list:
         )
     dataset = _aligned(dataset, config)
     seeds = scoring_seeds(config)
-    sampling = replace(config.sampling, seed=seeds["scoring"])
-    params = _measure_params(config.measure, config.measure_params)
     return score_source_views(
         dataset,
         sources,
         config.target_view,
         config.measure,
-        params,
+        config.measure_params,
         config.density_override,
-        sampling,
+        config.sampling,
+        seed=seeds["scoring"],
         flow_config=FlowConfig(seed=seeds["flow"]),
     )
 
@@ -559,22 +540,12 @@ def write_curves_csv(path, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def experiment_config_from_json_dict(payload: dict) -> ExperimentConfig:
-    if not isinstance(payload, dict):
-        raise ValueError("experiment config must be a JSON object")
-    unknown = set(payload) - {f.name for f in fields(ExperimentConfig)}
-    if unknown:
-        raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-    if "target_view" not in payload:
-        raise ValueError("experiment config requires target_view")
-    kwargs = {"dataset_path": None, **payload}
-    for key in ("sampling", "fcn_kernel_sizes"):
-        if kwargs.get(key) is None:
-            kwargs.pop(key, None)
-    if "sampling" in kwargs:
-        if not isinstance(kwargs["sampling"], dict):
-            raise ValueError("sampling must be a JSON object")
-        kwargs["sampling"] = SamplingConfig(**kwargs["sampling"])
-    return ExperimentConfig(**kwargs)
+    """The config a JSON object holds, ``measure_params`` as ``measure``'s class."""
+    measure = payload.get("measure", "dtw") if isinstance(payload, dict) else "dtw"
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    params = DtwParams if measure == "dtw" else SfaParams
+    return from_json(ExperimentConfig, payload, "", measure_params=params | None)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -585,8 +556,5 @@ def load_experiment_config(path) -> ExperimentConfig:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"unparseable experiment config {path}: {exc}") from exc
-    try:
-        return experiment_config_from_json_dict(payload)
-    except TypeError as exc:
-        raise ValueError(f"invalid experiment config {path}: {exc}") from exc
+    return experiment_config_from_json_dict(payload)
 

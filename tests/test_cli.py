@@ -37,7 +37,9 @@ def dataset_dir(tmp_path_factory):
     return root
 
 
-def write_config(path, dataset_dir, **overrides):
+def write_config(path, dataset_dir, raw=None, **overrides):
+    """Write a small config; the JSON values in ``raw`` replace its keys
+    as written, unchecked."""
     defaults = dict(
         dataset_path=str(dataset_dir),
         target_view=2,
@@ -48,7 +50,8 @@ def write_config(path, dataset_dir, **overrides):
         repeats=2,
     )
     defaults.update(overrides)
-    path.write_text(json.dumps(asdict(ExperimentConfig(**defaults))), encoding="utf-8")
+    payload = {**asdict(ExperimentConfig(**defaults)), **(raw or {})}
+    path.write_text(json.dumps(payload), encoding="utf-8")
     return path
 
 
@@ -212,12 +215,24 @@ class TestScheduleCommand:
     @pytest.mark.parametrize(
         "measure, params, message",
         [
-            ("boss", {"window_length": "8"}, "window_length must be an integer, got '8'"),
-            ("boss", {"window_length": 8, "word_length": 4.0}, "word_length must be an integer"),
-            ("boss", {"window_length": 8, "mean_normalize": "yes"}, "mean_normalize must be a bool"),
-            ("boss", {}, "boss measure_params missing keys: ['window_length']"),
-            ("dtw", {"band_radius": "3"}, "band_radius must be an integer, got '3'"),
-            ("dtw", {"band_radius": True}, "band_radius must be an integer, got True"),
+            (
+                "boss",
+                {"window_length": "8"},
+                "measure_params.window_length must be an integer, got '8'",
+            ),
+            (
+                "boss",
+                {"window_length": 8, "word_length": 4.0},
+                "measure_params.word_length must be an integer, got 4.0",
+            ),
+            (
+                "boss",
+                {"window_length": 8, "mean_normalize": "yes"},
+                "measure_params.mean_normalize must be a bool, got 'yes'",
+            ),
+            ("boss", {}, "missing key 'measure_params.window_length'"),
+            ("dtw", {"band_radius": "3"}, "measure_params.band_radius must be an integer, got '3'"),
+            ("dtw", {"band_radius": True}, "measure_params.band_radius must be an integer, got True"),
         ],
         ids=["boss-string", "boss-float", "boss-flag", "boss-empty", "dtw-string", "dtw-bool"],
     )
@@ -225,7 +240,7 @@ class TestScheduleCommand:
         """A measure_params value of the wrong type is a runtime error
         naming the field, not a traceback."""
         config = write_config(
-            tmp_path / "config.json", dataset_dir, measure=measure, measure_params=params
+            tmp_path / "config.json", dataset_dir, {"measure_params": params}, measure=measure
         )
         code = run_cli(["schedule", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 1
@@ -318,6 +333,36 @@ class TestTrainCommand:
             code = run_cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
         assert code == 1
         assert "baseline repeat 0 failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw, path",
+        [
+            ({"learning_rate": "0.001"}, "learning_rate"),
+            ({"train_batch_size": "64"}, "train_batch_size"),
+            ({"dropout_rate": None}, "dropout_rate"),
+            ({"base_seed": 1.5}, "base_seed"),
+            ({"sampling": {"batch_size": 3.5}}, "sampling.batch_size"),
+            ({"repeats": 2.5}, "repeats"),
+            ({"repeats": True}, "repeats"),
+            ({"shuffle_view_order": "no"}, "shuffle_view_order"),
+            ({"arch": "fcn", "fcn_kernel_sizes": [3.9, 2, 2]}, "fcn_kernel_sizes[0]"),
+            ({"mode": "baseline", "measure_params": {"radius": 2}}, "measure_params.radius"),
+            ({"total_pretrain_epochs": 4.0}, "total_pretrain_epochs"),
+            ({"sampling": {"seed": 5}}, "sampling.seed"),
+        ],
+        ids=lambda value: json.dumps(value) if isinstance(value, dict) else value,
+    )
+    def test_mistyped_value_fails_at_load(self, dataset_dir, tmp_path, capsys, raw, path):
+        """A config value of the wrong type or an unknown key exits 1 with
+        one error line naming its key path, before any output is written."""
+        config = write_config(tmp_path / "config.json", dataset_dir, raw)
+        code = run_cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 1
+        assert len(errors) == 1 and path in errors[0], err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_rerun_byte_identical(self, dataset_dir, tmp_path):
         """Report and curves are byte-identical across reruns."""

@@ -39,8 +39,6 @@ class TestSamplingConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="batch_size"):
             SamplingConfig(batch_size=0)
-        with pytest.raises(ValueError, match="seed"):
-            SamplingConfig(seed=-1)
         with pytest.raises(ValueError, match="norm_kind"):
             SamplingConfig(norm_kind="nuclear")
         with pytest.raises(ValueError, match="sampling_mode"):
@@ -51,7 +49,7 @@ class TestDrawImportanceMatrix:
     def test_degenerate_kernel_repeats_support_point(self):
         kde = KdeModel(support_points=[[2.0, -1.0]], bandwidth_diag=[1e-18, 1e-18])
         model = DensityModel(variant="kde", dimension=2, kde=kde)
-        matrix = draw_importance_matrix(model, SamplingConfig(batch_size=3, seed=0))
+        matrix = draw_importance_matrix(model, SamplingConfig(batch_size=3), 0)
         assert matrix.shape == (3, 2)
         assert np.allclose(matrix, [2.0, -1.0], atol=1e-6)
 
@@ -62,23 +60,23 @@ class TestDrawImportanceMatrix:
         data = rng.normal(loc=[1.0, -2.0], scale=[0.5, 2.0], size=(200, 2))
         flow = init_flow_model(data, FlowConfig(layer_count=2, coupling_net_width=4))
         model = DensityModel(variant="flow", dimension=2, flow=flow)
-        matrix = draw_importance_matrix(model, SamplingConfig(batch_size=10_000, seed=1))
+        matrix = draw_importance_matrix(model, SamplingConfig(batch_size=10_000), 1)
         limit = 3.0 * data.std(axis=0) / math.sqrt(10_000)
         assert np.all(np.abs(matrix.mean(axis=0) - data.mean(axis=0)) < limit + 0.01)
 
     def test_determinism(self):
         rng = np.random.default_rng(91)
         model = fit_density(rng.normal(size=(20, 2)))
-        config = SamplingConfig(batch_size=64, seed=9)
+        config = SamplingConfig(batch_size=64)
         assert np.array_equal(
-            draw_importance_matrix(model, config), draw_importance_matrix(model, config)
+            draw_importance_matrix(model, config, 9), draw_importance_matrix(model, config, 9)
         )
 
     def test_density_weights_mode_builds_column_of_densities(self):
         rng = np.random.default_rng(92)
         model = fit_density(rng.normal(size=(25, 2)))
-        config = SamplingConfig(batch_size=16, seed=4, sampling_mode="density_weights")
-        matrix = draw_importance_matrix(model, config)
+        config = SamplingConfig(batch_size=16, sampling_mode="density_weights")
+        matrix = draw_importance_matrix(model, config, 4)
         assert matrix.shape == (16, 1)
         assert np.all(matrix > 0)
         samples = model.sample(16, seed=4)
@@ -351,35 +349,35 @@ class TestScoreSourceView:
         dataset = correlated_three_view_dataset(rng)
         with pytest.warns(UserWarning, match="floored"):
             score = score_source_view(
-                dataset, 0, 2, "dtw", sampling=SamplingConfig(batch_size=256, seed=0)
+                dataset, 0, 2, "dtw", sampling=SamplingConfig(batch_size=256), seed=0
             )
         assert 0.0 <= score < 1e-3
 
     def test_duplicate_view_scores_below_noise_view(self):
         rng = np.random.default_rng(101)
         dataset = correlated_three_view_dataset(rng)
-        config = SamplingConfig(batch_size=256, seed=0)
+        config = SamplingConfig(batch_size=256)
         with pytest.warns(UserWarning, match="floored"):
-            duplicate_score = score_source_view(dataset, 0, 2, "dtw", sampling=config)
-        noise_score = score_source_view(dataset, 1, 2, "dtw", sampling=config)
+            duplicate_score = score_source_view(dataset, 0, 2, "dtw", sampling=config, seed=0)
+        noise_score = score_source_view(dataset, 1, 2, "dtw", sampling=config, seed=0)
         assert duplicate_score < noise_score
 
     def test_inversion_flips_the_ranking(self):
         rng = np.random.default_rng(102)
         dataset = correlated_three_view_dataset(rng)
-        config = SamplingConfig(batch_size=256, seed=0, invert_importance=True)
+        config = SamplingConfig(batch_size=256, invert_importance=True)
         with pytest.warns(UserWarning, match="floored"):
-            duplicate_score = score_source_view(dataset, 0, 2, "dtw", sampling=config)
-        noise_score = score_source_view(dataset, 1, 2, "dtw", sampling=config)
+            duplicate_score = score_source_view(dataset, 0, 2, "dtw", sampling=config, seed=0)
+        noise_score = score_source_view(dataset, 1, 2, "dtw", sampling=config, seed=0)
         assert duplicate_score > noise_score
         assert 0.0 < noise_score < duplicate_score <= 1.0
 
     def test_determinism(self):
         rng = np.random.default_rng(103)
         dataset = correlated_three_view_dataset(rng)
-        config = SamplingConfig(batch_size=128, seed=5)
-        first = score_source_view(dataset, 1, 2, "dtw", sampling=config)
-        second = score_source_view(dataset, 1, 2, "dtw", sampling=config)
+        config = SamplingConfig(batch_size=128)
+        first = score_source_view(dataset, 1, 2, "dtw", sampling=config, seed=5)
+        second = score_source_view(dataset, 1, 2, "dtw", sampling=config, seed=5)
         assert first == second
 
     def test_artifacts_persisted_when_asked(self, tmp_path):
@@ -390,7 +388,8 @@ class TestScoreSourceView:
             1,
             2,
             "dtw",
-            sampling=SamplingConfig(batch_size=64, seed=2),
+            sampling=SamplingConfig(batch_size=64),
+            seed=2,
             artifact_dir=tmp_path,
         )
         latent_payload = json.loads((tmp_path / "latent_view1.json").read_text())
@@ -407,16 +406,16 @@ class TestScoreSourceViews:
     def test_equals_each_view_alone_with_the_same_artifacts(self, tmp_path, override):
         rng = np.random.default_rng(105)
         dataset = make_random_dataset(rng, n_views=4, n_samples=10, channels=3, length=9)
-        config = SamplingConfig(batch_size=64, seed=3, norm_kind="spectral")
+        config = SamplingConfig(batch_size=64, norm_kind="spectral")
         flow_config = FlowConfig(layer_count=2, coupling_net_width=4, training_iterations=20)
         sources = [3, 0, 2]
         together = score_source_views(
-            dataset, sources, 1, "dtw", None, override, config,
+            dataset, sources, 1, "dtw", None, override, config, seed=3,
             flow_config=flow_config, artifact_dir=tmp_path / "together",
         )
         alone = [
             score_source_view(
-                dataset, source, 1, "dtw", None, override, config,
+                dataset, source, 1, "dtw", None, override, config, seed=3,
                 flow_config=flow_config, artifact_dir=tmp_path / "alone",
             )
             for source in sources

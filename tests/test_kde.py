@@ -261,8 +261,8 @@ class TestDensityModelWrapper:
                 ),
                 "no 'layer2.W1' in 'params'",
             ),
-            (lambda p: p["flow"]["config"].update(layer_count=2.0), "'layer_count'"),
-            (lambda p: p["flow"]["config"].update(width=4), "'config'"),
+            (lambda p: p["flow"]["config"].update(layer_count=2.0), "config.layer_count must be an integer"),
+            (lambda p: p["flow"]["config"].update(width=4), "unknown key 'config.width'"),
             (lambda p: p["flow"]["standardize_scale"].__setitem__(1, math.nan), "standardize_scale"),
             (lambda p: p["flow"]["standardize_scale"].__setitem__(1, -1.0), "standardize_scale"),
             (lambda p: p["flow"]["standardize_mean"].pop(), "'standardize_mean'"),

@@ -10,7 +10,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_every_export_resolves_once():
     names = mvtransfer.__all__
-    assert len(names) == len(set(names)) == 57
+    assert len(names) == len(set(names)) == 56
     for name in names:
         assert hasattr(mvtransfer, name), name
     for removed in (
@@ -30,6 +30,7 @@ def test_every_export_resolves_once():
         "kde_log_density",
         "save_experiment_config",
         "schedule_to_json_dict",
+        "make_synthetic_dataset",
     ):
         assert removed not in names
         assert not hasattr(mvtransfer, removed)

@@ -18,6 +18,7 @@ from mvtransfer.dataset import (
     load_dataset,
     split_indices,
 )
+from mvtransfer.distance import DtwParams, SfaParams
 from mvtransfer.importance import NORM_KINDS, SAMPLING_MODES, SamplingConfig, TransferSchedule
 from mvtransfer.networks import init_network, NetworkConfig
 from mvtransfer.pipeline import (
@@ -165,18 +166,19 @@ def experiment_configs(draw):
     kernel sizes, every sampling field, mode and alignment."""
     measure = draw(st.sampled_from(MEASURES))
     if measure == "dtw":
-        params = st.fixed_dictionaries({"band_radius": st.none() | st.integers(0, 64)})
+        params = st.builds(DtwParams, band_radius=st.none() | st.integers(0, 64))
     else:
-        params = st.fixed_dictionaries({}, optional={
-            "window_length": st.integers(2, 64),
-            "word_length": st.sampled_from([2, 4, 6]),
-            "alphabet_size": st.integers(2, 26),
-            "mean_normalize": st.booleans(),
-        })
+        window = draw(st.integers(2, 64))
+        params = st.builds(
+            SfaParams,
+            window_length=st.just(window),
+            word_length=st.sampled_from([w for w in (2, 4, 6) if w <= window]),
+            alphabet_size=st.integers(2, 26),
+            mean_normalize=st.booleans(),
+        )
     forced = draw(st.none() | st.lists(st.integers(0, 50), min_size=1, max_size=5).map(tuple))
     sampling = SamplingConfig(
         batch_size=draw(st.integers(1, 4096)),
-        seed=draw(st.integers(0, 2**32 - 1)),
         norm_kind=draw(st.sampled_from(NORM_KINDS)),
         invert_importance=draw(st.booleans()),
         sampling_mode=draw(st.sampled_from(SAMPLING_MODES)),
@@ -232,21 +234,47 @@ class TestExperimentConfig:
     def test_json_round_trip(self):
         config = tiny_config(
             measure="boss",
-            measure_params={"window_length": 6, "word_length": 3},
-            sampling=SamplingConfig(batch_size=64, seed=9, invert_importance=True),
+            measure_params=SfaParams(window_length=6, word_length=4),
+            sampling=SamplingConfig(batch_size=64, invert_importance=True),
             forced_epochs=(2, 2),
             fcn_kernel_sizes=(3, 3, 3),
         )
         payload = asdict(config)
-        assert payload["sampling"]["seed"] == 9
         restored = experiment_config_from_json_dict(json.loads(json.dumps(payload)))
         assert restored == config
 
     def test_rejects_unknown_keys(self):
         payload = asdict(tiny_config())
         payload["epochs"] = 10
-        with pytest.raises(ValueError, match="unknown experiment config keys"):
+        with pytest.raises(ValueError, match="unknown key 'epochs'"):
             experiment_config_from_json_dict(payload)
+
+    def test_null_only_where_the_field_allows_none(self):
+        payload = {"target_view": 0, "dataset_path": None, "forced_epochs": None}
+        assert experiment_config_from_json_dict(payload) == ExperimentConfig(target_view=0)
+        for key in ("dropout_rate", "sampling", "fcn_kernel_sizes", "repeats"):
+            with pytest.raises(ValueError, match=f"^{key} must be .*, got None$"):
+                experiment_config_from_json_dict({"target_view": 0, key: None})
+
+    def test_int_loads_where_a_float_is_expected(self):
+        config = experiment_config_from_json_dict({"target_view": 0, "learning_rate": 1})
+        assert config.learning_rate == 1
+        with pytest.raises(ValueError, match="^learning_rate must be a number, got True$"):
+            experiment_config_from_json_dict({"target_view": 0, "learning_rate": True})
+
+    def test_measure_params_read_as_the_measures_class(self):
+        config = experiment_config_from_json_dict(
+            {"target_view": 0, "measure": "boss", "measure_params": {"window_length": 8}}
+        )
+        assert config.measure_params == SfaParams(window_length=8)
+        with pytest.raises(ValueError, match="^unknown key 'measure_params.window_length'$"):
+            experiment_config_from_json_dict(
+                {"target_view": 0, "measure_params": {"window_length": 8}}
+            )
+        with pytest.raises(ValueError, match="^unknown measure 'euclid'"):
+            experiment_config_from_json_dict(
+                {"target_view": 0, "measure": "euclid", "measure_params": {"radius": 1}}
+            )
 
     def test_requires_target_view(self):
         with pytest.raises(ValueError, match="target_view"):
