@@ -1,9 +1,10 @@
 """Command-line driver exposing each pipeline stage.
 
 Subcommands: ``importance`` (score source views), ``schedule`` (scores plus
-epoch allocation), ``train`` (full experiment), ``density-grid`` (evaluate a
-saved density model over a grid for external plotting), and
-``validate-dataset`` (load and summarize a dataset directory).
+epoch allocation) and ``train`` (full experiment), each reading one
+experiment config through ``--config``; ``density-grid`` (evaluate a saved
+density model over a grid for external plotting); and ``validate-dataset``
+(load and summarize a dataset directory).
 
 Exit codes: 0 on success, 1 on a runtime failure (bad file contents, a
 failing pipeline stage), 2 on a usage error (bad or missing flags,
@@ -19,16 +20,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .dataset import DatasetError, load_dataset, write_json
+from .dataset import DatasetError, load_dataset, write_csv, write_json
 from .density import DensityError, evaluate_density_grid, load_density_model
 from .distance import DistanceError
 from .flow import FlowTrainingError
-from .importance import NORM_KINDS, SamplingConfig
 from .networks import NetworkError
 from .pipeline import (
     EXPERIMENT_MODES,
-    MEASURES,
-    ExperimentConfig,
     PipelineError,
     compute_schedule,
     load_experiment_config,
@@ -65,96 +63,58 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _resolve_dataset_path(config_path: Path, dataset_path: str) -> Path:
-    """Dataset paths in a config file are relative to the config file."""
-    path = Path(dataset_path)
-    if not path.is_absolute():
-        path = config_path.parent / path
-    return path
+def _run_config_command(args) -> int:
+    """Load ``--config`` and the dataset it names, then run the subcommand's
+    ``job(args, config, dataset)``.
 
-
-def cmd_importance(args) -> int:
-    """Score every source view against the target view; write scores.json."""
-    if args.batch_size < 1:
-        return _fail_usage(args, "--batch-size must be at least 1")
-    if args.seed < 0:
-        return _fail_usage(args, "--seed must be non-negative")
+    ``dataset_path`` resolves against the config file's directory.  A missing
+    config file is a usage error; a fault in the config, the dataset or the
+    job exits 1 with one ``error:`` line, and a load fault writes nothing.
+    """
+    config_path = Path(args.config)
+    if not config_path.is_file():
+        return _fail_usage(args, f"no experiment config at {config_path}")
     try:
-        dataset = load_dataset(args.dataset)
-    except (DatasetError, OSError) as exc:
-        return _fail_runtime(str(exc))
-    if not 0 <= args.target_view < dataset.n_views:
-        return _fail_usage(
-            args,
-            f"--target-view {args.target_view} out of range for "
-            f"{dataset.n_views} views",
-        )
-    config = ExperimentConfig(
-        target_view=args.target_view,
-        measure=args.measure,
-        density_override=args.density,
-        sampling=SamplingConfig(
-            batch_size=args.batch_size,
-            norm_kind=args.norm,
-            invert_importance=args.invert,
-        ),
-        base_seed=args.seed,
-    )
-    try:
-        scores = score_views(config, dataset)
+        config = load_experiment_config(config_path)
+        if config.dataset_path is None:
+            raise PipelineError(f"{config_path} has no dataset_path")
+        args.job(args, config, load_dataset(config_path.parent / config.dataset_path))
     except (_RUNTIME_ERRORS + (ValueError,)) as exc:
         return _fail_runtime(str(exc))
+    return 0
+
+
+def cmd_importance(args, config, dataset) -> None:
+    """Score every source view against the target view; write scores.json.
+
+    Unlike ``schedule``, it scores even under ``forced_epochs`` or a zero
+    budget.
+    """
+    scores = score_views(config, dataset)
     write_json(
         _out_dir(args) / "scores.json",
         {
-            "target_view": args.target_view,
-            "measure": args.measure,
-            "norm": args.norm,
-            "invert": args.invert,
-            "source_views": [v for v in range(dataset.n_views) if v != args.target_view],
+            "target_view": config.target_view,
+            "measure": config.measure,
+            "norm": config.sampling.norm_kind,
+            "invert": config.sampling.invert_importance,
+            "source_views": [v for v in range(dataset.n_views) if v != config.target_view],
             "scores": scores,
             "seeds": scoring_seeds(config),
         },
     )
-    return 0
 
 
-def _load_config_for(args):
-    """Shared config loading for schedule/train; returns (config, dataset)."""
-    config_path = Path(args.config)
-    config = load_experiment_config(config_path)
-    dataset = None
-    if config.dataset_path is not None:
-        dataset = load_dataset(_resolve_dataset_path(config_path, config.dataset_path))
-    return config, dataset
-
-
-def cmd_schedule(args) -> int:
+def cmd_schedule(args, config, dataset) -> None:
     """Compute the full pretraining-epoch schedule; write scores.json."""
-    config_path = Path(args.config)
-    if not config_path.is_file():
-        return _fail_usage(args, f"no experiment config at {config_path}")
-    try:
-        config, dataset = _load_config_for(args)
-        compute_schedule(config, dataset=dataset, out_path=_out_dir(args) / "scores.json")
-    except (_RUNTIME_ERRORS + (ValueError,)) as exc:
-        return _fail_runtime(str(exc))
-    return 0
+    compute_schedule(config, dataset=dataset, out_path=_out_dir(args) / "scores.json")
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, config, dataset) -> None:
     """Run the full experiment; write report.json and curves.csv."""
-    config_path = Path(args.config)
-    if not config_path.is_file():
-        return _fail_usage(args, f"no experiment config at {config_path}")
-    try:
-        config, dataset = _load_config_for(args)
-        if args.mode is not None:
-            config = replace(config, mode=args.mode)
-        run_experiment(config, dataset=dataset, out_dir=_out_dir(args))
-    except (_RUNTIME_ERRORS + (ValueError,)) as exc:
-        return _fail_runtime(str(exc))
-    return 0
+    if args.mode is not None:
+        config = replace(config, mode=args.mode)
+    run_experiment(config, dataset=dataset, out_dir=_out_dir(args))
 
 
 def _parse_floats(text: str, flag: str):
@@ -201,14 +161,9 @@ def cmd_density_grid(args) -> int:
         )
     except DensityError as exc:
         return _fail_usage(args, str(exc))
-    header = ",".join(f"x{i + 1}" for i in range(points.shape[1])) + ",density"
-    lines = [header]
-    for point, density in zip(points, densities):
-        coords = ",".join(repr(float(c)) for c in point)
-        lines.append(f"{coords},{float(density)!r}")
-    grid_path = _out_dir(args) / "density_grid.csv"
-    with open(grid_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    header = [f"x{i + 1}" for i in range(points.shape[1])] + ["density"]
+    rows = [[*point, density] for point, density in zip(points.tolist(), densities.tolist())]
+    write_csv(_out_dir(args) / "density_grid.csv", header, rows)
     return 0
 
 
@@ -246,37 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    importance = subparsers.add_parser(
-        "importance", help="score each source view against the target view"
-    )
-    importance.add_argument("--dataset", required=True, help="dataset directory")
-    importance.add_argument("--target-view", type=int, required=True)
-    importance.add_argument("--measure", choices=MEASURES, required=True)
-    importance.add_argument(
-        "--density", choices=("kde", "flow"), default=None,
-        help="override the dimension-based density-method choice",
-    )
-    importance.add_argument("--norm", choices=NORM_KINDS, default="frobenius")
-    importance.add_argument("--batch-size", type=int, default=1024)
-    importance.add_argument("--seed", type=int, default=0)
-    importance.add_argument("--invert", action="store_true")
-    importance.add_argument("--out", default=".")
-    importance.set_defaults(func=cmd_importance, parser=importance)
+    def config_command(name, job, help_text):
+        command = subparsers.add_parser(name, help=help_text)
+        command.add_argument("--config", required=True, help="experiment config JSON")
+        command.add_argument("--out", default=".")
+        command.set_defaults(func=_run_config_command, job=job, parser=command)
+        return command
 
-    schedule = subparsers.add_parser(
-        "schedule", help="compute the pretraining-epoch schedule from a config"
-    )
-    schedule.add_argument("--config", required=True, help="experiment config JSON")
-    schedule.add_argument("--out", default=".")
-    schedule.set_defaults(func=cmd_schedule, parser=schedule)
-
-    train = subparsers.add_parser(
-        "train", help="run the full experiment described by a config"
-    )
-    train.add_argument("--config", required=True, help="experiment config JSON")
+    config_command("importance", cmd_importance, "score each source view against the target view")
+    config_command("schedule", cmd_schedule, "compute the pretraining-epoch schedule from a config")
+    train = config_command("train", cmd_train, "run the full experiment described by a config")
     train.add_argument("--mode", choices=EXPERIMENT_MODES, default=None)
-    train.add_argument("--out", default=".")
-    train.set_defaults(func=cmd_train, parser=train)
 
     grid = subparsers.add_parser(
         "density-grid", help="evaluate a saved density model over a grid"

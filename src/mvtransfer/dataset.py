@@ -426,10 +426,21 @@ def write_json(path, payload) -> None:
         handle.write("\n")
 
 
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as comma-joined UTF-8 lines with LF ends
+    and a final newline, each value as its ``str``, which for a float is its
+    round-tripping ``repr``."""
+    lines = [",".join(map(str, row)) for row in (header, *rows)]
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def from_json(cls, payload, where: str, **types_of):
     """The config dataclass ``cls`` read from the JSON object ``payload`` at key
     path ``where`` ("" at the top), each value checked against its field's
-    annotation or ``types_of``; a fault raises ``ValueError`` naming the path."""
+    annotation or ``types_of``; a fault raises ``ValueError`` naming the path.
+    A ``float`` field takes an int or a finite float, so JSON's ``NaN`` and
+    ``Infinity`` are rejected."""
     if not isinstance(payload, dict):
         raise ValueError(f"{where or cls.__name__} must be a JSON object, got {payload!r}")
     prefix = f"{where}." if where else ""
@@ -462,6 +473,8 @@ def _from_json_value(hint, value, where: str):
     accepted = (int, float) if hint is float else hint
     if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
         raise ValueError(f"{where} must be {_JSON_KINDS[hint]}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
     return value
 
 

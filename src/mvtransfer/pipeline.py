@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
-    MultiViewDataset, align_lengths, from_json, load_dataset, split_indices, write_json
+    MultiViewDataset, align_lengths, from_json, load_dataset, split_indices, write_csv, write_json
 )
 from .density import select_density_method
 from .distance import DtwParams, SfaParams
@@ -37,6 +37,7 @@ from .importance import (
     write_schedule_json,
 )
 from .networks import (
+    ARCHITECTURES,
     NetworkConfig,
     TrainConfig,
     evaluate,
@@ -121,8 +122,8 @@ class ExperimentConfig:
                     f"forced_epochs sum {sum(self.forced_epochs)} does not match "
                     f"total_pretrain_epochs {self.total_pretrain_epochs}"
                 )
-        if self.arch not in ("mlp", "fcn"):
-            raise ValueError(f"unknown arch {self.arch!r}")
+        if self.arch not in ARCHITECTURES:
+            raise ValueError(f"unknown arch {self.arch!r}; expected one of {ARCHITECTURES}")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         if self.base_seed < 0:
@@ -521,18 +522,10 @@ def run_experiment(
         payload = asdict(report)
         del payload["wall_clock_seconds"]
         write_json(out / "report.json", payload)
-        write_curves_csv(out / "curves.csv", rows)
+        header = ("mode", "repeat", "epoch", "phase", "loss", "accuracy")
+        write_csv(out / "curves.csv", header, rows)
         write_json(out / "timings.json", timings)
     return report
-
-
-def write_curves_csv(path, rows) -> None:
-    """Write per-epoch rows as `mode,repeat,epoch,phase,loss,accuracy`."""
-    lines = ["mode,repeat,epoch,phase,loss,accuracy"]
-    for mode, repeat, epoch, phase, loss, accuracy in rows:
-        lines.append(f"{mode},{repeat},{epoch},{phase},{float(loss)!r},{float(accuracy)!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

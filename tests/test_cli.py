@@ -1,6 +1,7 @@
 """Tests for the command-line driver: flags, exit codes, persisted files."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -55,117 +56,113 @@ def write_config(path, dataset_dir, raw=None, **overrides):
     return path
 
 
+def read_scores(out):
+    return json.loads((out / "scores.json").read_text(encoding="utf-8"))
+
+
 class TestImportanceCommand:
-    """`importance` writes one score per source view."""
+    """`importance` writes one score per source view of a config."""
 
     def test_smoke(self, dataset_dir, tmp_path):
-        code = run_cli(
-            [
-                "importance",
-                "--dataset", str(dataset_dir),
-                "--target-view", "2",
-                "--measure", "dtw",
-                "--out", str(tmp_path),
-            ]
-        )
+        config = write_config(tmp_path / "config.json", dataset_dir)
+        code = run_cli(["importance", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 0
-        payload = json.loads((tmp_path / "scores.json").read_text(encoding="utf-8"))
+        payload = read_scores(tmp_path / "out")
         assert payload["source_views"] == [0, 1]
         assert len(payload["scores"]) == 2
         assert all(s >= 0.0 for s in payload["scores"])
         assert payload["measure"] == "dtw"
+        assert payload["norm"] == "frobenius"
+        assert payload["invert"] is False
 
     def test_target_view_out_of_range(self, dataset_dir, tmp_path, capsys):
-        code = run_cli(
-            [
-                "importance",
-                "--dataset", str(dataset_dir),
-                "--target-view", "7",
-                "--measure", "dtw",
-                "--out", str(tmp_path),
-            ]
-        )
-        assert code == 2
+        """The config's target view is checked against the dataset: exit 1
+        with one error line, as `schedule` does."""
+        config = write_config(tmp_path / "config.json", dataset_dir, target_view=7)
+        code = run_cli(["importance", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
         err = capsys.readouterr().err
-        assert "usage" in err
-        assert "out of range" in err
+        assert err.startswith("error: ") and "out of range" in err
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_byte_identical(self, dataset_dir, tmp_path):
-        """Same seed twice gives byte-identical scores.json."""
+        """Same config twice gives byte-identical scores.json."""
+        config = write_config(tmp_path / "config.json", dataset_dir, base_seed=3)
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
-            code = run_cli(
-                [
-                    "importance",
-                    "--dataset", str(dataset_dir),
-                    "--target-view", "2",
-                    "--measure", "dtw",
-                    "--seed", "3",
-                    "--out", str(out),
-                ]
-            )
-            assert code == 0
+            assert run_cli(["importance", "--config", str(config), "--out", str(out)]) == 0
         assert (outs[0] / "scores.json").read_bytes() == (outs[1] / "scores.json").read_bytes()
 
     def test_invert_flag_changes_scores(self, dataset_dir, tmp_path):
-        """--invert maps raw importance onto a (0, 1] affinity scale."""
-        for name, extra in (("raw", []), ("inv", ["--invert"])):
-            code = run_cli(
-                [
-                    "importance",
-                    "--dataset", str(dataset_dir),
-                    "--target-view", "2",
-                    "--measure", "dtw",
-                    "--out", str(tmp_path / name),
-                ]
-                + extra
+        """`invert_importance` maps raw importance onto a (0, 1] affinity scale."""
+        for name, invert in (("raw", False), ("inv", True)):
+            config = write_config(
+                tmp_path / f"{name}.json",
+                dataset_dir,
+                sampling=SamplingConfig(batch_size=128, invert_importance=invert),
             )
+            code = run_cli(["importance", "--config", str(config), "--out", str(tmp_path / name)])
             assert code == 0
-        raw = json.loads((tmp_path / "raw" / "scores.json").read_text(encoding="utf-8"))
-        inv = json.loads((tmp_path / "inv" / "scores.json").read_text(encoding="utf-8"))
+        raw, inv = read_scores(tmp_path / "raw"), read_scores(tmp_path / "inv")
         assert raw["scores"] != inv["scores"]
         assert all(0.0 < s <= 1.0 for s in inv["scores"])
         assert inv["invert"] is True
 
+    def test_measure_params_reach_scoring(self, dataset_dir, tmp_path):
+        """A dtw band radius of 0 scores differently from the full window."""
+        for name, params in (("full", None), ("band", {"band_radius": 0})):
+            config = write_config(
+                tmp_path / f"{name}.json", dataset_dir, {"measure_params": params}
+            )
+            code = run_cli(["importance", "--config", str(config), "--out", str(tmp_path / name)])
+            assert code == 0
+        assert read_scores(tmp_path / "full")["scores"] != read_scores(tmp_path / "band")["scores"]
+
+    def test_scores_where_schedule_does_not(self, dataset_dir, tmp_path):
+        """Under a zero budget `schedule` records all-zero scores and
+        `importance` still scores."""
+        config = write_config(tmp_path / "config.json", dataset_dir, total_pretrain_epochs=0)
+        for command in ("schedule", "importance"):
+            code = run_cli([command, "--config", str(config), "--out", str(tmp_path / command)])
+            assert code == 0
+        assert read_scores(tmp_path / "schedule")["scores"] == [0.0, 0.0]
+        assert all(s > 0.0 for s in read_scores(tmp_path / "importance")["scores"])
+
     def test_missing_dataset_is_runtime_error(self, tmp_path, capsys):
-        code = run_cli(
-            [
-                "importance",
-                "--dataset", str(tmp_path / "absent"),
-                "--target-view", "1",
-                "--measure", "dtw",
-                "--out", str(tmp_path),
-            ]
-        )
+        config = write_config(tmp_path / "config.json", tmp_path / "absent", target_view=1)
+        code = run_cli(["importance", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_bad_batch_size(self, dataset_dir, tmp_path):
-        code = run_cli(
-            [
-                "importance",
-                "--dataset", str(dataset_dir),
-                "--target-view", "2",
-                "--measure", "dtw",
-                "--batch-size", "0",
-                "--out", str(tmp_path),
-            ]
+    def test_bad_batch_size(self, dataset_dir, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "config.json", dataset_dir, {"sampling": {"batch_size": 0}}
         )
-        assert code == 2
+        code = run_cli(["importance", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error: sampling: batch_size must be at least 1" in capsys.readouterr().err
 
     def test_missing_required_flag(self):
-        assert run_cli(["importance", "--target-view", "2", "--measure", "dtw"]) == 2
+        assert run_cli(["importance", "--out", "."]) == 2
 
-    def test_unknown_measure(self, dataset_dir):
-        code = run_cli(
-            [
-                "importance",
-                "--dataset", str(dataset_dir),
-                "--target-view", "2",
-                "--measure", "euclid",
-            ]
-        )
-        assert code == 2
+    def test_unknown_measure(self, dataset_dir, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json", dataset_dir, {"measure": "euclid"})
+        code = run_cli(["importance", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error: unknown measure 'euclid'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [None, {"dataset_path": None}], ids=["absent", "null"])
+@pytest.mark.parametrize("command", ["importance", "schedule", "train"])
+def test_missing_dataset_leaves_no_out_dir(tmp_path, capsys, command, raw):
+    """A config whose dataset directory is absent, or that names none,
+    exits 1 before `--out` is made."""
+    config = write_config(tmp_path / "config.json", tmp_path / "absent", raw)
+    code = run_cli([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestScheduleCommand:
@@ -254,23 +251,11 @@ class TestScheduleCommand:
             sampling=SamplingConfig(batch_size=128, invert_importance=True),
             base_seed=3,
         )
-        assert run_cli(["schedule", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
-        code = run_cli(
-            [
-                "importance",
-                "--dataset", str(dataset_dir),
-                "--target-view", "2",
-                "--measure", "dtw",
-                "--norm", "frobenius",
-                "--batch-size", "128",
-                "--invert",
-                "--seed", "3",
-                "--out", str(tmp_path / "i"),
-            ]
-        )
-        assert code == 0
-        schedule = json.loads((tmp_path / "s" / "scores.json").read_text(encoding="utf-8"))
-        importance = json.loads((tmp_path / "i" / "scores.json").read_text(encoding="utf-8"))
+        for command in ("schedule", "importance"):
+            code = run_cli([command, "--config", str(config), "--out", str(tmp_path / command)])
+            assert code == 0
+        schedule = read_scores(tmp_path / "schedule")
+        importance = read_scores(tmp_path / "importance")
         assert importance["scores"] == schedule["scores"]
         assert importance["seeds"] == schedule["seeds"]
 
@@ -349,6 +334,9 @@ class TestTrainCommand:
             ({"mode": "baseline", "measure_params": {"radius": 2}}, "measure_params.radius"),
             ({"total_pretrain_epochs": 4.0}, "total_pretrain_epochs"),
             ({"sampling": {"seed": 5}}, "sampling.seed"),
+            ({"learning_rate": math.nan}, "learning_rate must be a finite number, got nan"),
+            ({"adam_epsilon": math.inf}, "adam_epsilon must be a finite number, got inf"),
+            ({"train_fraction": -math.inf}, "train_fraction must be a finite number, got -inf"),
         ],
         ids=lambda value: json.dumps(value) if isinstance(value, dict) else value,
     )

@@ -263,6 +263,10 @@ class TestDensityModelWrapper:
             ),
             (lambda p: p["flow"]["config"].update(layer_count=2.0), "config.layer_count must be an integer"),
             (lambda p: p["flow"]["config"].update(width=4), "unknown key 'config.width'"),
+            (
+                lambda p: p["flow"]["config"].update(learning_rate=math.nan),
+                "config.learning_rate must be a finite number, got nan",
+            ),
             (lambda p: p["flow"]["standardize_scale"].__setitem__(1, math.nan), "standardize_scale"),
             (lambda p: p["flow"]["standardize_scale"].__setitem__(1, -1.0), "standardize_scale"),
             (lambda p: p["flow"]["standardize_mean"].pop(), "'standardize_mean'"),
