@@ -1,10 +1,12 @@
 """Command-line driver exposing each pipeline stage.
 
-Subcommands: ``importance`` (score source views), ``schedule`` (scores plus
-epoch allocation) and ``train`` (full experiment), each reading one
-experiment config through ``--config``; ``density-grid`` (evaluate a saved
-density model over a grid for external plotting); and ``validate-dataset``
-(load and summarize a dataset directory).
+Subcommands: ``importance`` (score source views, and write each view's
+latent set and density model), ``schedule`` (scores plus epoch allocation)
+and ``train`` (full experiment), each reading one experiment config through
+``--config`` and scoring the training part of its split, so all three
+record the same scores; ``density-grid`` (evaluate a density model that
+``importance`` wrote over a grid for external plotting); and
+``validate-dataset`` (load and summarize a dataset directory).
 
 Exit codes: 0 on success, 1 on a runtime failure (bad file contents, a
 failing pipeline stage), 2 on a usage error (bad or missing flags,
@@ -33,6 +35,7 @@ from .pipeline import (
     run_experiment,
     score_views,
     scoring_seeds,
+    split_parts,
 )
 
 _RUNTIME_ERRORS = (
@@ -85,12 +88,14 @@ def _run_config_command(args) -> int:
 
 
 def cmd_importance(args, config, dataset) -> None:
-    """Score every source view against the target view; write scores.json.
+    """Score every source view on the training part; write scores.json and
+    each view's ``latent_view{i}.json`` and ``density_view{i}.json``.
 
     Unlike ``schedule``, it scores even under ``forced_epochs`` or a zero
     budget.
     """
-    scores = score_views(config, dataset)
+    train_part, _ = split_parts(dataset, config)
+    scores = score_views(config, train_part, artifact_dir=args.out)
     write_json(
         _out_dir(args) / "scores.json",
         {
@@ -106,8 +111,10 @@ def cmd_importance(args, config, dataset) -> None:
 
 
 def cmd_schedule(args, config, dataset) -> None:
-    """Compute the full pretraining-epoch schedule; write scores.json."""
-    compute_schedule(config, dataset=dataset, out_path=_out_dir(args) / "scores.json")
+    """Compute the pretraining-epoch schedule on the training part; write
+    scores.json, the bytes ``train`` writes for the same config."""
+    train_part, _ = split_parts(dataset, config)
+    compute_schedule(config, dataset=train_part, out_path=_out_dir(args) / "scores.json")
 
 
 def cmd_train(args, config, dataset) -> None:

@@ -173,17 +173,6 @@ class TransferSchedule:
             raise ValueError("target_view must be non-negative")
 
 
-def build_transfer_schedule(scores, total_epochs: int, target_view: int) -> TransferSchedule:
-    """Allocate epochs for the given scores and wrap the result."""
-    epochs = allocate_epochs(scores, total_epochs)
-    return TransferSchedule(
-        scores=tuple(float(s) for s in np.asarray(scores, dtype=float)),
-        epochs=tuple(epochs),
-        total_epochs=int(total_epochs),
-        target_view=int(target_view),
-    )
-
-
 def write_schedule_json(
     path, schedule: TransferSchedule, measure: str, norm_kind: str, seeds: dict
 ) -> None:

@@ -8,6 +8,11 @@ held-out target split — repeating the training portion R times with derived
 seeds and aggregating accuracies.  Held-out samples never shape the
 schedule they are evaluated under.
 
+One routine, ``split_parts``, aligns and splits a dataset for every
+command: ``train``, ``schedule`` and ``importance`` all score its training
+part, so on one config they record the same scores.  The dataset is always
+passed in; only the CLI reads a config's ``dataset_path``.
+
 All persisted outputs (scores.json, report.json, curves.csv) are
 byte-deterministic given the configuration; wall-clock timings go to a
 separate timings.json so they never perturb the reproducible files.
@@ -23,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
-    MultiViewDataset, align_lengths, from_json, load_dataset, split_indices, write_csv, write_json
+    MultiViewDataset, align_lengths, from_json, split_indices, write_csv, write_json
 )
 from .density import select_density_method
 from .distance import DtwParams, SfaParams
@@ -31,7 +36,7 @@ from .flow import MIN_TRAINING_POINTS, FlowConfig
 from .importance import (
     SamplingConfig,
     TransferSchedule,
-    build_transfer_schedule,
+    allocate_epochs,
     score_source_view,  # noqa: F401  perfbench/layers.py traces this attribute
     score_source_views,
     write_schedule_json,
@@ -200,12 +205,6 @@ class _Prepared:
     test_labels: np.ndarray
 
 
-def _load_config_dataset(config: ExperimentConfig) -> MultiViewDataset:
-    if config.dataset_path is None:
-        raise PipelineError("config has no dataset_path and no dataset was provided")
-    return load_dataset(config.dataset_path)
-
-
 def _source_views(config: ExperimentConfig, dataset: MultiViewDataset) -> list:
     if config.target_view >= dataset.n_views:
         raise PipelineError(
@@ -218,6 +217,34 @@ def _aligned(dataset: MultiViewDataset, config: ExperimentConfig) -> MultiViewDa
     if any(not dataset.is_aligned(v) for v in range(dataset.n_views)):
         dataset = align_lengths(dataset, config.align_strategy)
     return dataset
+
+
+def split_parts(
+    dataset: MultiViewDataset, config: ExperimentConfig
+) -> tuple[MultiViewDataset, MultiViewDataset]:
+    """Align ``dataset`` and split it into ``(train_part, test_part)``.
+
+    The split is ``split_indices`` with the seed derived from ``base_seed``.
+    It fails, naming its seed and fraction, when a class is missing from the
+    training part or the held-out part has fewer than 2 classes.  Every
+    command that scores or trains takes its training part from here.
+    """
+    dataset = _aligned(dataset, config)
+    split_seed = config.base_seed + SPLIT_SEED_OFFSET
+    train_idx, test_idx = split_indices(dataset, config.train_fraction, split_seed)
+    absent = sorted(set(dataset.classes) - {dataset.labels[i] for i in train_idx})
+    if absent:
+        raise PipelineError(
+            f"split (seed {split_seed}, train_fraction {config.train_fraction}) "
+            f"leaves classes {absent} out of the training part"
+        )
+    held_out = sorted({dataset.labels[i] for i in test_idx})
+    if len(held_out) < 2:
+        raise PipelineError(
+            f"split (seed {split_seed}, train_fraction {config.train_fraction}) "
+            f"holds out only class {held_out[0]!r}; the held-out part needs at least 2 classes"
+        )
+    return dataset.take(train_idx), dataset.take(test_idx)
 
 
 def _prepare(
@@ -262,21 +289,7 @@ def _prepare(
     except ValueError as exc:
         raise PipelineError(f"invalid training config: {exc}") from exc
     class_index = {label: i for i, label in enumerate(classes)}
-    split_seed = config.base_seed + SPLIT_SEED_OFFSET
-    train_idx, test_idx = split_indices(dataset, config.train_fraction, split_seed)
-    absent = sorted(set(classes) - {dataset.labels[i] for i in train_idx})
-    if absent:
-        raise PipelineError(
-            f"split (seed {split_seed}, train_fraction {config.train_fraction}) "
-            f"leaves classes {absent} out of the training part"
-        )
-    held_out = sorted({dataset.labels[i] for i in test_idx})
-    if len(held_out) < 2:
-        raise PipelineError(
-            f"split (seed {split_seed}, train_fraction {config.train_fraction}) "
-            f"holds out only class {held_out[0]!r}; the held-out part needs at least 2 classes"
-        )
-    train_part, test_part = dataset.take(train_idx), dataset.take(test_idx)
+    train_part, test_part = split_parts(dataset, config)
     prepared = _Prepared(
         target_view=config.target_view,
         source_views=source_views,
@@ -299,7 +312,7 @@ def scoring_seeds(config: ExperimentConfig) -> dict:
     }
 
 
-def score_views(config: ExperimentConfig, dataset: MultiViewDataset) -> list:
+def score_views(config: ExperimentConfig, dataset: MultiViewDataset, artifact_dir=None) -> list:
     """Score every source view against the target view, in ascending order.
 
     Ragged views are first aligned with ``config.align_strategy``, as
@@ -307,7 +320,8 @@ def score_views(config: ExperimentConfig, dataset: MultiViewDataset) -> list:
     ``base_seed``.  A flow density needs one latent point per sample and
     at least ``MIN_TRAINING_POINTS`` of them; too few samples fail here,
     before any distance is computed.  So does a source view whose channel
-    count differs from the target view's.
+    count differs from the target view's.  With ``artifact_dir``, each
+    view's latent set and density model are written there.
     """
     sources = _source_views(config, dataset)
     channels = dataset.channel_count(config.target_view)
@@ -339,21 +353,22 @@ def score_views(config: ExperimentConfig, dataset: MultiViewDataset) -> list:
         config.sampling,
         seed=seeds["scoring"],
         flow_config=FlowConfig(seed=seeds["flow"]),
+        artifact_dir=artifact_dir,
     )
 
 
 def compute_schedule(
-    config: ExperimentConfig, dataset: MultiViewDataset | None = None, out_path=None
+    config: ExperimentConfig, dataset: MultiViewDataset, out_path=None
 ) -> TransferSchedule:
-    """Score every source view and allocate the pretraining budget.
+    """Score every source view on ``dataset`` and allocate the pretraining
+    budget.
 
-    With ``forced_epochs`` set (or a zero budget) scoring is skipped and
-    the forced allocation is wrapped directly, with all scores recorded as
+    It scores the dataset it is given: ``run_experiment`` and the CLI give
+    it the training part from ``split_parts``.  With ``forced_epochs`` set
+    (or a zero budget) scoring is skipped and every score is recorded as
     zero.  When ``out_path`` is given the schedule is persisted as
     scores.json.
     """
-    if dataset is None:
-        dataset = _load_config_dataset(config)
     sources = _source_views(config, dataset)
     if config.forced_epochs is not None:
         if len(config.forced_epochs) != len(sources):
@@ -361,23 +376,18 @@ def compute_schedule(
                 f"forced_epochs has {len(config.forced_epochs)} entries "
                 f"for {len(sources)} source views"
             )
-        schedule = TransferSchedule(
-            scores=(0.0,) * len(sources),
-            epochs=config.forced_epochs,
-            total_epochs=config.total_pretrain_epochs,
-            target_view=config.target_view,
-        )
+        scores, epochs = (0.0,) * len(sources), config.forced_epochs
     elif config.total_pretrain_epochs == 0:
-        schedule = TransferSchedule(
-            scores=(0.0,) * len(sources),
-            epochs=(0,) * len(sources),
-            total_epochs=0,
-            target_view=config.target_view,
-        )
+        scores, epochs = (0.0,) * len(sources), (0,) * len(sources)
     else:
-        schedule = build_transfer_schedule(
-            score_views(config, dataset), config.total_pretrain_epochs, config.target_view
-        )
+        scores = score_views(config, dataset)
+        epochs = allocate_epochs(scores, config.total_pretrain_epochs)
+    schedule = TransferSchedule(
+        target_view=config.target_view,
+        scores=scores,
+        epochs=epochs,
+        total_epochs=config.total_pretrain_epochs,
+    )
     if out_path is not None:
         write_schedule_json(
             out_path,
@@ -447,9 +457,7 @@ def _run_single(prepared, config, schedule, repeat_index):
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    dataset: MultiViewDataset | None = None,
-    out_dir=None,
+    config: ExperimentConfig, dataset: MultiViewDataset, out_dir=None
 ) -> ExperimentReport:
     """Run R seeded repeats of the requested modes and aggregate.
 
@@ -458,8 +466,6 @@ def run_experiment(
     non-deterministic wall-clock measurements.
     """
     experiment_start = time.perf_counter()
-    if dataset is None:
-        dataset = _load_config_dataset(config)
     prepared, train_part = _prepare(dataset, config)
     out = None
     if out_dir is not None:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -193,7 +194,7 @@ class TestScheduleCommand:
     def test_relative_dataset_path(self, tmp_path):
         """dataset_path resolves relative to the config file's directory."""
         emit_dataset(
-            make_synthetic_dataset(n_samples=8, channels=1, length=8), tmp_path / "ds"
+            make_synthetic_dataset(n_samples=12, channels=1, length=8), tmp_path / "ds"
         )
         config = write_config(tmp_path / "config.json", "ds")
         code = run_cli(["schedule", "--config", str(config), "--out", str(tmp_path / "out")])
@@ -244,20 +245,52 @@ class TestScheduleCommand:
         assert f"error: {message}" in capsys.readouterr().err
 
     def test_scores_equal_importance_scores(self, dataset_dir, tmp_path):
-        """`schedule` and `importance` score views through one routine."""
+        """`schedule`, `importance` and `train` all score the training part
+        of one split: `schedule` writes `train`'s scores.json bytes, and
+        `importance` the same scores."""
         config = write_config(
             tmp_path / "config.json",
             dataset_dir,
             sampling=SamplingConfig(batch_size=128, invert_importance=True),
             base_seed=3,
         )
-        for command in ("schedule", "importance"):
+        for command in ("schedule", "importance", "train"):
             code = run_cli([command, "--config", str(config), "--out", str(tmp_path / command)])
             assert code == 0
+        schedule_bytes = (tmp_path / "schedule" / "scores.json").read_bytes()
+        assert schedule_bytes == (tmp_path / "train" / "scores.json").read_bytes()
         schedule = read_scores(tmp_path / "schedule")
         importance = read_scores(tmp_path / "importance")
         assert importance["scores"] == schedule["scores"]
         assert importance["seeds"] == schedule["seeds"]
+
+
+@pytest.mark.parametrize("command", ["importance", "schedule", "train"])
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"train_fraction": 0.3, "base_seed": 30},
+            r"split \(seed 6000030, train_fraction 0.3\) leaves classes \['fast'\] out "
+            "of the training part",
+        ),
+        (
+            {"train_fraction": 0.5, "density_override": "flow"},
+            "scoring with the flow density needs at least 8 samples, got 6",
+        ),
+    ],
+    ids=["single-class-training-part", "too-few-for-the-flow"],
+)
+def test_training_part_faults_fail_every_command(
+    dataset_dir, tmp_path, capsys, command, overrides, message
+):
+    """A training part of one class, or too small for the flow, fails
+    every config command alike: exit 1 with one error line."""
+    config = write_config(tmp_path / "config.json", dataset_dir, **overrides)
+    code = run_cli([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.fullmatch(f"error: {message}\n", err), err
 
 
 class TestTrainCommand:
@@ -367,6 +400,33 @@ class TestTrainCommand:
 
 class TestDensityGridCommand:
     """`density-grid` evaluates saved models over regular grids."""
+
+    def test_reads_the_models_importance_writes(self, dataset_dir, tmp_path):
+        """`importance` writes each source view's latent set and density
+        model beside scores.json, and `density-grid` reads the model."""
+        config = write_config(tmp_path / "config.json", dataset_dir)
+        out = tmp_path / "importance"
+        assert run_cli(["importance", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "density_view0.json",
+            "density_view1.json",
+            "latent_view0.json",
+            "latent_view1.json",
+            "scores.json",
+        ]
+        code = run_cli(
+            [
+                "density-grid",
+                "--model", str(out / "density_view0.json"),
+                "--mins=-3",
+                "--maxs=3",
+                "--out", str(tmp_path / "grid"),
+            ]
+        )
+        assert code == 0
+        lines = (tmp_path / "grid" / "density_grid.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "x1,density"
+        assert len(lines) - 1 == 101
 
     def test_kde_1d_grid_integrates_to_one(self, tmp_path):
         """101-point 1-D grid: 101 rows whose trapezoid integral is ~1."""

@@ -19,7 +19,6 @@ from mvtransfer.importance import (
     SamplingConfig,
     TransferSchedule,
     allocate_epochs,
-    build_transfer_schedule,
     draw_importance_matrix,
     matrix_norm,
     score_source_view,
@@ -253,7 +252,10 @@ class TestAllocateEpochsHypothesis:
 
 class TestTransferSchedule:
     def test_build_and_invariants(self):
-        schedule = build_transfer_schedule([3.0, 1.0], 100, target_view=2)
+        scores = [3.0, 1.0]
+        schedule = TransferSchedule(
+            target_view=2, scores=scores, epochs=allocate_epochs(scores, 100), total_epochs=100
+        )
         assert schedule.scores == (3.0, 1.0)
         assert schedule.epochs == (75, 25)
         assert schedule.total_epochs == 100
@@ -268,7 +270,10 @@ class TestTransferSchedule:
             TransferSchedule(scores=(-1.0, 2.0), epochs=(5, 5), total_epochs=10, target_view=0)
 
     def test_json_payload_layout(self, tmp_path):
-        schedule = build_transfer_schedule([2.0, 6.0], 8, target_view=2)
+        scores = [2.0, 6.0]
+        schedule = TransferSchedule(
+            target_view=2, scores=scores, epochs=allocate_epochs(scores, 8), total_epochs=8
+        )
         path = tmp_path / "scores.json"
         write_schedule_json(path, schedule, "dtw", "frobenius", {"scoring": 11})
         text = path.read_text(encoding="utf-8")

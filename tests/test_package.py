@@ -10,7 +10,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_every_export_resolves_once():
     names = mvtransfer.__all__
-    assert len(names) == len(set(names)) == 56
+    assert len(names) == len(set(names)) == 40
     for name in names:
         assert hasattr(mvtransfer, name), name
     for removed in (
@@ -31,6 +31,7 @@ def test_every_export_resolves_once():
         "save_experiment_config",
         "schedule_to_json_dict",
         "make_synthetic_dataset",
+        "build_transfer_schedule",
     ):
         assert removed not in names
         assert not hasattr(mvtransfer, removed)

@@ -512,10 +512,6 @@ class TestRunTransfer:
         with pytest.raises(PipelineError, match="disagree"):
             _prepare(ds, tiny_config())
 
-    def test_missing_dataset_path(self):
-        with pytest.raises(PipelineError, match="dataset_path"):
-            run_experiment(tiny_config(dataset_path=None))
-
 
 class TestRunExperiment:
     """Repeat aggregation, persistence, and determinism."""
