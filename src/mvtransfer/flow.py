@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from mvtransfer.dataset import from_json
+from mvtransfer.dataset import _from_json_value, from_json
 from mvtransfer.optim import adam_update
 
 SCALE_BOUND = 5.0
@@ -57,9 +57,18 @@ class FlowTrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowConfig:
+    """The flow's shape and training settings.
+
+    ``training_iterations`` defaults to 100 full-batch Adam steps.  The
+    importance norms (``spectral``, ``frobenius``) read only the sampled
+    batch's second-moment matrix, so a score depends on the fitted
+    density's second moments, which a short fit already matches; longer
+    fits moved the epoch schedule by seed-dependent scatter, not toward a
+    steadier value (the budget study is in CHANGES.md)."""
+
     layer_count: int = 6
     coupling_net_width: int = 32
-    training_iterations: int = 2000
+    training_iterations: int = 100
     learning_rate: float = 1e-3
     perturbation: float = 1e-6
     seed: int = 0
@@ -397,7 +406,9 @@ def _tensor_views(buffer: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
 
 
 def fit_flow(latent, config: FlowConfig | None = None) -> FlowModel | list[FlowModel]:
-    """Maximum-likelihood training by full-batch Adam.
+    """Maximum-likelihood training by full-batch Adam, for
+    ``config.training_iterations`` steps (100 by default: the scores read
+    only the fitted density's second moments, see ``FlowConfig``).
 
     ``latent`` is one (n, d) set, which gives one ``FlowModel``, or a
     (V, n, d) stack of equally-shaped sets, which gives a list of V
@@ -512,7 +523,8 @@ def flow_from_json_dict(payload: dict) -> FlowModel:
     """The model ``flow_to_json_dict`` wrote.  A missing key, a config
     ``FlowConfig`` rejects, a mask or tensor of the wrong shape, a mask
     entry other than 0 or 1, a non-finite value or a scale that is not
-    positive raises ``ValueError`` naming the key."""
+    positive raises ``ValueError`` naming the key.  Each likelihood must be
+    ``null`` or a finite number."""
     missing = [key for key in _JSON_KEYS if key not in payload]
     if missing:
         raise ValueError(f"no {missing[0]!r} in the flow payload")
@@ -542,6 +554,10 @@ def flow_from_json_dict(payload: dict) -> FlowModel:
     scale = _json_array(payload, "standardize_scale", (d,))
     if not (scale > 0.0).all():
         raise ValueError("'standardize_scale' entries must be positive")
+    likelihoods = {
+        key: _from_json_value(float | None, payload.get(key), key)
+        for key in ("initial_log_likelihood", "final_log_likelihood")
+    }
     return FlowModel(
         dimension=d,
         masks=masks,
@@ -549,6 +565,5 @@ def flow_from_json_dict(payload: dict) -> FlowModel:
         config=config,
         standardize_mean=mean,
         standardize_scale=scale,
-        initial_log_likelihood=payload.get("initial_log_likelihood"),
-        final_log_likelihood=payload.get("final_log_likelihood"),
+        **likelihoods,
     )

@@ -271,6 +271,22 @@ class TestDensityModelWrapper:
             (lambda p: p["flow"]["standardize_scale"].__setitem__(1, -1.0), "standardize_scale"),
             (lambda p: p["flow"]["standardize_mean"].pop(), "'standardize_mean'"),
             (lambda p: p["flow"].update(dimension=4.0), "'dimension'"),
+            (
+                lambda p: p["flow"].update(initial_log_likelihood="abc"),
+                "initial_log_likelihood must be a number, got 'abc'",
+            ),
+            (
+                lambda p: p["flow"].update(final_log_likelihood=[1, 2]),
+                r"final_log_likelihood must be a number, got \[1, 2\]",
+            ),
+            (
+                lambda p: p["flow"].update(final_log_likelihood=True),
+                "final_log_likelihood must be a number, got True",
+            ),
+            (
+                lambda p: p["flow"].update(initial_log_likelihood=math.nan),
+                "initial_log_likelihood must be a finite number, got nan",
+            ),
             (lambda p: p.pop("flow"), "'flow'"),
             (lambda p: p.pop("dimension"), "'dimension'"),
             (lambda p: p.update(flow=[]), "'flow'"),

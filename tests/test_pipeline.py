@@ -18,6 +18,7 @@ from mvtransfer.dataset import (
     load_dataset,
     split_indices,
 )
+from mvtransfer.density import select_density_method
 from mvtransfer.distance import DtwParams, SfaParams
 from mvtransfer.importance import NORM_KINDS, SAMPLING_MODES, SamplingConfig, TransferSchedule
 from mvtransfer.networks import init_network, NetworkConfig
@@ -35,6 +36,7 @@ from mvtransfer.pipeline import (
     experiment_config_from_json_dict,
     load_experiment_config,
     run_experiment,
+    split_parts,
 )
 from mvtransfer.synthetic import (
     CORRELATED_VIEW,
@@ -329,6 +331,27 @@ class TestComputeSchedule:
             schedule = compute_schedule(config, dataset=ds)
         assert schedule.epochs == (50, 50)
         assert schedule.scores[0] == schedule.scores[1]
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_flow_path_favors_correlated_view_at_default_budget(self, seed):
+        """Six channels take the coupling-flow density at its default
+        iteration budget: on the boss measure with the spectral norm and
+        inverted importance, the training part's schedule sums to the
+        budget and gives the correlated view more epochs than the noise
+        view, on every seed."""
+        dataset = make_synthetic_dataset(n_samples=64, channels=6, length=48, seed=seed)
+        assert select_density_method(dataset.channel_count(TARGET_VIEW)) == "flow"
+        config = ExperimentConfig(
+            target_view=TARGET_VIEW,
+            measure="boss",
+            sampling=SamplingConfig(norm_kind="spectral", invert_importance=True),
+            total_pretrain_epochs=40,
+            base_seed=seed,
+        )
+        train_part, _ = split_parts(dataset, config)
+        epochs = compute_schedule(config, dataset=train_part).epochs
+        assert sum(epochs) == 40
+        assert epochs[CORRELATED_VIEW] > epochs[DISTRACTOR_VIEW]
 
     def test_sum_matches_budget(self):
         ds = tiny_dataset()
