@@ -45,28 +45,35 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "fcn_kernel_sizes", tuple(int(k) for k in self.fcn_kernel_sizes))
-        if self.arch not in ARCHITECTURES:
-            raise ValueError(f"unknown arch {self.arch!r}; expected one of {ARCHITECTURES}")
+        check_network_settings(self.arch, self.dropout_rate, self.fcn_kernel_sizes)
         if self.input_channels < 1:
             raise ValueError("input_channels must be at least 1")
         if self.input_length < 1:
             raise ValueError("input_length must be at least 1")
         if self.class_count < 2:
             raise ValueError("class_count must be at least 2")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.arch == "fcn":
-            if len(self.fcn_kernel_sizes) != 3:
-                raise ValueError("fcn_kernel_sizes must hold exactly three sizes")
-            if any(k < 1 for k in self.fcn_kernel_sizes):
-                raise ValueError("kernel sizes must be positive")
-            if any(k > self.input_length for k in self.fcn_kernel_sizes):
-                raise ValueError(
-                    f"kernel sizes {self.fcn_kernel_sizes} exceed input length "
-                    f"{self.input_length}"
-                )
+        if self.arch == "fcn" and any(k > self.input_length for k in self.fcn_kernel_sizes):
+            raise ValueError(
+                f"kernel sizes {self.fcn_kernel_sizes} exceed input length {self.input_length}"
+            )
+
+
+def check_network_settings(arch: str, dropout_rate: float, fcn_kernel_sizes) -> None:
+    """The network rules that need no data, run by ``NetworkConfig`` and
+    ``ExperimentConfig``: a known ``arch``, a ``dropout_rate`` in [0, 1),
+    and three positive FCN kernel sizes.  Each ``ValueError`` names its key.
+    """
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"unknown arch {arch!r}; expected one of {ARCHITECTURES}")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError("dropout_rate must lie in [0, 1)")
+    if arch == "fcn":
+        if len(fcn_kernel_sizes) != 3:
+            raise ValueError("fcn_kernel_sizes must hold exactly three sizes")
+        if any(k < 1 for k in fcn_kernel_sizes):
+            raise ValueError("fcn_kernel_sizes must be positive")
 
 
 @dataclass(frozen=True)

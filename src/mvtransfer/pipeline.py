@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import (
-    MultiViewDataset, align_lengths, from_json, split_indices, write_csv, write_json
+    ALIGNMENT_STRATEGIES, MultiViewDataset, align_lengths, from_json, split_indices, write_csv,
+    write_json,
 )
 from .density import select_density_method
 from .distance import DtwParams, SfaParams
@@ -42,9 +43,9 @@ from .importance import (
     write_schedule_json,
 )
 from .networks import (
-    ARCHITECTURES,
     NetworkConfig,
     TrainConfig,
+    check_network_settings,
     evaluate,
     init_network,
     train,
@@ -61,7 +62,8 @@ SPLIT_SEED_OFFSET = 6 * SEED_STRIDE
 VIEW_ORDER_SEED_OFFSET = 7 * SEED_STRIDE
 
 EXPERIMENT_MODES = ("baseline", "transfer", "both")
-MEASURES = ("dtw", "boss")
+_MEASURE_PARAMS = {"dtw": DtwParams, "boss": SfaParams}
+MEASURES = tuple(_MEASURE_PARAMS)
 
 
 class PipelineError(RuntimeError):
@@ -79,6 +81,11 @@ class ExperimentConfig:
     experiment.  ``measure_params`` is the ``DtwParams`` or ``SfaParams`` of
     ``measure``.  ``dropout_rate`` applies to the FCN only; the MLP has no
     dropout layer.
+
+    Construction checks every setting that needs no data, by the network's
+    and ``TrainConfig``'s own rules too, and a fault raises ``ValueError``
+    naming its key.  Only ``run_experiment`` checks the config against the
+    data (``_check_trainable``).
     """
 
     target_view: int
@@ -111,6 +118,12 @@ class ExperimentConfig:
             raise ValueError("target_view must be non-negative")
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}; expected one of {MEASURES}")
+        params = _MEASURE_PARAMS[self.measure]
+        if not isinstance(self.measure_params, (params, type(None))):
+            raise ValueError(
+                f"measure_params must be None or {params.__name__} for measure "
+                f"{self.measure!r}, got {type(self.measure_params).__name__}"
+            )
         if self.density_override not in (None, "kde", "flow"):
             raise ValueError("density_override must be None, 'kde', or 'flow'")
         if not isinstance(self.sampling, SamplingConfig):
@@ -127,8 +140,8 @@ class ExperimentConfig:
                     f"forced_epochs sum {sum(self.forced_epochs)} does not match "
                     f"total_pretrain_epochs {self.total_pretrain_epochs}"
                 )
-        if self.arch not in ARCHITECTURES:
-            raise ValueError(f"unknown arch {self.arch!r}; expected one of {ARCHITECTURES}")
+        check_network_settings(self.arch, self.dropout_rate, self.fcn_kernel_sizes)
+        self._train_config()
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         if self.base_seed < 0:
@@ -137,6 +150,23 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {EXPERIMENT_MODES}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
+        if self.align_strategy not in ALIGNMENT_STRATEGIES:
+            raise ValueError(
+                f"align_strategy must be one of {ALIGNMENT_STRATEGIES}, "
+                f"got {self.align_strategy!r}"
+            )
+
+    def _train_config(self, seed: int = 0) -> TrainConfig:
+        """The optimizer settings as a ``TrainConfig`` seeded with ``seed``;
+        a bad setting raises ``ValueError`` naming its key here."""
+        try:
+            return TrainConfig(
+                self.train_batch_size, self.learning_rate, self.beta1, self.beta2,
+                self.adam_epsilon, seed,
+            )
+        except ValueError as exc:
+            # batch_size is the one TrainConfig field named otherwise here.
+            raise ValueError(str(exc).replace("batch_size", "train_batch_size")) from exc
 
 
 @dataclass(frozen=True)
@@ -191,20 +221,6 @@ def _repeat_seeds(base_seed: int, repeat_index: int) -> dict:
     }
 
 
-@dataclass
-class _Prepared:
-    """Aligned, split, and index-encoded data ready for training."""
-
-    target_view: int
-    source_views: list
-    net_config: NetworkConfig
-    train_config: TrainConfig
-    train_inputs: list
-    test_inputs: list
-    train_labels: np.ndarray
-    test_labels: np.ndarray
-
-
 def _source_views(config: ExperimentConfig, dataset: MultiViewDataset) -> list:
     if config.target_view >= dataset.n_views:
         raise PipelineError(
@@ -225,10 +241,12 @@ def split_parts(
     """Align ``dataset`` and split it into ``(train_part, test_part)``.
 
     The split is ``split_indices`` with the seed derived from ``base_seed``.
-    It fails, naming its seed and fraction, when a class is missing from the
-    training part or the held-out part has fewer than 2 classes.  Every
-    command that scores or trains takes its training part from here.
+    It fails when ``target_view`` is not a view of ``dataset``, and, naming
+    its seed and fraction, when a class is missing from the training part or
+    the held-out part has fewer than 2 classes.  Every command that scores
+    or trains takes its parts from here.
     """
+    _source_views(config, dataset)
     dataset = _aligned(dataset, config)
     split_seed = config.base_seed + SPLIT_SEED_OFFSET
     train_idx, test_idx = split_indices(dataset, config.train_fraction, split_seed)
@@ -247,60 +265,21 @@ def split_parts(
     return dataset.take(train_idx), dataset.take(test_idx)
 
 
-def _prepare(
-    dataset: MultiViewDataset, config: ExperimentConfig
-) -> tuple[_Prepared, MultiViewDataset]:
-    """Align, split and encode ``dataset``; returns ``(prepared, train_part)``.
-
-    ``train_part`` is the training split as a dataset, the input of
-    scoring; the held-out split is kept only as the arrays evaluation reads.
-    The network and training settings are checked before the split, so an
-    unusable one fails before any score is computed.
-    """
-    source_views = _source_views(config, dataset)
-    dataset = _aligned(dataset, config)
+def _check_trainable(dataset: MultiViewDataset, config: ExperimentConfig) -> None:
+    """Fail unless one network fits every view of the aligned ``dataset``:
+    the views share one ``(channels, length)``, and each FCN kernel is no
+    longer than the series."""
     shapes = [dataset.view_shape(v) for v in range(dataset.n_views)]
     if len(set(shapes)) != 1:
         raise PipelineError(
             f"views disagree on (channels, length): {shapes}; "
             "weight transfer requires identical shapes across views"
         )
-    channels, length = shapes[0]
-    classes = dataset.classes
-    try:
-        net_config = NetworkConfig(
-            arch=config.arch,
-            input_channels=channels,
-            input_length=length,
-            class_count=len(classes),
-            dropout_rate=config.dropout_rate,
-            fcn_kernel_sizes=config.fcn_kernel_sizes,
+    length = shapes[0][1]
+    if config.arch == "fcn" and max(config.fcn_kernel_sizes) > length:
+        raise PipelineError(
+            f"fcn_kernel_sizes {list(config.fcn_kernel_sizes)} exceed the series length {length}"
         )
-    except ValueError as exc:
-        raise PipelineError(f"invalid network config: {exc}") from exc
-    try:
-        train_config = TrainConfig(
-            batch_size=config.train_batch_size,
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            adam_epsilon=config.adam_epsilon,
-        )
-    except ValueError as exc:
-        raise PipelineError(f"invalid training config: {exc}") from exc
-    class_index = {label: i for i, label in enumerate(classes)}
-    train_part, test_part = split_parts(dataset, config)
-    prepared = _Prepared(
-        target_view=config.target_view,
-        source_views=source_views,
-        net_config=net_config,
-        train_config=train_config,
-        train_inputs=train_part.views,
-        test_inputs=test_part.views,
-        train_labels=np.array([class_index[l] for l in train_part.labels], dtype=np.int64),
-        test_labels=np.array([class_index[l] for l in test_part.labels], dtype=np.int64),
-    )
-    return prepared, train_part
 
 
 def scoring_seeds(config: ExperimentConfig) -> dict:
@@ -399,33 +378,44 @@ def compute_schedule(
     return schedule
 
 
-def _run_single(prepared, config, schedule, repeat_index):
+def _run_single(config, train_part, test_part, schedule, repeat_index):
     """One repeat: a transfer run when given a schedule, else a baseline.
 
     A transfer run visits the source views in ascending index order (or a
     seeded permutation with ``shuffle_view_order``), training one network
     on each for its scheduled epochs, and transfers the weights into a
     fresh network; a baseline starts from the fresh network.  Either is
-    fine-tuned on the target view and evaluated on the target test split.
-    Returns ``(network, accuracy, curve rows)``.
+    fine-tuned on the target view of ``train_part`` and evaluated on that
+    of ``test_part``.  Returns ``(network, accuracy, curve rows)``.
     """
     mode = "baseline" if schedule is None else "transfer"
     seeds = _repeat_seeds(config.base_seed, repeat_index)
-    net_config = replace(prepared.net_config, seed=seeds["init"])
+    channels, length = train_part.view_shape(config.target_view)
+    classes = train_part.classes
+    net_config = NetworkConfig(
+        config.arch, channels, length, len(classes), config.dropout_rate,
+        config.fcn_kernel_sizes, seeds["init"],
+    )
+    class_index = {label: i for i, label in enumerate(classes)}
+    train_labels, test_labels = (
+        np.array([class_index[l] for l in part.labels], dtype=np.int64)
+        for part in (train_part, test_part)
+    )
     logs = []
     if schedule is not None:
         source_net = init_network(net_config)
-        positions = list(range(len(prepared.source_views)))
+        sources = _source_views(config, train_part)
+        positions = list(range(len(sources)))
         if config.shuffle_view_order:
             order_rng = np.random.default_rng(seeds["view_order"])
             positions = [int(p) for p in order_rng.permutation(len(positions))]
         for position in positions:
-            view = prepared.source_views[position]
+            view = sources[position]
             log = train(
                 source_net,
-                prepared.train_inputs[view],
-                prepared.train_labels,
-                replace(prepared.train_config, seed=seeds["pretrain"] + view),
+                train_part.views[view],
+                train_labels,
+                config._train_config(seeds["pretrain"] + view),
                 epoch_budget=schedule.epochs[position],
             )
             logs.append((f"pretrain_view_{view}", log))
@@ -438,9 +428,9 @@ def _run_single(prepared, config, schedule, repeat_index):
         frozen = tuple(name for name in net.params if name.startswith("conv"))
     log = train(
         net,
-        prepared.train_inputs[prepared.target_view],
-        prepared.train_labels,
-        replace(prepared.train_config, seed=seeds["finetune"]),
+        train_part.views[config.target_view],
+        train_labels,
+        config._train_config(seeds["finetune"]),
         epoch_budget=config.finetune_epochs,
         frozen_params=frozen,
     )
@@ -450,9 +440,7 @@ def _run_single(prepared, config, schedule, repeat_index):
         (mode, repeat_index, epoch, phase, float(entry["loss"]), float(entry["train_accuracy"]))
         for epoch, (phase, entry) in enumerate(entries, start=1)
     ]
-    accuracy = evaluate(
-        net, prepared.test_inputs[prepared.target_view], prepared.test_labels
-    )
+    accuracy = evaluate(net, test_part.views[config.target_view], test_labels)
     return net, accuracy, rows
 
 
@@ -461,12 +449,17 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run R seeded repeats of the requested modes and aggregate.
 
-    Persists (when ``out_dir`` is given) scores.json, report.json, and
-    curves.csv — all byte-deterministic — plus timings.json with the
-    non-deterministic wall-clock measurements.
+    The aligned ``dataset`` is checked by ``_check_trainable`` before
+    ``split_parts`` splits it; every repeat trains on the training part,
+    which the schedule scores, and evaluates on the held-out one.  Persists
+    (when ``out_dir`` is given) scores.json, report.json, and curves.csv —
+    all byte-deterministic — plus timings.json with the non-deterministic
+    wall-clock measurements.
     """
     experiment_start = time.perf_counter()
-    prepared, train_part = _prepare(dataset, config)
+    dataset = _aligned(dataset, config)
+    _check_trainable(dataset, config)
+    train_part, test_part = split_parts(dataset, config)
     out = None
     if out_dir is not None:
         out = Path(out_dir)
@@ -479,8 +472,6 @@ def run_experiment(
             dataset=train_part,
             out_path=(out / "scores.json") if out is not None else None,
         )
-    # Scoring is the train part's only use; the repeats read prepared's arrays.
-    del train_part
     rows = []
     timings = {}
     accuracies = {}
@@ -490,7 +481,7 @@ def run_experiment(
             started = time.perf_counter()
             try:
                 _, accuracy, repeat_rows = _run_single(
-                    prepared, config, schedule if mode == "transfer" else None, repeat
+                    config, train_part, test_part, schedule if mode == "transfer" else None, repeat
                 )
             except PipelineError:
                 raise
@@ -506,11 +497,12 @@ def run_experiment(
         "per_repeat": [
             {
                 "repeat": repeat,
-                "init": _repeat_seeds(config.base_seed, repeat)["init"],
-                "pretrain_base": _repeat_seeds(config.base_seed, repeat)["pretrain"],
-                "finetune": _repeat_seeds(config.base_seed, repeat)["finetune"],
+                "init": derived["init"],
+                "pretrain_base": derived["pretrain"],
+                "finetune": derived["finetune"],
             }
             for repeat in range(config.repeats)
+            for derived in (_repeat_seeds(config.base_seed, repeat),)
         ],
     }
     results = {mode: ModeResult(values) for mode, values in accuracies.items()}
@@ -543,8 +535,7 @@ def experiment_config_from_json_dict(payload: dict) -> ExperimentConfig:
     measure = payload.get("measure", "dtw") if isinstance(payload, dict) else "dtw"
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    params = DtwParams if measure == "dtw" else SfaParams
-    return from_json(ExperimentConfig, payload, "", measure_params=params | None)
+    return from_json(ExperimentConfig, payload, "", measure_params=_MEASURE_PARAMS[measure] | None)
 
 
 def load_experiment_config(path) -> ExperimentConfig:

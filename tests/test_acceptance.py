@@ -47,9 +47,9 @@ from mvtransfer.networks import (
 )
 from mvtransfer.pipeline import (
     ExperimentConfig,
-    _prepare,
     _run_single,
     run_experiment,
+    split_parts,
 )
 from mvtransfer.synthetic import make_synthetic_dataset
 
@@ -506,9 +506,9 @@ class TestAcceptance:
         transfer_rows = [l.split(",", 1)[1] for l in lines if l.startswith("transfer,")]
         assert baseline_rows == transfer_rows
 
-        prepared, _ = _prepare(dataset, config)
-        base_net, _, _ = _run_single(prepared, config, None, 0)
-        trans_net, _, _ = _run_single(prepared, config, report.schedule, 0)
+        train_part, test_part = split_parts(dataset, config)
+        base_net, _, _ = _run_single(config, train_part, test_part, None, 0)
+        trans_net, _, _ = _run_single(config, train_part, test_part, report.schedule, 0)
         assert base_net.config == trans_net.config
         assert base_net.mode == trans_net.mode
         for group in ("params", "running_stats"):

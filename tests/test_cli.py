@@ -293,6 +293,31 @@ def test_training_part_faults_fail_every_command(
     assert re.fullmatch(f"error: {message}\n", err), err
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"learning_rate": -1},
+        {"train_batch_size": 0},
+        {"beta1": 1.0},
+        {"dropout_rate": 1.5},
+        {"arch": "fcn", "fcn_kernel_sizes": [8, 5]},
+        {"align_strategy": "bogus"},
+    ],
+    ids=lambda raw: json.dumps(raw),
+)
+@pytest.mark.parametrize("command", ["importance", "schedule", "train"])
+def test_config_faults_fail_every_command_at_load(dataset_dir, tmp_path, capsys, command, raw):
+    """A setting that is wrong without any data fails at load for every
+    config command alike: exit 1 with one error line that starts with the
+    key, and no `--out` directory."""
+    config = write_config(tmp_path / "config.json", dataset_dir, raw)
+    code = run_cli([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.fullmatch(f"error: {list(raw)[-1]} [^\n]*\n", err), err
+    assert not (tmp_path / "out").exists()
+
+
 class TestTrainCommand:
     """`train` runs the experiment and persists deterministic outputs."""
 

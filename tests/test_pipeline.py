@@ -3,7 +3,7 @@
 import json
 import tempfile
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,6 @@ from mvtransfer.pipeline import (
     ExperimentReport,
     ModeResult,
     PipelineError,
-    _prepare,
     _run_single,
     compute_schedule,
     experiment_config_from_json_dict,
@@ -227,6 +226,61 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="density_override"):
             tiny_config(density_override="histogram")
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(train_batch_size=0), "train_batch_size must be at least 1"),
+            (dict(learning_rate=0.0), "learning_rate must be positive"),
+            (dict(learning_rate=-1), "learning_rate must be positive"),
+            (dict(beta1=1.0), r"beta1 must lie in \(0, 1\)"),
+            (dict(adam_epsilon=0.0), "adam_epsilon must be positive"),
+            (dict(dropout_rate=1.0), r"dropout_rate must lie in \[0, 1\)"),
+            (dict(dropout_rate=1.5), r"dropout_rate must lie in \[0, 1\)"),
+            (
+                dict(arch="fcn", fcn_kernel_sizes=(8, 5)),
+                "fcn_kernel_sizes must hold exactly three sizes",
+            ),
+            (dict(arch="fcn", fcn_kernel_sizes=(8, 0, 3)), "fcn_kernel_sizes must be positive"),
+            (
+                dict(align_strategy="bogus"),
+                r"align_strategy must be one of \('zero-pad-to-max', .*\), got 'bogus'",
+            ),
+            (
+                dict(measure="dtw", measure_params=SfaParams(8)),
+                "measure_params must be None or DtwParams for measure 'dtw', got SfaParams",
+            ),
+            (
+                dict(measure="boss", measure_params=DtwParams()),
+                "measure_params must be None or SfaParams for measure 'boss', got DtwParams",
+            ),
+        ],
+        ids=[
+            "train_batch_size",
+            "learning_rate_zero",
+            "learning_rate_negative",
+            "beta1",
+            "adam_epsilon",
+            "dropout_rate_one",
+            "dropout_rate_above_one",
+            "two_fcn_kernels",
+            "zero_fcn_kernel",
+            "align_strategy",
+            "dtw_with_sfa_params",
+            "boss_with_dtw_params",
+        ],
+    )
+    def test_data_free_setting_fails_at_construction(self, overrides, message):
+        """Every setting that needs no data is checked when the config is
+        built, and the error starts with the config key: the optimizer and
+        network settings by TrainConfig's and the network's own rules, and
+        the alignment strategy and measure params against their choices."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tiny_config(**overrides)
+
+    def test_kernel_sizes_checked_only_for_the_fcn(self):
+        """The MLP has no kernels, so their sizes are not checked for it."""
+        assert tiny_config(arch="mlp", fcn_kernel_sizes=(8, 5)).fcn_kernel_sizes == (8, 5)
+
     def test_forced_epochs_must_sum_to_total(self):
         with pytest.raises(ValueError, match="does not match"):
             tiny_config(forced_epochs=(3, 3), total_pretrain_epochs=4)
@@ -391,10 +445,20 @@ class TestComputeSchedule:
         assert schedule.epochs == (0, 0)
         assert schedule.total_epochs == 0
 
-    def test_target_view_out_of_range(self):
-        ds = tiny_dataset()
-        with pytest.raises(PipelineError, match="out of range"):
-            compute_schedule(tiny_config(target_view=3), dataset=ds)
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            compute_schedule,
+            split_parts,
+            lambda config, dataset: run_experiment(replace(config, mode="baseline"), dataset),
+        ],
+        ids=["compute_schedule", "split_parts", "run_experiment_baseline"],
+    )
+    def test_target_view_out_of_range(self, entry):
+        """Every entry point checks the target view against the dataset,
+        the baseline-only experiment too, which never scores."""
+        with pytest.raises(PipelineError, match="^target_view 3 out of range for 3 views$"):
+            entry(config=tiny_config(target_view=3), dataset=tiny_dataset())
 
     def test_channel_mismatch_fails_before_distances(self, monkeypatch):
         """View 0 matches the target but view 1 does not: scoring fails
@@ -428,8 +492,8 @@ class TestComputeSchedule:
 def run_once(config, schedule, dataset, repeat_index=0):
     """One repeat on the experiment's own path: ``(net, accuracy, rows)``;
     a schedule of None runs the baseline."""
-    prepared, _ = _prepare(dataset, config)
-    return _run_single(prepared, config, schedule, repeat_index)
+    train_part, test_part = split_parts(dataset, config)
+    return _run_single(config, train_part, test_part, schedule, repeat_index)
 
 
 class TestRunTransfer:
@@ -523,8 +587,10 @@ class TestRunTransfer:
         np.testing.assert_array_equal(net.params["conv1.W"], reference.params["conv1.W"])
         assert not np.array_equal(net.params["head.W"], reference.params["head.W"])
 
-    def test_mismatched_view_shapes_rejected(self):
-        """Weight transfer needs identical (channels, length) in every view."""
+    def test_mismatched_view_shapes_rejected(self, tmp_path):
+        """Weight transfer needs identical (channels, length) in every view;
+        the shapes are checked before the split, which this 6-sample set
+        would fail, and before any score."""
         base = tiny_dataset(n_samples=6)
         narrow = [s[:, :4] for s in base.views[0]]
         ds = MultiViewDataset(
@@ -532,8 +598,12 @@ class TestRunTransfer:
             labels=base.labels,
             sample_ids=base.sample_ids,
         )
-        with pytest.raises(PipelineError, match="disagree"):
-            _prepare(ds, tiny_config())
+        with pytest.raises(
+            PipelineError,
+            match=r"^views disagree on \(channels, length\): \[\(1, 4\), \(1, 8\), \(1, 8\)\]",
+        ):
+            run_experiment(tiny_config(), dataset=ds, out_dir=tmp_path)
+        assert not (tmp_path / "scores.json").exists()
 
 
 class TestRunExperiment:
@@ -662,46 +732,15 @@ class TestRunExperiment:
             with pytest.raises(PipelineError, match="baseline repeat 0 failed"):
                 run_experiment(config, dataset=ds)
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(arch="fcn", fcn_kernel_sizes=(8, 5, 3)),
-            dict(dropout_rate=1.0),
-        ],
-        ids=["kernel_longer_than_series", "dropout_out_of_range"],
-    )
-    def test_bad_network_config_fails_before_scoring(self, tmp_path, overrides):
-        """An unbuildable network is rejected, naming the network config,
-        before any score is computed or written."""
+    def test_kernel_longer_than_series_fails_before_scoring(self, tmp_path):
+        """An FCN kernel longer than the aligned series is rejected, naming
+        the key, before any score is computed or written."""
         ds = tiny_dataset(length=6)
-        with pytest.raises(PipelineError, match="network config"):
-            run_experiment(tiny_config(**overrides), dataset=ds, out_dir=tmp_path)
-        assert not (tmp_path / "scores.json").exists()
-
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("train_batch_size", 0, "batch_size must be at least 1"),
-            ("learning_rate", 0.0, "learning_rate must be positive"),
-            ("beta1", 1.0, r"beta1 must lie in \(0, 1\)"),
-            ("adam_epsilon", 0.0, "adam_epsilon must be positive"),
-        ],
-    )
-    def test_bad_training_config_fails_before_distances(
-        self, monkeypatch, tmp_path, field, value, message
-    ):
-        """Unusable optimizer settings are rejected, naming the training
-        config and the field, before any distance is computed."""
-        import mvtransfer.importance as importance
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a latent set was built")
-
-        monkeypatch.setattr(importance, "build_latent_set", refuse)
-        with pytest.raises(PipelineError, match=f"invalid training config: {message}"):
-            run_experiment(
-                tiny_config(**{field: value}), dataset=tiny_dataset(), out_dir=tmp_path
-            )
+        config = tiny_config(arch="fcn", fcn_kernel_sizes=(8, 5, 3))
+        with pytest.raises(
+            PipelineError, match=r"^fcn_kernel_sizes \[8, 5, 3\] exceed the series length 6$"
+        ):
+            run_experiment(config, dataset=ds, out_dir=tmp_path)
         assert not (tmp_path / "scores.json").exists()
 
     @pytest.mark.parametrize(
