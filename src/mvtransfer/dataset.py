@@ -455,7 +455,7 @@ def from_json(cls, payload, where: str, **types_of):
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}" if where else str(exc)) from exc
+        raise ValueError(prefix + str(exc)) from exc
 
 
 def _from_json_value(hint, value, where: str):

@@ -3,11 +3,11 @@
 Low-dimensional sets (up to three channels) get a Gaussian-kernel
 density estimate with a diagonal bandwidth matrix; higher-dimensional
 sets get the invertible coupling flow.  ``fit_density`` applies the
-dimension rule (overridable) and returns a tagged ``DensityModel`` that
-exposes seeded sampling and one batched log-density evaluation for either
-variant: ``log_density`` takes an (n, d) array of points, checks it once
-and evaluates it in blocks of ``LOG_DENSITY_BLOCK_ROWS`` rows, so its
-working memory stays bounded however many points a grid holds.
+dimension rule (overridable) and returns the fitted ``KdeModel`` or
+``FlowModel``.  Both expose seeded ``sample`` and the same batched
+``log_density``: it takes an (n, d) array of points, checks it once and
+evaluates it in blocks of ``LOG_DENSITY_BLOCK_ROWS`` rows, so its working
+memory stays bounded however many points a grid holds.
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ import numpy as np
 from mvtransfer.flow import (
     FlowConfig,
     FlowModel,
-    _log_density_batch,
     as_data_array,
     as_data_stack,
     fit_flow,
     flow_from_json_dict,
     flow_inverse,
     flow_to_json_dict,
-    sample_flow,
 )
 
 KDE_MAX_DIMENSION = 3
@@ -87,6 +85,34 @@ class KdeModel:
     def dimension(self) -> int:
         return self.support_points.shape[1]
 
+    def log_density(self, points) -> np.ndarray:
+        return _blocked_log_density(self, points, _kde_log_density, self.support_points.shape[0])
+
+    def sample(self, count: int, seed: int) -> np.ndarray:
+        return sample_kde(self, count, seed)
+
+
+# What ``fit_density`` returns and a density file holds: either estimator.
+DensityModel = KdeModel | FlowModel
+
+
+def _blocked_log_density(model: DensityModel, points, evaluate, cells_per_row: int = 1):
+    """The log-density at each row of an (n, d) array of points, as an
+    (n,) array.  ``points`` is checked once, then ``evaluate(model, block)``
+    runs on blocks of ``LOG_DENSITY_BLOCK_ROWS`` rows, fewer where rows x
+    ``cells_per_row`` (a kernel model's support size) would pass
+    ``LOG_DENSITY_BLOCK_CELLS``.  Both models' ``log_density`` call it."""
+    x = np.asarray(points, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.dimension:
+        raise DensityError(f"points must be an (n, {model.dimension}) array, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DensityError("points contain non-finite values")
+    rows = min(LOG_DENSITY_BLOCK_ROWS, max(1, LOG_DENSITY_BLOCK_CELLS // cells_per_row))
+    values = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], rows):
+        values[start:start + rows] = evaluate(model, x[start:start + rows])
+    return values
+
 
 def fit_kde(latent) -> KdeModel:
     """Fit the kernel model with Silverman's per-dimension bandwidth.
@@ -138,61 +164,6 @@ def sample_kde(model: KdeModel, count: int, seed: int) -> np.ndarray:
     return model.support_points[picks] + noise
 
 
-@dataclass
-class DensityModel:
-    """Tagged union over the two density variants.
-
-    ``log_density`` is the one density evaluation: it takes an (n, d)
-    array of points and returns their (n,) log-densities, whichever
-    variant the model holds.
-    """
-
-    variant: str
-    dimension: int
-    kde: KdeModel | None = None
-    flow: FlowModel | None = None
-
-    def __post_init__(self):
-        if self.variant not in ("kde", "flow"):
-            raise DensityError(f"unknown variant {self.variant!r}")
-        present = {"kde": self.kde, "flow": self.flow}[self.variant]
-        other = {"kde": self.flow, "flow": self.kde}[self.variant]
-        if present is None or other is not None:
-            raise DensityError("exactly one variant payload must be present")
-        if self.variant == "kde" and self.kde.dimension != self.dimension:
-            raise DensityError("kde dimension disagrees with the declared dimension")
-        if self.variant == "flow" and self.flow.dimension != self.dimension:
-            raise DensityError("flow dimension disagrees with the declared dimension")
-
-    def log_density(self, points) -> np.ndarray:
-        """The log-density at each row of an (n, d) array of points, as an
-        (n,) array, evaluated in blocks of ``LOG_DENSITY_BLOCK_ROWS`` rows;
-        a kernel block also keeps rows x support points near
-        ``LOG_DENSITY_BLOCK_CELLS``."""
-        x = np.asarray(points, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.dimension:
-            raise DensityError(
-                f"points must be an (n, {self.dimension}) array, got shape {x.shape}"
-            )
-        if not np.all(np.isfinite(x)):
-            raise DensityError("points contain non-finite values")
-        if self.variant == "kde":
-            evaluate, payload = _kde_log_density, self.kde
-            support = self.kde.support_points.shape[0]
-            rows = min(LOG_DENSITY_BLOCK_ROWS, max(1, LOG_DENSITY_BLOCK_CELLS // support))
-        else:
-            evaluate, payload, rows = _log_density_batch, self.flow, LOG_DENSITY_BLOCK_ROWS
-        values = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], rows):
-            values[start:start + rows] = evaluate(payload, x[start:start + rows])
-        return values
-
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        if self.variant == "kde":
-            return sample_kde(self.kde, count, seed)
-        return sample_flow(self.flow, count, seed)
-
-
 def fit_density(
     latent,
     override: str | None = None,
@@ -200,35 +171,35 @@ def fit_density(
 ) -> DensityModel | list[DensityModel]:
     """Pick the method for the latent set's dimension and fit it.
 
-    ``latent`` is one (n, K) set, which gives one ``DensityModel``, or a
-    (V, n, K) stack of sets, which gives a list of V models: one kernel
-    estimate per set, or one stacked ``fit_flow`` for all of them.
+    ``latent`` is one (n, K) set, which gives one model, or a (V, n, K)
+    stack of sets, which gives a list of V models: one ``KdeModel`` per
+    set, or the ``FlowModel``s of one stacked ``fit_flow``.
     """
     data, stacked = as_data_stack(latent)
-    dimension = data.shape[-1]
-    if select_density_method(dimension, override) == "kde":
-        models = [DensityModel(variant="kde", dimension=dimension, kde=fit_kde(s)) for s in data]
+    if select_density_method(data.shape[-1], override) == "kde":
+        models = [fit_kde(s) for s in data]
     else:
-        flows = fit_flow(data, flow_config or FlowConfig())
-        models = [DensityModel(variant="flow", dimension=dimension, flow=f) for f in flows]
+        models = fit_flow(data, flow_config or FlowConfig())
     return models if stacked else models[0]
 
 
 def density_model_to_json_dict(model: DensityModel) -> dict:
-    if model.variant == "kde":
+    if isinstance(model, KdeModel):
+        variant = "kde"
         payload = {
-            "support_points": model.kde.support_points.tolist(),
-            "bandwidth_diag": model.kde.bandwidth_diag.tolist(),
+            "support_points": model.support_points.tolist(),
+            "bandwidth_diag": model.bandwidth_diag.tolist(),
         }
     else:
-        payload = flow_to_json_dict(model.flow)
-    return {"variant": model.variant, "dimension": model.dimension, model.variant: payload}
+        variant, payload = "flow", flow_to_json_dict(model)
+    return {"variant": variant, "dimension": model.dimension, variant: payload}
 
 
 def density_model_from_json_dict(payload: dict) -> DensityModel:
     """The model ``density_model_to_json_dict`` wrote.  Every key, shape
-    and value is checked here, so a malformed payload raises
-    ``DensityError`` naming the key instead of failing when evaluated."""
+    and value is checked here, the declared ``dimension`` against the
+    model's too, so a malformed payload raises ``DensityError`` naming the
+    key instead of failing when evaluated."""
     if not isinstance(payload, dict):
         raise DensityError("a serialized model must be a JSON object")
     variant = payload.get("variant")
@@ -253,12 +224,17 @@ def density_model_from_json_dict(payload: dict) -> DensityModel:
                 raise DensityError(f"kde {key!r} is not a numeric array: {exc}") from exc
             if not np.isfinite(arrays[key]).all():
                 raise DensityError(f"kde {key!r} holds non-finite values")
-        return DensityModel(variant="kde", dimension=dimension, kde=KdeModel(**arrays))
-    try:
-        flow = flow_from_json_dict(body)
-    except ValueError as exc:
-        raise DensityError(f"serialized flow model: {exc}") from exc
-    return DensityModel(variant="flow", dimension=dimension, flow=flow)
+        model = KdeModel(**arrays)
+    else:
+        try:
+            model = flow_from_json_dict(body)
+        except ValueError as exc:
+            raise DensityError(f"serialized flow model: {exc}") from exc
+    if model.dimension != dimension:
+        raise DensityError(
+            f"'dimension' is {dimension}, but the {variant} model has {model.dimension}"
+        )
+    return model
 
 
 def save_density_model(model: DensityModel, path):
@@ -317,10 +293,10 @@ def evaluate_density_grid(
     if resolution < 2:
         raise DensityError(f"resolution must be at least 2, got {resolution}")
 
-    if model.variant == "kde":
-        center = model.kde.support_points.mean(axis=0)
+    if isinstance(model, KdeModel):
+        center = model.support_points.mean(axis=0)
     else:
-        center = flow_inverse(model.flow, np.zeros((1, model.dimension)))[0]
+        center = flow_inverse(model, np.zeros((1, model.dimension)))[0]
     axes = [np.linspace(mins[i], maxs[i], resolution) for i in range(len(dims))]
     if len(dims) == 1:
         grid = axes[0][:, None]

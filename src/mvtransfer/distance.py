@@ -163,6 +163,18 @@ class SfaParams:
             )
 
 
+# Each measure and the class of its parameters.
+MEASURE_PARAMS = {"dtw": DtwParams, "boss": SfaParams}
+
+
+def measure_params_class(measure) -> type:
+    """The parameter class of ``measure``; an unknown measure raises
+    ``DistanceError`` naming the ``measure`` key."""
+    if measure not in tuple(MEASURE_PARAMS):
+        raise DistanceError(f"measure must be one of {tuple(MEASURE_PARAMS)}, got {measure!r}")
+    return MEASURE_PARAMS[measure]
+
+
 def default_sfa_params(series_length: int) -> SfaParams:
     """Standard settings scaled to a series length: window about a quarter
     of the series (at least 8, never longer than the series), 4 coefficient
@@ -340,17 +352,14 @@ def _resolve_params(measure: str, params, shortest: int):
     Returns ``DtwParams`` for dtw and ``SfaParams`` for boss; boss without
     params takes the default symbolic settings for the ``shortest`` series.
     """
-    if measure == "dtw":
-        params = DtwParams() if params is None else params
-        if not isinstance(params, DtwParams):
-            raise DistanceError(f"dtw measure expects DtwParams, got {type(params).__name__}")
-        return params
-    if measure == "boss":
-        params = default_sfa_params(shortest) if params is None else params
-        if not isinstance(params, SfaParams):
-            raise DistanceError(f"boss measure expects SfaParams, got {type(params).__name__}")
-        return params
-    raise DistanceError(f"unknown measure {measure!r} (expected 'dtw' or 'boss')")
+    expected = measure_params_class(measure)
+    if params is None:
+        return DtwParams() if measure == "dtw" else default_sfa_params(shortest)
+    if not isinstance(params, expected):
+        raise DistanceError(
+            f"{measure} measure expects {expected.__name__}, got {type(params).__name__}"
+        )
+    return params
 
 
 def _raw_distances(sources: np.ndarray, targets: np.ndarray, params) -> np.ndarray:

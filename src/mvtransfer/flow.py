@@ -103,6 +103,16 @@ class FlowModel:
     initial_log_likelihood: float | None = None
     final_log_likelihood: float | None = None
 
+    def log_density(self, points) -> np.ndarray:
+        # density imports this module, so its checked, blocked evaluation
+        # (the one both density models share) is imported when called.
+        from mvtransfer.density import _blocked_log_density
+
+        return _blocked_log_density(self, points, _log_density_batch)
+
+    def sample(self, count: int, seed: int) -> np.ndarray:
+        return sample_flow(self, count, seed)
+
 
 def as_data_array(latent) -> np.ndarray:
     """``latent`` as a finite (n, d) float array."""

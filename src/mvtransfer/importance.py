@@ -47,13 +47,10 @@ class SamplingConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.norm_kind not in NORM_KINDS:
-            raise ValueError(
-                f"unknown norm_kind {self.norm_kind!r}; expected one of {NORM_KINDS}"
-            )
+            raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}")
         if self.sampling_mode not in SAMPLING_MODES:
             raise ValueError(
-                f"unknown sampling_mode {self.sampling_mode!r}; "
-                f"expected one of {SAMPLING_MODES}"
+                f"sampling_mode must be one of {SAMPLING_MODES}, got {self.sampling_mode!r}"
             )
 
 

@@ -44,7 +44,7 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "fcn_kernel_sizes", tuple(int(k) for k in self.fcn_kernel_sizes))
+        object.__setattr__(self, "fcn_kernel_sizes", tuple(self.fcn_kernel_sizes))
         check_network_settings(self.arch, self.dropout_rate, self.fcn_kernel_sizes)
         if self.input_channels < 1:
             raise ValueError("input_channels must be at least 1")
@@ -63,15 +63,19 @@ class NetworkConfig:
 def check_network_settings(arch: str, dropout_rate: float, fcn_kernel_sizes) -> None:
     """The network rules that need no data, run by ``NetworkConfig`` and
     ``ExperimentConfig``: a known ``arch``, a ``dropout_rate`` in [0, 1),
-    and three positive FCN kernel sizes.  Each ``ValueError`` names its key.
+    and three positive integer FCN kernel sizes (a bool is not an integer).
+    Each ``ValueError`` names its key.
     """
     if arch not in ARCHITECTURES:
-        raise ValueError(f"unknown arch {arch!r}; expected one of {ARCHITECTURES}")
+        raise ValueError(f"arch must be one of {ARCHITECTURES}, got {arch!r}")
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError("dropout_rate must lie in [0, 1)")
     if arch == "fcn":
         if len(fcn_kernel_sizes) != 3:
             raise ValueError("fcn_kernel_sizes must hold exactly three sizes")
+        for i, k in enumerate(fcn_kernel_sizes):
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+                raise ValueError(f"fcn_kernel_sizes[{i}] must be an integer, got {k!r}")
         if any(k < 1 for k in fcn_kernel_sizes):
             raise ValueError("fcn_kernel_sizes must be positive")
 

@@ -32,7 +32,7 @@ from .dataset import (
     write_json,
 )
 from .density import select_density_method
-from .distance import DtwParams, SfaParams
+from .distance import MEASURE_PARAMS, DtwParams, SfaParams, measure_params_class
 from .flow import MIN_TRAINING_POINTS, FlowConfig
 from .importance import (
     SamplingConfig,
@@ -62,8 +62,7 @@ SPLIT_SEED_OFFSET = 6 * SEED_STRIDE
 VIEW_ORDER_SEED_OFFSET = 7 * SEED_STRIDE
 
 EXPERIMENT_MODES = ("baseline", "transfer", "both")
-_MEASURE_PARAMS = {"dtw": DtwParams, "boss": SfaParams}
-MEASURES = tuple(_MEASURE_PARAMS)
+MEASURES = tuple(MEASURE_PARAMS)
 
 
 class PipelineError(RuntimeError):
@@ -116,9 +115,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.target_view < 0:
             raise ValueError("target_view must be non-negative")
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}; expected one of {MEASURES}")
-        params = _MEASURE_PARAMS[self.measure]
+        params = measure_params_class(self.measure)
         if not isinstance(self.measure_params, (params, type(None))):
             raise ValueError(
                 f"measure_params must be None or {params.__name__} for measure "
@@ -147,7 +144,7 @@ class ExperimentConfig:
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
         if self.mode not in EXPERIMENT_MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {EXPERIMENT_MODES}")
+            raise ValueError(f"mode must be one of {EXPERIMENT_MODES}, got {self.mode!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
         if self.align_strategy not in ALIGNMENT_STRATEGIES:
@@ -533,9 +530,8 @@ def run_experiment(
 def experiment_config_from_json_dict(payload: dict) -> ExperimentConfig:
     """The config a JSON object holds, ``measure_params`` as ``measure``'s class."""
     measure = payload.get("measure", "dtw") if isinstance(payload, dict) else "dtw"
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return from_json(ExperimentConfig, payload, "", measure_params=_MEASURE_PARAMS[measure] | None)
+    params = measure_params_class(measure)
+    return from_json(ExperimentConfig, payload, "", measure_params=params | None)
 
 
 def load_experiment_config(path) -> ExperimentConfig:

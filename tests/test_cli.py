@@ -141,7 +141,7 @@ class TestImportanceCommand:
         )
         code = run_cli(["importance", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "error: sampling: batch_size must be at least 1" in capsys.readouterr().err
+        assert "error: sampling.batch_size must be at least 1" in capsys.readouterr().err
 
     def test_missing_required_flag(self):
         assert run_cli(["importance", "--out", "."]) == 2
@@ -150,7 +150,8 @@ class TestImportanceCommand:
         config = write_config(tmp_path / "config.json", dataset_dir, {"measure": "euclid"})
         code = run_cli(["importance", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "error: unknown measure 'euclid'" in capsys.readouterr().err
+        message = "error: measure must be one of ('dtw', 'boss'), got 'euclid'"
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw", [None, {"dataset_path": None}], ids=["absent", "null"])

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_random_dataset, reference_kde_log_density
 from mvtransfer import flow
 from mvtransfer.dataset import MultiViewDataset
-from mvtransfer.density import DensityModel, KdeModel, fit_density
+from mvtransfer.density import KdeModel, fit_density
 from mvtransfer.flow import FlowConfig, FlowTrainingError, init_flow_model
 from mvtransfer.importance import (
     NORM_KINDS,
@@ -46,8 +46,7 @@ class TestSamplingConfig:
 
 class TestDrawImportanceMatrix:
     def test_degenerate_kernel_repeats_support_point(self):
-        kde = KdeModel(support_points=[[2.0, -1.0]], bandwidth_diag=[1e-18, 1e-18])
-        model = DensityModel(variant="kde", dimension=2, kde=kde)
+        model = KdeModel(support_points=[[2.0, -1.0]], bandwidth_diag=[1e-18, 1e-18])
         matrix = draw_importance_matrix(model, SamplingConfig(batch_size=3), 0)
         assert matrix.shape == (3, 2)
         assert np.allclose(matrix, [2.0, -1.0], atol=1e-6)
@@ -57,8 +56,7 @@ class TestDrawImportanceMatrix:
         Gaussian, so a large batch mean lands within 3 standard errors."""
         rng = np.random.default_rng(90)
         data = rng.normal(loc=[1.0, -2.0], scale=[0.5, 2.0], size=(200, 2))
-        flow = init_flow_model(data, FlowConfig(layer_count=2, coupling_net_width=4))
-        model = DensityModel(variant="flow", dimension=2, flow=flow)
+        model = init_flow_model(data, FlowConfig(layer_count=2, coupling_net_width=4))
         matrix = draw_importance_matrix(model, SamplingConfig(batch_size=10_000), 1)
         limit = 3.0 * data.std(axis=0) / math.sqrt(10_000)
         assert np.all(np.abs(matrix.mean(axis=0) - data.mean(axis=0)) < limit + 0.01)
@@ -79,7 +77,7 @@ class TestDrawImportanceMatrix:
         assert matrix.shape == (16, 1)
         assert np.all(matrix > 0)
         samples = model.sample(16, seed=4)
-        expected = [math.exp(reference_kde_log_density(model.kde, row)) for row in samples]
+        expected = [math.exp(reference_kde_log_density(model, row)) for row in samples]
         assert np.allclose(matrix[:, 0], expected, rtol=1e-15, atol=0)
 
 

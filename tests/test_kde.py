@@ -1,4 +1,5 @@
-"""Tests for kernel density estimation and the density-model wrapper."""
+"""Tests for kernel density estimation and what both density models share:
+fitting, the checked log-density, density files and grids."""
 
 import math
 import tempfile
@@ -31,7 +32,7 @@ from mvtransfer.density import (
     save_density_model,
     select_density_method,
 )
-from mvtransfer.flow import FlowConfig, init_flow_model
+from mvtransfer.flow import FlowConfig, FlowModel, init_flow_model
 
 
 class TestMethodSelection:
@@ -185,7 +186,7 @@ class TestDensityModelWrapper:
     def test_fit_density_low_dimension(self):
         rng = np.random.default_rng(76)
         model = fit_density(rng.normal(size=(30, 2)))
-        assert model.variant == "kde"
+        assert isinstance(model, KdeModel)
         assert np.isfinite(model.log_density([[0.0, 0.0]])).all()
         assert model.sample(10, seed=3).shape == (10, 2)
 
@@ -193,7 +194,7 @@ class TestDensityModelWrapper:
         rng = np.random.default_rng(77)
         config = FlowConfig(layer_count=2, coupling_net_width=4, training_iterations=10)
         model = fit_density(rng.normal(size=(40, 4)), flow_config=config)
-        assert model.variant == "flow"
+        assert isinstance(model, FlowModel)
         assert np.isfinite(model.log_density(np.zeros((1, 4)))).all()
         assert model.sample(8, seed=4).shape == (8, 4)
 
@@ -201,14 +202,7 @@ class TestDensityModelWrapper:
         rng = np.random.default_rng(78)
         config = FlowConfig(layer_count=2, coupling_net_width=4, training_iterations=10)
         model = fit_density(rng.normal(size=(30, 2)), override="flow", flow_config=config)
-        assert model.variant == "flow"
-
-    def test_exactly_one_variant_enforced(self):
-        kde = KdeModel(support_points=[[0.0]], bandwidth_diag=[1.0])
-        with pytest.raises(DensityError, match="exactly one"):
-            DensityModel(variant="flow", dimension=1, kde=kde)
-        with pytest.raises(DensityError, match="exactly one"):
-            DensityModel(variant="kde", dimension=1)
+        assert isinstance(model, FlowModel)
 
     def test_json_round_trip_kde(self, tmp_path):
         rng = np.random.default_rng(79)
@@ -216,7 +210,7 @@ class TestDensityModelWrapper:
         path = tmp_path / "model.json"
         save_density_model(model, path)
         back = load_density_model(path)
-        assert back.variant == "kde"
+        assert isinstance(back, KdeModel)
         probe = rng.normal(size=3)[None]
         assert np.array_equal(back.log_density(probe), model.log_density(probe))
 
@@ -290,6 +284,7 @@ class TestDensityModelWrapper:
             (lambda p: p.pop("flow"), "'flow'"),
             (lambda p: p.pop("dimension"), "'dimension'"),
             (lambda p: p.update(flow=[]), "'flow'"),
+            (lambda p: p.update(dimension=5), "'dimension' is 5, but the flow model has 4"),
         ],
     )
     def test_malformed_flow_payload_is_named_at_load(self, break_payload, named):
@@ -308,6 +303,7 @@ class TestDensityModelWrapper:
             (lambda p: p["kde"].update(bandwidth_diag=[[1.0], 2.0]), "'bandwidth_diag'"),
             (lambda p: p["kde"].update(bandwidth_diag=[1.0, math.inf]), "'bandwidth_diag'"),
             (lambda p: p.update(dimension="2"), "'dimension'"),
+            (lambda p: p.update(dimension=3), "'dimension' is 3, but the kde model has 2"),
         ],
     )
     def test_malformed_kde_payload_is_named_at_load(self, break_payload, named):
@@ -333,16 +329,15 @@ def kde_and_flow_models(d: int = 4) -> list[DensityModel]:
     """A kernel and an untrained default-config flow model over the same
     ``d``-dimensional data."""
     data = np.random.default_rng(99).normal(size=(40, d))
-    flow = init_flow_model(data, FlowConfig())
     return [
         fit_density(data, override="kde"),
-        DensityModel(variant="flow", dimension=d, flow=flow),
+        init_flow_model(data, FlowConfig()),
     ]
 
 
 class TestLogDensity:
-    """``DensityModel.log_density``: one checked, blocked evaluation of an
-    (n, d) array for either variant."""
+    """``log_density``: one checked, blocked evaluation of an (n, d) array
+    for either model."""
 
     @pytest.mark.parametrize(
         "points, message",
@@ -366,7 +361,7 @@ class TestLogDensity:
             assert model.log_density(np.zeros((0, 4))).shape == (0,)
 
     def test_blocks_match_the_reference_row_by_row(self, monkeypatch):
-        """Evaluated in blocks of 7 rows, each variant's log-density equals
+        """Evaluated in blocks of 7 rows, each model's log-density equals
         its one-row reference within 1e-15 relative."""
         monkeypatch.setattr(density, "LOG_DENSITY_BLOCK_ROWS", 7)
         data = np.random.default_rng(99).normal(size=(40, 4))
@@ -376,13 +371,13 @@ class TestLogDensity:
         points = np.random.default_rng(100).normal(size=(50, 4))
         assert np.allclose(
             kde.log_density(points),
-            [reference_kde_log_density(kde.kde, point) for point in points],
+            [reference_kde_log_density(kde, point) for point in points],
             rtol=1e-15,
             atol=0,
         )
         assert np.allclose(
             flow.log_density(points),
-            [reference_log_density_batch(flow.flow, point[None])[0] for point in points],
+            [reference_log_density_batch(flow, point[None])[0] for point in points],
             rtol=1e-15,
             atol=0,
         )
@@ -400,7 +395,7 @@ class TestLogDensity:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
-        assert np.array_equal(densities, np.exp(_kde_log_density(model.kde, points)))
+        assert np.array_equal(densities, np.exp(_kde_log_density(model, points)))
 
 
 class TestDensityGrid:
@@ -431,7 +426,7 @@ class TestDensityGrid:
             model, [-2, -2], [2, 2], 11, project_dims=[0, 2]
         )
         assert points.shape == (121, 3)
-        center = model.kde.support_points.mean(axis=0)
+        center = model.support_points.mean(axis=0)
         assert np.allclose(points[:, 1], center[1])
         assert np.all(densities > 0)
 
@@ -484,11 +479,10 @@ def kde_models(draw):
     n = draw(st.integers(min_value=1, max_value=20))
     d = draw(st.integers(min_value=1, max_value=5))
     scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
-    kde = KdeModel(
+    return KdeModel(
         support_points=rng.normal(size=(n, d)) * scale,
         bandwidth_diag=np.exp(rng.uniform(-30.0, 10.0, size=d)),
     )
-    return DensityModel(variant="kde", dimension=d, kde=kde)
 
 
 class TestDensityJsonBytes:
@@ -514,5 +508,4 @@ class TestDensityJsonBytes:
         for model, reference in zip(models, references):
             first = saved_bytes(model)
             assert resaved_bytes(first) == first
-            alone = DensityModel(variant="flow", dimension=reference.dimension, flow=reference)
-            assert first == saved_bytes(alone)
+            assert first == saved_bytes(reference)

@@ -117,7 +117,8 @@ class TestBuildLatentSet:
 
     def test_unknown_measure_rejected(self):
         ds = two_view_dataset(np.random.default_rng(20))
-        with pytest.raises(DistanceError, match="unknown measure 'euclid'"):
+        message = r"measure must be one of \('dtw', 'boss'\), got 'euclid'"
+        with pytest.raises(DistanceError, match=message):
             build_latent_set(ds, 0, 1, "euclid")
 
     @pytest.mark.parametrize("side", ["source", "target"])

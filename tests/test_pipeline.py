@@ -242,6 +242,14 @@ class TestExperimentConfig:
             ),
             (dict(arch="fcn", fcn_kernel_sizes=(8, 0, 3)), "fcn_kernel_sizes must be positive"),
             (
+                dict(arch="fcn", fcn_kernel_sizes=(3.9, 5, 3)),
+                r"fcn_kernel_sizes\[0\] must be an integer, got 3.9",
+            ),
+            (
+                dict(arch="fcn", fcn_kernel_sizes=(True, 5, 3)),
+                r"fcn_kernel_sizes\[0\] must be an integer, got True",
+            ),
+            (
                 dict(align_strategy="bogus"),
                 r"align_strategy must be one of \('zero-pad-to-max', .*\), got 'bogus'",
             ),
@@ -264,6 +272,8 @@ class TestExperimentConfig:
             "dropout_rate_above_one",
             "two_fcn_kernels",
             "zero_fcn_kernel",
+            "float_fcn_kernel",
+            "bool_fcn_kernel",
             "align_strategy",
             "dtw_with_sfa_params",
             "boss_with_dtw_params",
@@ -327,10 +337,37 @@ class TestExperimentConfig:
             experiment_config_from_json_dict(
                 {"target_view": 0, "measure_params": {"window_length": 8}}
             )
-        with pytest.raises(ValueError, match="^unknown measure 'euclid'"):
+        message = r"^measure must be one of \('dtw', 'boss'\), got 'euclid'$"
+        with pytest.raises(ValueError, match=message):
             experiment_config_from_json_dict(
                 {"target_view": 0, "measure": "euclid", "measure_params": {"radius": 1}}
             )
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"sampling": {"batch_size": 0}}, r"sampling\.batch_size must be at least 1"),
+            (
+                {"sampling": {"norm_kind": "nuclear"}},
+                r"sampling\.norm_kind must be one of \('frobenius', .*\), got 'nuclear'",
+            ),
+            (
+                {"sampling": {"sampling_mode": "weights"}},
+                r"sampling\.sampling_mode must be one of \('vectors', .*\), got 'weights'",
+            ),
+            (
+                {"measure": "boss", "measure_params": {"window_length": 4, "word_length": 8}},
+                r"measure_params\.word_length 8 exceeds window_length 4",
+            ),
+            ({"mode": "both-ways"}, r"mode must be one of \('baseline', .*\), got 'both-ways'"),
+        ],
+        ids=["batch_size", "norm_kind", "sampling_mode", "word_length", "mode"],
+    )
+    def test_range_fault_starts_with_its_key_path(self, payload, message):
+        """A value of the right type that a config's own rules reject is
+        named by its dotted key path, as a mistyped value is."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            experiment_config_from_json_dict({"target_view": 0, **payload})
 
     def test_requires_target_view(self):
         with pytest.raises(ValueError, match="target_view"):
