@@ -215,13 +215,17 @@ def density_model_from_json_dict(payload: dict) -> DensityModel:
         raise DensityError(f"{variant!r} must be a JSON object")
     if variant == "kde":
         arrays = {}
-        for key in ("support_points", "bandwidth_diag"):
+        for key, ndim in (("support_points", 2), ("bandwidth_diag", 1)):
             if key not in body:
                 raise DensityError(f"no {key!r} in the serialized kde model")
             try:
                 arrays[key] = np.array(body[key], dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 raise DensityError(f"kde {key!r} is not a numeric array: {exc}") from exc
+            if arrays[key].ndim != ndim:
+                raise DensityError(
+                    f"kde {key!r} must be a {ndim}-D array, got shape {arrays[key].shape}"
+                )
             if not np.isfinite(arrays[key]).all():
                 raise DensityError(f"kde {key!r} holds non-finite values")
         model = KdeModel(**arrays)

@@ -11,15 +11,20 @@ that channel's series pooled over both views.  Warping has one
 implementation, a batched anti-diagonal kernel; ``dtw_distance`` runs it
 on one series pair.
 
-The symbolic transform works on arrays: a series' stride-1 windows are
-one ``sliding_window_view``, their truncated Fourier coefficients one
+The symbolic measure makes one array pass per channel over all 2N series
+of a view pair.  The series' stride-1 windows are one index gather from
+the concatenated series, their truncated Fourier coefficients one
 (windows, word_length) array, and the letters one comparison against the
-breakpoints.  A histogram is a pair of arrays, the distinct words as
-sorted fixed-width byte strings and their integer counts, and the
-histogram distance is integer arithmetic on the words both series share,
-so it is exact.  The coefficients are direct-definition sums (no FFT)
+breakpoints, read as fixed-width byte words.  Runs of a repeated word
+collapse over the whole window array, breaking at every series boundary;
+one ``np.unique`` lists the words observed in the channel, and one
+``np.bincount`` gives the (2N, words) count matrix.  A dense count vector
+over the whole alphabet (``alphabet_size ** word_length`` bins) is never
+built.  The histogram distance is int64 arithmetic on count rows, so it
+is exact.  The coefficients are direct-definition sums (no FFT)
 accumulated over the window offset in order, so they are bit-equal to a
 per-window reference reimplementation, which the test suite relies on.
+``sfa_transform`` runs the word count on one series.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from mvtransfer.dataset import MultiViewDataset
 
@@ -213,6 +217,19 @@ def _window_coefficients(windows: np.ndarray, params: SfaParams) -> np.ndarray:
     return coeffs
 
 
+def _corpus_windows(corpus, window_length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stride-1 windows of every series of a ragged corpus, series by
+    series, as one (windows, window_length) array gathered from the
+    concatenated series, and each series' window count."""
+    series_list = [np.asarray(s, dtype=np.float64).ravel() for s in corpus]
+    lengths = np.array([len(s) for s in series_list])
+    counts = lengths - window_length + 1
+    # window j of series s starts at offset(s) + j - (windows before s)
+    shift = np.cumsum(lengths) - lengths - (np.cumsum(counts) - counts)
+    starts = np.arange(counts.sum()) + np.repeat(shift, counts)
+    return np.concatenate(series_list)[starts[:, None] + np.arange(window_length)], counts
+
+
 def sfa_fit(corpus, params: SfaParams) -> np.ndarray:
     """Equi-depth breakpoints per coefficient position over a series corpus.
 
@@ -228,21 +245,41 @@ def sfa_fit(corpus, params: SfaParams) -> np.ndarray:
         raise DistanceError(
             f"window_length {params.window_length} exceeds shortest corpus series ({shortest})"
         )
-    windows = np.concatenate([sliding_window_view(s, params.window_length) for s in series_list])
+    windows, _ = _corpus_windows(series_list, params.window_length)
     ordered = np.sort(_window_coefficients(windows, params), axis=0)
     a = params.alphabet_size
     return np.ascontiguousarray(ordered[np.arange(1, a) * len(ordered) // a].T)
 
 
-def sfa_transform(x, bins: np.ndarray, params: SfaParams) -> tuple[np.ndarray, np.ndarray]:
-    """Symbolic word histogram of one series under fitted breakpoints.
+def _word_counts(corpus, bins: np.ndarray, params: SfaParams) -> tuple[np.ndarray, np.ndarray]:
+    """Symbolic word counts of every series of a corpus under fitted
+    breakpoints, in one pass over all their windows.
 
     Windows slide with stride 1; each yields a word of ``word_length``
     letters (letter = count of breakpoints at or below the coefficient);
-    consecutive duplicate words collapse to one occurrence.  Returns
-    ``(words, counts)``: the distinct words as a sorted ``S{word_length}``
-    array and their counts, each at least 1.
+    consecutive duplicate words within a series collapse to one
+    occurrence.  Returns ``(words, counts)``: the distinct words observed
+    over the corpus as a sorted ``S{word_length}`` array, and the
+    (series, words) int64 matrix of each series' counts.
     """
+    windows, per_series = _corpus_windows(corpus, params.window_length)
+    letters = (_window_coefficients(windows, params)[:, :, None] >= bins).sum(-1) + ord("a")
+    words = letters.astype(np.uint8).view(f"S{params.word_length}")[:, 0]
+    run_starts = np.ones(len(words), dtype=bool)
+    run_starts[1:] = words[1:] != words[:-1]
+    run_starts[np.cumsum(per_series)[:-1]] = True  # a series' first window starts a run
+    series = np.repeat(np.arange(len(per_series)), per_series)[run_starts]
+    vocabulary, word_ids = np.unique(words[run_starts], return_inverse=True)
+    v = len(vocabulary)
+    counts = np.bincount(series * v + word_ids, minlength=len(per_series) * v)
+    return vocabulary, counts.reshape(len(per_series), v)
+
+
+def sfa_transform(x, bins: np.ndarray, params: SfaParams) -> tuple[np.ndarray, np.ndarray]:
+    """Symbolic word histogram of one series under fitted breakpoints:
+    ``(words, counts)``, its distinct words as a sorted ``S{word_length}``
+    array and their counts, each at least 1.  Runs ``_word_counts`` on the
+    one series."""
     series = np.asarray(x, dtype=np.float64).ravel()
     if len(series) < params.window_length:
         raise DistanceError(
@@ -254,29 +291,20 @@ def sfa_transform(x, bins: np.ndarray, params: SfaParams) -> tuple[np.ndarray, n
             f"bins shape {bins.shape} incompatible with params "
             f"({params.word_length} x {params.alphabet_size - 1})"
         )
-    coeffs = _window_coefficients(sliding_window_view(series, params.window_length), params)
-    letters = (coeffs[:, :, None] >= bins).sum(-1) + ord("a")
-    words = letters.astype(np.uint8).view(f"S{params.word_length}")[:, 0]
-    run_starts = np.ones(len(words), dtype=bool)
-    run_starts[1:] = words[1:] != words[:-1]
-    return np.unique(words[run_starts], return_counts=True)
+    words, counts = _word_counts([series], bins, params)
+    return words, counts[0]
 
 
-def boss_distance(hist_a, hist_b) -> float:
-    """Symmetrized squared histogram difference of two ``(words, counts)``
-    histograms.
+def _boss_many(counts_a: np.ndarray, counts_b: np.ndarray) -> np.ndarray:
+    """(P,) symmetrized squared histogram differences between the rows of
+    two (P, words) count matrices over one vocabulary.
 
     The one-sided form sums (count_a - count_b)^2 over the words present in
     the first histogram only; the two directions are averaged so the result
-    is symmetric.  Every term is an integer, so the sums are exact.
+    is symmetric.  The sums are int64, so they are exact.
     """
-    (words_a, counts_a), (words_b, counts_b) = hist_a, hist_b
-    _, in_a, in_b = np.intersect1d(words_a, words_b, assume_unique=True, return_indices=True)
-    diff_a = counts_a.copy()
-    diff_a[in_a] -= counts_b[in_b]
-    diff_b = counts_b.copy()
-    diff_b[in_b] -= counts_a[in_a]
-    return 0.5 * float(diff_a @ diff_a + diff_b @ diff_b)
+    squares = (counts_a - counts_b) ** 2
+    return 0.5 * ((squares * (counts_a > 0)).sum(1) + (squares * (counts_b > 0)).sum(1))
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +396,20 @@ def _raw_distances(sources: np.ndarray, targets: np.ndarray, params) -> np.ndarr
     order, under resolved params.
 
     Warping runs one ``_dtw_many`` call on the (N * K, length) rows.  Boss
-    fits breakpoints once per channel on that channel's series pooled over
-    both views, then transforms each series once.
+    makes one pass per channel: it fits breakpoints on that channel's 2N
+    series pooled over both views, counts every series' words with one
+    ``_word_counts`` call, and compares source row i with target row i.
     """
     n, k = sources.shape[:2]
     if isinstance(params, DtwParams):
         x, y = sources.reshape(n * k, -1), targets.reshape(n * k, -1)
         return _dtw_many(x, y, params.band_radius).reshape(n, k)
-    bins = [sfa_fit([*sources[:, c], *targets[:, c]], params) for c in range(k)]
-    return np.array([
-        [
-            boss_distance(sfa_transform(s_c, b, params), sfa_transform(t_c, b, params))
-            for s_c, t_c, b in zip(s, t, bins)
-        ]
-        for s, t in zip(sources, targets)
-    ])
+    raw = np.empty((n, k))
+    for c in range(k):
+        corpus = [*sources[:, c], *targets[:, c]]
+        _, counts = _word_counts(corpus, sfa_fit(corpus, params), params)
+        raw[:, c] = _boss_many(counts[:n], counts[n:])
+    return raw
 
 
 def build_latent_set(

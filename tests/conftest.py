@@ -77,6 +77,88 @@ def reference_dtw(x, y, band=None) -> float:
     return prev[m - 1]
 
 
+# Symbolic Fourier words and the histogram distance, straight from the
+# definitions: the oracle for the batched word-count kernel.
+
+
+def naive_coefficients(series, params):
+    """Per-window coefficient lists written straight from the definition:
+    explicit per-window loops, trigonometric sums term by term."""
+    x = [float(v) for v in series]
+    w = params.window_length
+    n_complex = params.word_length // 2
+    first_freq = 1 if params.mean_normalize else 0
+    out = []
+    for start in range(len(x) - w + 1):
+        window = x[start:start + w]
+        if params.mean_normalize:
+            total = 0.0
+            for v in window:
+                total += v
+            mean = total / w
+            window = [v - mean for v in window]
+        values = []
+        for freq in range(first_freq, first_freq + n_complex):
+            re = 0.0
+            im = 0.0
+            for t in range(w):
+                angle = (-2.0 * math.pi * freq * t) / w
+                re += window[t] * math.cos(angle)
+                im += window[t] * math.sin(angle)
+            values.append(re)
+            values.append(im)
+        out.append(values)
+    return out
+
+
+def naive_bins(corpus, params):
+    """Equi-depth breakpoints: each position's pooled window values sorted,
+    then picked at the depth quantiles."""
+    pool = []
+    for series in corpus:
+        pool.extend(naive_coefficients(series, params))
+    n = len(pool)
+    a = params.alphabet_size
+    return [
+        [sorted(row[p] for row in pool)[(j * n) // a] for j in range(1, a)]
+        for p in range(params.word_length)
+    ]
+
+
+def naive_histogram(series, bins, params):
+    """Reference transform: naive coefficients, breakpoint counting by
+    comparison chain, duplicate-run collapsing."""
+    words = []
+    for values in naive_coefficients(series, params):
+        word = ""
+        for pos, value in enumerate(values):
+            symbol = 0
+            for b in bins[pos]:
+                if value >= b:
+                    symbol += 1
+            word += chr(ord("a") + symbol)
+        words.append(word)
+    collapsed = []
+    for word in words:
+        if not collapsed or collapsed[-1] != word:
+            collapsed.append(word)
+    counts = {}
+    for word in collapsed:
+        counts[word] = counts.get(word, 0) + 1
+    return counts
+
+
+def naive_boss(counts_a, counts_b):
+    """Two-loop reference for the symmetrized histogram distance."""
+    d_ab = 0.0
+    for word in counts_a:
+        d_ab += (counts_a[word] - counts_b.get(word, 0)) ** 2
+    d_ba = 0.0
+    for word in counts_b:
+        d_ba += (counts_b[word] - counts_a.get(word, 0)) ** 2
+    return 0.5 * (d_ab + d_ba)
+
+
 def reference_read_view_file(path: Path, sample_ids: list[str]) -> list[np.ndarray]:
     """One view file read row by row into a dict of dicts: the reader the
     columnar ``_read_view_file`` replaced, kept as its reference for

@@ -302,6 +302,18 @@ class TestDensityModelWrapper:
             (lambda p: p["kde"].pop("support_points"), "'support_points'"),
             (lambda p: p["kde"].update(bandwidth_diag=[[1.0], 2.0]), "'bandwidth_diag'"),
             (lambda p: p["kde"].update(bandwidth_diag=[1.0, math.inf]), "'bandwidth_diag'"),
+            (
+                lambda p: p["kde"].update(support_points=[[[0.5, 0.1]], [[0.7, 0.2]]]),
+                r"kde 'support_points' must be a 2-D array, got shape \(2, 1, 2\)",
+            ),
+            (
+                lambda p: p["kde"].update(support_points=[0.5, 0.7]),
+                r"kde 'support_points' must be a 2-D array, got shape \(2,\)",
+            ),
+            (
+                lambda p: p["kde"].update(bandwidth_diag=[[1.0, 2.0]]),
+                r"kde 'bandwidth_diag' must be a 1-D array, got shape \(1, 2\)",
+            ),
             (lambda p: p.update(dimension="2"), "'dimension'"),
             (lambda p: p.update(dimension=3), "'dimension' is 3, but the kde model has 2"),
         ],

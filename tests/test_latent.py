@@ -15,14 +15,11 @@ from mvtransfer.distance import (
     DtwParams,
     ImportanceLatentSet,
     SfaParams,
-    boss_distance,
     build_latent_set,
     default_sfa_params,
-    sfa_fit,
-    sfa_transform,
 )
 
-from conftest import make_random_dataset, reference_dtw
+from conftest import make_random_dataset, naive_bins, naive_boss, naive_histogram, reference_dtw
 
 
 def two_view_dataset(rng, n=4, k=2, m=12, copy_target=False):
@@ -64,6 +61,31 @@ def pair_dataset(sources, targets):
         labels=[f"c{i % 2}" for i in range(n)],
         sample_ids=[f"s{i}" for i in range(n)],
     )
+
+
+@st.composite
+def boss_view_pairs(draw):
+    """Symbolic settings and two aligned (N, K, length) views of lengths
+    that may differ.  Half the cases take a 26-letter alphabet with words
+    of 14 letters or more, too many for an int64 code of a word; one series
+    may be constant, and rounded values tie coefficients with breakpoints."""
+    if draw(st.booleans()):
+        w = draw(st.integers(14, 18))
+        word_length, alphabet = 2 * draw(st.integers(7, w // 2)), 26
+    else:
+        w = draw(st.integers(2, 12))
+        word_length, alphabet = 2 * draw(st.integers(1, w // 2)), draw(st.integers(2, 26))
+    params = SfaParams(w, word_length, alphabet, mean_normalize=draw(st.booleans()))
+    n, k = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sources = rng.normal(size=(n, k, draw(st.integers(w, w + 8))))
+    targets = rng.normal(size=(n, k, draw(st.integers(w, w + 8))))
+    if draw(st.booleans()):
+        sources, targets = np.round(sources), np.round(targets)
+    constant = draw(st.sampled_from([None, sources, targets]))
+    if constant is not None:
+        constant[draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))] = 1.5
+    return params, sources, targets
 
 
 class TestBuildLatentSet:
@@ -188,12 +210,12 @@ class TestBuildLatentSet:
 
         def distances(pair, bins):
             return np.array([
-                boss_distance(sfa_transform(s, b, sfa), sfa_transform(t, b, sfa))
+                naive_boss(naive_histogram(s, b, sfa), naive_histogram(t, b, sfa))
                 for s, t, b in zip(*pair, bins)
             ])
 
         pooled = [
-            sfa_fit([sample[c] for view in ds.views for sample in view], sfa) for c in range(k)
+            naive_bins([sample[c] for view in ds.views for sample in view], sfa) for c in range(k)
         ]
         per_pair_differs = False
         for i in range(n):
@@ -201,10 +223,32 @@ class TestBuildLatentSet:
             raw = distances(pair, pooled)
             assert np.array_equal(latent.raw_vectors[i], raw)
             assert np.array_equal(latent.vectors[i], raw / float(m))
-            own_bins = [sfa_fit([pair[0][c], pair[1][c]], sfa) for c in range(k)]
+            own_bins = [naive_bins([pair[0][c], pair[1][c]], sfa) for c in range(k)]
             per_pair_differs |= not np.array_equal(distances(pair, own_bins), raw)
         # The oracle would not tell pooled from per-pair bins otherwise.
         assert per_pair_differs
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=boss_view_pairs())
+    def test_boss_rows_equal_naive_reference(self, case):
+        """Every boss row equals the naive per-channel histogram distances
+        under naive breakpoints pooled over both views' channel series, and
+        a view scored against its own copy reads 0 everywhere."""
+        params, sources, targets = case
+        latent = build_latent_set(pair_dataset(sources, targets), 0, 1, "boss", measure_params=params)
+        bins = [naive_bins([*sources[:, c], *targets[:, c]], params) for c in range(sources.shape[1])]
+        expected = [
+            [
+                naive_boss(naive_histogram(s_c, b, params), naive_histogram(t_c, b, params))
+                for s_c, t_c, b in zip(s, t, bins)
+            ]
+            for s, t in zip(sources, targets)
+        ]
+        assert latent.raw_vectors.tolist() == expected
+        mean_length = (sources.shape[2] + targets.shape[2]) / 2.0
+        assert np.array_equal(latent.vectors, np.array(expected) / mean_length)
+        same = build_latent_set(pair_dataset(sources, sources.copy()), 0, 1, "boss", measure_params=params)
+        assert np.all(same.raw_vectors == 0.0)
 
     def test_dtw_does_not_run_the_single_pair_reference(self, monkeypatch):
         """Every channel pair goes through the batched kernel."""

@@ -10,78 +10,14 @@ from mvtransfer.distance import (
     DistanceError,
     DtwParams,
     SfaParams,
-    boss_distance,
+    _boss_many,
+    _word_counts,
     default_sfa_params,
     sfa_fit,
     sfa_transform,
 )
 
-
-def naive_coefficients(series, params):
-    """Per-window coefficient lists written straight from the definition:
-    explicit per-window loops, trigonometric sums term by term."""
-    x = [float(v) for v in series]
-    w = params.window_length
-    n_complex = params.word_length // 2
-    first_freq = 1 if params.mean_normalize else 0
-    out = []
-    for start in range(len(x) - w + 1):
-        window = x[start:start + w]
-        if params.mean_normalize:
-            total = 0.0
-            for v in window:
-                total += v
-            mean = total / w
-            window = [v - mean for v in window]
-        values = []
-        for freq in range(first_freq, first_freq + n_complex):
-            re = 0.0
-            im = 0.0
-            for t in range(w):
-                angle = (-2.0 * math.pi * freq * t) / w
-                re += window[t] * math.cos(angle)
-                im += window[t] * math.sin(angle)
-            values.append(re)
-            values.append(im)
-        out.append(values)
-    return out
-
-
-def naive_bins(corpus, params):
-    """Equi-depth breakpoints: each position's pooled window values sorted,
-    then picked at the depth quantiles."""
-    pool = []
-    for series in corpus:
-        pool.extend(naive_coefficients(series, params))
-    n = len(pool)
-    a = params.alphabet_size
-    return [
-        [sorted(row[p] for row in pool)[(j * n) // a] for j in range(1, a)]
-        for p in range(params.word_length)
-    ]
-
-
-def naive_histogram(series, bins, params):
-    """Reference transform: naive coefficients, breakpoint counting by
-    comparison chain, duplicate-run collapsing."""
-    words = []
-    for values in naive_coefficients(series, params):
-        word = ""
-        for pos, value in enumerate(values):
-            symbol = 0
-            for b in bins[pos]:
-                if value >= b:
-                    symbol += 1
-            word += chr(ord("a") + symbol)
-        words.append(word)
-    collapsed = []
-    for word in words:
-        if not collapsed or collapsed[-1] != word:
-            collapsed.append(word)
-    counts = {}
-    for word in collapsed:
-        counts[word] = counts.get(word, 0) + 1
-    return counts
+from conftest import naive_bins, naive_boss, naive_histogram
 
 
 def as_dict(hist):
@@ -90,24 +26,17 @@ def as_dict(hist):
     return dict(zip(words.astype(str).tolist(), counts.tolist()))
 
 
-def as_arrays(counts):
-    """A word -> count dict as a ``(words, counts)`` histogram."""
-    words = sorted(counts)
-    return (
-        np.array(words, dtype=f"S{max(map(len, words), default=1)}"),
-        np.array([counts[w] for w in words], dtype=np.intp),
-    )
+def row_dict(words, row):
+    """One series' row of a count matrix as a word -> count dict of the
+    words it holds."""
+    return as_dict((words[row > 0], row[row > 0]))
 
 
-def naive_boss(counts_a, counts_b):
-    """Two-loop reference for the symmetrized histogram distance."""
-    d_ab = 0.0
-    for word in counts_a:
-        d_ab += (counts_a[word] - counts_b.get(word, 0)) ** 2
-    d_ba = 0.0
-    for word in counts_b:
-        d_ba += (counts_b[word] - counts_a.get(word, 0)) ** 2
-    return 0.5 * (d_ab + d_ba)
+def as_rows(*histograms):
+    """Word -> count dicts as rows of one count matrix over their sorted
+    union of words."""
+    vocabulary = sorted({w for h in histograms for w in h})
+    return np.array([[h.get(w, 0) for w in vocabulary] for h in histograms], dtype=np.int64)
 
 
 class TestSfaParams:
@@ -331,47 +260,54 @@ class TestSfaHypothesis:
     @settings(max_examples=150, deadline=None)
     @given(case=sfa_cases())
     def test_histograms_sorted_positive_and_distances_exact(self, case):
-        """Words come back sorted and distinct with counts of at least 1,
-        and every pairwise distance, over the corpus and its reversed
-        series, equals the two-loop dict reference bit for bit."""
+        """One ``_word_counts`` call over the corpus and its reversed series
+        lists the observed words sorted and distinct, each series' row
+        equals its reference histogram, and every pairwise distance equals
+        the two-loop reference bit for bit."""
         params, corpus = case
+        series = [*corpus, *(s[::-1] for s in corpus)]
         bins = sfa_fit(corpus, params)
-        hists = [sfa_transform(s, bins, params) for s in [*corpus, *(s[::-1] for s in corpus)]]
-        for words, counts in hists:
-            assert np.all(words[:-1] < words[1:])
-            assert np.all(counts >= 1)
-        for ha in hists:
-            for hb in hists:
-                assert boss_distance(ha, hb) == naive_boss(as_dict(ha), as_dict(hb))
+        words, counts = _word_counts(series, bins, params)
+        assert np.all(words[:-1] < words[1:])
+        assert counts.dtype == np.int64 and np.all(counts.sum(0) >= 1)
+        expected = [naive_histogram(s, bins, params) for s in series]
+        assert [row_dict(words, row) for row in counts] == expected
+        a, b = np.divmod(np.arange(len(series) ** 2), len(series))
+        distances = _boss_many(counts[a], counts[b])
+        for i, j, produced in zip(a, b, distances):
+            assert produced == naive_boss(expected[i], expected[j])
 
 
 class TestBossDistance:
     def test_identical_histograms(self):
-        h = as_arrays({"ab": 3, "ba": 1})
-        assert boss_distance(h, h) == 0.0
+        rows = as_rows({"ab": 3, "ba": 1}, {"ab": 3, "ba": 1})
+        assert _boss_many(rows[:1], rows[1:]).tolist() == [0.0]
 
     def test_one_sided_example(self):
         """{ab: 2} vs empty: half of (2-0)^2 plus an empty sum."""
-        assert boss_distance(as_arrays({"ab": 2}), as_arrays({})) == 2.0
+        rows = as_rows({"ab": 2}, {})
+        assert _boss_many(rows[:1], rows[1:]).tolist() == [2.0]
 
     def test_symmetry(self):
         rng = np.random.default_rng(16)
         for _ in range(20):
             ha, hb = _random_histograms(rng)
-            assert boss_distance(ha, hb) == boss_distance(hb, ha)
+            rows = as_rows(ha, hb)
+            assert _boss_many(rows[:1], rows[1:]).tolist() == _boss_many(rows[1:], rows[:1]).tolist()
 
     def test_matches_two_loop_reference(self):
         rng = np.random.default_rng(17)
-        for _ in range(30):
-            ha, hb = _random_histograms(rng)
-            assert boss_distance(ha, hb) == naive_boss(as_dict(ha), as_dict(hb))
+        pairs = [_random_histograms(rng) for _ in range(30)]
+        rows = as_rows(*(h for pair in pairs for h in pair))
+        produced = _boss_many(rows[0::2], rows[1::2])
+        assert produced.tolist() == [naive_boss(ha, hb) for ha, hb in pairs]
 
 
 def _random_histograms(rng):
     vocab = ["".join(c) for c in zip("abcab", "abcba")]
     ha = {w: int(rng.integers(1, 6)) for w in vocab if rng.random() < 0.6}
     hb = {w: int(rng.integers(1, 6)) for w in vocab if rng.random() < 0.6}
-    return as_arrays(ha), as_arrays(hb)
+    return ha, hb
 
 
 class TestBossEndToEnd:
@@ -380,6 +316,5 @@ class TestBossEndToEnd:
         params = SfaParams(window_length=8, word_length=4, alphabet_size=4)
         x = rng.normal(size=30)
         bins = sfa_fit([x], params)
-        ha = sfa_transform(x, bins, params)
-        hb = sfa_transform(x.copy(), bins, params)
-        assert boss_distance(ha, hb) == 0.0
+        _, counts = _word_counts([x, x.copy()], bins, params)
+        assert _boss_many(counts[:1], counts[1:]).tolist() == [0.0]
