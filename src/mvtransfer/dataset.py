@@ -10,6 +10,18 @@ lengths loads, is a list of ``(channels, length_i)`` arrays until
 On disk a dataset is a directory with a ``manifest.json`` and one long-format
 CSV per view (``sample_id,channel,t,value``).  :func:`load_dataset` and
 :func:`emit_dataset` round-trip this format exactly.
+
+A view file is read as plain UTF-8 whatever its suffix, and LF, CRLF and
+lone-CR line ends read the same.  The reader makes one pass over a file's
+bytes for its line count, its bytes outside the plain set and whether it
+holds a carriage return, and drops them before the parse.  numpy's C parser
+then reads the rows by one of two routes: from the path, in blocks, when the
+file has no carriage return and no suffix numpy's opener decompresses;
+otherwise from a handle opened with ``newline=""``, a line at a time.  Ids
+are sorted one per run of equal ids, so a file whose rows come grouped by
+sample, as :func:`emit_dataset` writes them, sorts one id per sample; a
+file where every row starts a new run pays for the run search on top of a
+sort of every row id.
 """
 
 from __future__ import annotations
@@ -39,6 +51,8 @@ _VIEW_HEADER = ["sample_id", "channel", "t", "value"]
 # Python's int and float reject them; within these bytes numpy accepts no
 # number that Python rejects, and reads each one to the same value.
 _PLAIN_BYTES = bytes(b for b in range(0x80) if not 0x1C <= b <= 0x1F)
+# Suffixes on which numpy's file opener decompresses a path it is given.
+_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 _NUMBER_FORM = (
     "channel and t must be ASCII decimal integers and value an ASCII float "
     "that numpy's text parser reads"
@@ -214,28 +228,42 @@ def load_dataset(root_path: str | Path) -> MultiViewDataset:
 def _read_view_file(path: Path, sample_ids: list[str]) -> np.ndarray | list[np.ndarray]:
     """One view's samples in ``sample_ids`` order, read column-wise.
 
-    numpy's C parser reads every row into one structured array; the row
-    checks run as masks over it, and each value is scattered to its place
-    in one flat buffer.  When every sample has one length that buffer comes
-    back reshaped to ``(n, channels, length)``; otherwise every sample is a
-    ``(channels, length_i)`` view of it.  A file with any fault is read once more, row by row, so that the
-    message names the first faulty row.
+    One read of the file's bytes comes first and keeps three integers: the
+    line count, the count of bytes outside ``_PLAIN_BYTES``, and whether a
+    carriage return occurs; the bytes go before the parse.  numpy's C
+    parser then reads every row into one structured array, by one of the
+    two routes of :func:`_parse_rows`.  Ids are sorted one per run of equal
+    ids, so a file grouped by sample sorts one id per sample; each row's
+    sample is its run's.  The row checks run as masks over the array, and
+    each value is scattered to its place in one flat buffer.  When every
+    sample has one length that buffer comes back reshaped to ``(n,
+    channels, length)``; otherwise every sample is a ``(channels,
+    length_i)`` view of it.  A file with any fault is read once more, row
+    by row, so that the message names the first faulty row.
     """
     if not path.is_file():
         raise DatasetError(f"missing view file: {path}")
     # One character wider than any manifest id, so a longer id in the file
     # stays longer after numpy truncates it and cannot alias a real one.
     width = max(map(len, sample_ids), default=0) + 1
-    rows = _parse_rows(path, width)
+    lines, unplain, has_cr = _scan_bytes(path)
+    by_path = not has_cr and path.suffix.lower() not in _DECOMPRESSED_SUFFIXES
+    rows = _parse_rows(path, width, by_path)
     if rows is None:
         raise DatasetError(
             _first_row_fault(path, sample_ids)
-            or f"{path} row {_first_rejected_row(path, width)}: {_NUMBER_FORM}"
+            or f"{path} row {_first_rejected_row(path, width, by_path)}: {_NUMBER_FORM}"
         )
-    ids, inverse, id_counts = np.unique(rows["sid"], return_inverse=True, return_counts=True)
+    row_ids = rows["sid"]
+    run_start = np.ones(len(rows), dtype=bool)
+    run_start[1:] = row_ids[1:] != row_ids[:-1]
+    starts = np.flatnonzero(run_start)
+    run_length = np.diff(starts, append=len(rows))
+    ids, run_id = np.unique(row_ids[starts], return_inverse=True)
     ids = ids.tolist()
     position = {sid: i for i, sid in enumerate(sample_ids)}
-    code = np.array([position.get(sid, -1) for sid in ids], dtype=np.int64)[inverse]
+    id_code = np.array([position.get(sid, -1) for sid in ids], dtype=np.int64)
+    code = np.repeat(id_code[run_id], run_length)
     channel, t, value = rows["channel"], rows["t"], rows["value"]
     bad = (code < 0) | (channel < 0) | (t < 0) | ~np.isfinite(value)
     if bad.any():
@@ -247,7 +275,9 @@ def _read_view_file(path: Path, sample_ids: list[str]) -> np.ndarray | list[np.n
             or f"{path} row {row_no}: numpy's text parser misreads the sample id"
         )
     samples = _scatter(len(sample_ids), code, channel, t, value)
-    if samples is None or not _is_plain(path, ids, id_counts.tolist(), len(rows)):
+    id_counts = np.zeros(len(ids), dtype=np.int64)
+    np.add.at(id_counts, run_id, run_length)
+    if samples is None or not _is_plain(lines, unplain, ids, id_counts.tolist(), len(rows)):
         fault = _first_row_fault(path, sample_ids)
         if fault is None and samples is None:
             fault = _layout_fault(path, sample_ids, code, channel, t)
@@ -256,9 +286,37 @@ def _read_view_file(path: Path, sample_ids: list[str]) -> np.ndarray | list[np.n
     return samples
 
 
-def _parse_rows(path: Path, width: int, max_rows: int | None = None) -> np.ndarray | None:
+def _scan_bytes(path: Path) -> tuple[int, int, bool]:
+    """The file's line count, its count of bytes outside ``_PLAIN_BYTES``,
+    and whether it holds a carriage return, from one read of its bytes.
+
+    A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as the csv module
+    reads them; a file without ``\\r`` needs one ``count``.
+    """
+    data = path.read_bytes()
+    has_cr = b"\r" in data
+    lines = data.count(b"\n")
+    if has_cr:
+        lines += data.count(b"\r") - data.count(b"\r\n")
+    lines += data[-1:] not in (b"\n", b"\r")
+    return lines, _unplain_bytes(data), has_cr
+
+
+def _parse_rows(
+    path: Path, width: int, by_path: bool, max_rows: int | None = None
+) -> np.ndarray | None:
     """The data rows (the first ``max_rows`` of them, if given) as a
-    structured array, or None where numpy's parser rejects them."""
+    structured array, or None where numpy's parser rejects them.
+
+    The header is checked on a handle opened with ``newline=""``.  With
+    ``by_path`` numpy opens the path itself and reads it in blocks,
+    skipping the header line; otherwise it reads on from that handle, one
+    line at a time in Python.  numpy opens a path with universal newlines
+    and decompresses one named ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``, so
+    only a file with no ``\\r`` byte and none of those suffixes reads the
+    same both ways; :func:`_read_view_file` picks the path route for no
+    other.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
         if header != _VIEW_HEADER:
@@ -271,12 +329,13 @@ def _parse_rows(path: Path, width: int, max_rows: int | None = None) -> np.ndarr
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
                 return np.loadtxt(
-                    fh,
+                    path if by_path else fh,
                     dtype=dtype,
                     delimiter=",",
                     comments=None,
                     quotechar='"',
                     encoding="utf-8",
+                    skiprows=int(by_path),
                     ndmin=1,
                     max_rows=max_rows,
                 )
@@ -288,20 +347,18 @@ def _unplain_bytes(data: bytes) -> int:
     return len(data.translate(None, _PLAIN_BYTES))
 
 
-def _is_plain(path: Path, ids: list[str], id_counts: list[int], n_rows: int) -> bool:
-    """Whether the file holds one line per parsed row after its header and
-    no byte outside the ids that numpy's number parsers read differently
-    from Python's ``int`` and ``float``.
+def _is_plain(lines: int, unplain: int, ids: list[str], id_counts: list[int], n_rows: int) -> bool:
+    """Whether a file of ``lines`` lines and ``unplain`` bytes outside
+    ``_PLAIN_BYTES`` holds one line per parsed row after its header and no
+    such byte outside the ids, where numpy's number parsers read them
+    differently from Python's ``int`` and ``float``.
 
     numpy skips blank lines, which the format rejects; a line break inside
     a quoted id also fails this test, and the row-by-row reading then finds
     nothing wrong.
     """
-    data = path.read_bytes()
-    lines = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
-    lines += data[-1:] not in (b"\n", b"\r")
     in_ids = sum(n * _unplain_bytes(sid.encode("utf-8")) for sid, n in zip(ids, id_counts))
-    return lines - 1 == n_rows and _unplain_bytes(data) == in_ids
+    return lines - 1 == n_rows and unplain == in_ids
 
 
 def _scatter(n, code, channel, t, value) -> np.ndarray | list[np.ndarray] | None:
@@ -368,16 +425,16 @@ def _first_row_fault(path: Path, sample_ids: list[str]) -> str | None:
     return None
 
 
-def _first_rejected_row(path: Path, width: int) -> int:
+def _first_rejected_row(path: Path, width: int, by_path: bool) -> int:
     """The row number of the first row numpy's parser rejects, in a file
     whose full parse fails but whose rows all pass :func:`_first_row_fault`
     (so it has no blank lines and data row k is file row k + 1)."""
     parsed, rejected = 0, 1  # the first `parsed` rows parse, the first `rejected` do not
-    while _parse_rows(path, width, rejected) is not None:
+    while _parse_rows(path, width, by_path, rejected) is not None:
         parsed, rejected = rejected, 2 * rejected
     while rejected - parsed > 1:
         middle = (parsed + rejected) // 2
-        if _parse_rows(path, width, middle) is None:
+        if _parse_rows(path, width, by_path, middle) is None:
             rejected = middle
         else:
             parsed = middle
