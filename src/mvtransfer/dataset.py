@@ -178,7 +178,7 @@ def load_dataset(root_path: str | Path) -> MultiViewDataset:
         raise DatasetError(f"missing manifest: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DatasetError(f"unparseable manifest {manifest_path}: {exc}") from exc
 
     for key in ("views", "samples", "labels", "view_files"):
@@ -228,9 +228,10 @@ def load_dataset(root_path: str | Path) -> MultiViewDataset:
 def _read_view_file(path: Path, sample_ids: list[str]) -> np.ndarray | list[np.ndarray]:
     """One view's samples in ``sample_ids`` order, read column-wise.
 
-    One read of the file's bytes comes first and keeps three integers: the
-    line count, the count of bytes outside ``_PLAIN_BYTES``, and whether a
-    carriage return occurs; the bytes go before the parse.  numpy's C
+    One read of the file's bytes comes first.  It rejects bytes that are
+    not UTF-8 and keeps three integers: the line count, the count of bytes
+    outside ``_PLAIN_BYTES``, and whether a carriage return occurs; the
+    bytes go before the parse.  numpy's C
     parser then reads every row into one structured array, by one of the
     two routes of :func:`_parse_rows`.  Ids are sorted one per run of equal
     ids, so a file grouped by sample sorts one id per sample; each row's
@@ -291,15 +292,28 @@ def _scan_bytes(path: Path) -> tuple[int, int, bool]:
     and whether it holds a carriage return, from one read of its bytes.
 
     A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as the csv module
-    reads them; a file without ``\\r`` needs one ``count``.
+    reads them; a file without ``\\r`` needs one ``count``.  A file with a
+    byte outside ``_PLAIN_BYTES`` is decoded once as UTF-8 here, so that
+    bytes that are not UTF-8 are rejected naming the line they sit on,
+    before any reader decodes them; an ASCII file needs no decode.
     """
     data = path.read_bytes()
+    unplain = _unplain_bytes(data)
+    if unplain:
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[:exc.start]
+            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise DatasetError(
+                f"{path} line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8"
+            ) from None
     has_cr = b"\r" in data
     lines = data.count(b"\n")
     if has_cr:
         lines += data.count(b"\r") - data.count(b"\r\n")
     lines += data[-1:] not in (b"\n", b"\r")
-    return lines, _unplain_bytes(data), has_cr
+    return lines, unplain, has_cr
 
 
 def _parse_rows(

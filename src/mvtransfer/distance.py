@@ -8,8 +8,9 @@ measure channel-by-channel to every corresponding sample pair of a
 source/target view pair, stacking the distance vectors into one (N, K)
 array; for the histogram measure it fits breakpoints once per channel on
 that channel's series pooled over both views.  Warping has one
-implementation, a batched anti-diagonal kernel; ``dtw_distance`` runs it
-on one series pair.
+implementation, a batched anti-diagonal kernel whose arrays put the pair
+axis last, so each diagonal over all pairs is one contiguous block;
+``dtw_distance`` runs it on one series pair.
 
 The symbolic measure makes one array pass per channel over all 2N series
 of a view pair.  The series' stride-1 windows are one index gather from
@@ -81,16 +82,19 @@ def dtw_distance(x, y, params: DtwParams | None = None) -> float:
 def _dtw_many(x: np.ndarray, y: np.ndarray, band_radius: int | None = None) -> np.ndarray:
     """(P,) DTW distances between the rows of float64 ``x`` (P, n) and ``y`` (P, m).
 
-    Sweeps the anti-diagonals d = i + j of every pair's cost grid at once.
-    Column ``k`` of each (P, n + 1) diagonal buffer holds cell
-    (k - 1, d - k + 1), so column 0 is a permanent inf border; only the
-    valid cells of a diagonal are written, and the stale cells a reused
-    buffer keeps from three diagonals back are never read.  Each cell is
-    the minimum of its three predecessors plus its cost, in the row-by-row
-    recurrence's order, so the two agree bit for bit.  Cells outside the
-    band, |2i - d| > r, are set to inf.  The inputs are checked for
-    non-finite values only once a result is not finite, so finite input
-    pays nothing for the check.
+    Sweeps the anti-diagonals d = i + j of every pair's cost grid at once,
+    with the pair axis last: ``x``, the reversed ``y`` and the three
+    diagonal buffers are (length, P) arrays, so a diagonal's cells over all
+    pairs are one contiguous block and each ufunc call is one long loop.
+    Row ``k`` of each (n + 1, P) diagonal buffer holds cell
+    (k - 1, d - k + 1) of every pair, so row 0 is a permanent inf border;
+    only the valid cells of a diagonal are written, and the stale cells a
+    reused buffer keeps from three diagonals back are never read.  Each
+    cell is the minimum of its three predecessors plus its cost, in the
+    row-by-row recurrence's order, so the two agree bit for bit.  Cells
+    outside the band, |2i - d| > r, are set to inf.  The inputs are checked
+    for non-finite values only once a result is not finite, so finite
+    input pays nothing for the check.
     """
     p, n = x.shape
     m = y.shape[1]
@@ -100,26 +104,25 @@ def _dtw_many(x: np.ndarray, y: np.ndarray, band_radius: int | None = None) -> n
         raise DistanceError(
             f"band radius {band_radius} admits no warp path between lengths {n} and {m}"
         )
-    y_reversed = y[:, ::-1].copy()  # cell (i, d - i) reads column m - 1 - d + i
-    diag2, diag1, diag0 = (np.full((p, n + 1), np.inf) for _ in range(3))
-    diag1[:, 1] = np.abs(x[:, 0] - y[:, 0])
-    best = np.empty((p, n))
-    cost = np.empty((p, n))
+    x_cols = x.T.copy()
+    y_reversed = y[:, ::-1].T.copy()  # cell (i, d - i) reads row m - 1 - d + i
+    diag2, diag1, diag0 = (np.full((n + 1, p), np.inf) for _ in range(3))
+    diag1[1] = np.abs(x[:, 0] - y[:, 0])
+    cost = np.empty((n, p))
     for d in range(1, n + m - 1):
         lo, hi = max(0, d - m + 1), min(n - 1, d)
-        width = hi - lo + 1
-        c = cost[:, :width]
-        np.subtract(x[:, lo:hi + 1], y_reversed[:, m - 1 - d + lo:m - d + hi], out=c)
+        c = cost[:hi - lo + 1]
+        np.subtract(x_cols[lo:hi + 1], y_reversed[m - 1 - d + lo:m - d + hi], out=c)
         np.abs(c, out=c)
-        b = best[:, :width]
-        np.minimum(diag1[:, lo:hi + 1], diag1[:, lo + 1:hi + 2], out=b)  # step in x, in y
-        np.minimum(b, diag2[:, lo:hi + 1], out=b)  # diagonal step
-        np.add(b, c, out=diag0[:, lo + 1:hi + 2])
+        b = diag0[lo + 1:hi + 2]
+        np.minimum(diag1[lo:hi + 1], diag1[lo + 1:hi + 2], out=b)  # step in x, in y
+        np.minimum(b, diag2[lo:hi + 1], out=b)  # diagonal step
+        np.add(b, c, out=b)
         if band_radius is not None:
-            diag0[:, lo + 1:max(lo, (d - band_radius + 1) // 2) + 1] = np.inf
-            diag0[:, max(lo, (d + band_radius) // 2 + 1) + 1:hi + 2] = np.inf
+            diag0[lo + 1:max(lo, (d - band_radius + 1) // 2) + 1] = np.inf
+            diag0[max(lo, (d + band_radius) // 2 + 1) + 1:hi + 2] = np.inf
         diag2, diag1, diag0 = diag1, diag0, diag2
-    result = diag1[:, n]
+    result = diag1[n].copy()
     if not np.all(np.isfinite(result)):
         for name, series in (("x (the first series)", x), ("y (the second series)", y)):
             if not np.all(np.isfinite(series)):

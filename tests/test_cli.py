@@ -694,6 +694,27 @@ class TestValidateDatasetCommand:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["manifest.json", "view_0.csv"])
+@pytest.mark.parametrize("command", ["validate-dataset", "importance", "schedule", "train"])
+def test_undecodable_byte_is_one_error_line(dataset_dir, tmp_path, capsys, command, name):
+    """A byte that is not UTF-8 in the manifest or a view file exits 1 with
+    one `error:` line naming the file, and no traceback."""
+    root = tmp_path / "ds"
+    shutil.copytree(dataset_dir, root)
+    path = root / name
+    data = path.read_bytes()
+    path.write_bytes(data[:20] + b"\xff" + data[20:])
+    if command == "validate-dataset":
+        argv = [command, "--dataset", str(root)]
+    else:
+        config = write_config(tmp_path / "config.json", root)
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "0xff" in err and "Traceback" not in err
+
+
 class TestEntryPoint:
     """The module runs as a script with the same exit-code contract."""
 

@@ -244,6 +244,60 @@ class TestManifestBoundaries:
             load_dataset(tmp_path)
 
 
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is a DatasetError naming its file (and, in a
+    view file, the line it sits on), not a bare UnicodeDecodeError."""
+
+    def test_manifest_byte_named(self, tmp_path):
+        write_fixture(tmp_path, {"view_0.csv": basic_rows(), "view_1.csv": basic_rows()})
+        path = tmp_path / "manifest.json"
+        path.write_bytes(path.read_bytes().replace(b'"left"', b'"l\xffft"', 1))
+        with pytest.raises(DatasetError) as excinfo:
+            load_dataset(tmp_path)
+        assert str(excinfo.value).startswith(
+            f"unparseable manifest {path}: 'utf-8' codec can't decode byte 0xff"
+        )
+
+    @pytest.mark.parametrize(
+        "line_no, edit, byte",
+        [
+            (1, lambda line: line.replace(b"channel", b"chan\xffel"), 0xFF),
+            (6, lambda line: b"\xfe" + line, 0xFE),
+            (8, lambda line: line + b"\xc3", 0xC3),  # a truncated two-byte sequence
+            (19, lambda line: line.replace(b",", b"\x80,", 1), 0x80),
+        ],
+        ids=["header", "sample-id", "truncated-sequence", "last-row"],
+    )
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_view_file_byte_names_file_and_line(self, tmp_path, line_no, edit, byte, line_end):
+        """Both parse routes: numpy reads an LF file from its path and a
+        CRLF file from a Python handle."""
+        write_fixture(tmp_path, {"view_0.csv": basic_rows(), "view_1.csv": basic_rows()})
+        path = tmp_path / "view_0.csv"
+        lines = path.read_bytes().splitlines()
+        lines[line_no - 1] = edit(lines[line_no - 1])
+        path.write_bytes(line_end.join(lines) + line_end)
+        with pytest.raises(DatasetError) as excinfo:
+            load_dataset(tmp_path)
+        assert str(excinfo.value) == f"{path} line {line_no}: byte 0x{byte:02x} is not valid UTF-8"
+
+    def test_byte_past_the_first_decode_chunk(self, tmp_path):
+        """A text handle decodes 8 KiB at a time, so a late byte used to fail
+        while the header was read; it is named by its own line."""
+        ids = [f"s{i:03d}" for i in range(120)]
+        labels = {sid: ("left", "right")[i % 2] for i, sid in enumerate(ids)}
+        manifest = base_manifest(samples=ids, labels=labels)
+        rows = basic_rows(tuple(ids), m=8)
+        write_fixture(tmp_path, {"view_0.csv": rows, "view_1.csv": rows}, manifest=manifest)
+        path = tmp_path / "view_0.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[1500] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        assert len(b"\n".join(lines[:1500])) > 8192
+        with pytest.raises(DatasetError, match=rf"view_0\.csv line 1501: byte 0xff is not valid UTF-8$"):
+            load_dataset(tmp_path)
+
+
 class TestRowFaults:
     @pytest.mark.parametrize(
         "line, message",

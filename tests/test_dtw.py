@@ -184,6 +184,52 @@ class TestDtwKernel:
         y = rng.normal(size=(p, m))
         assert np.array_equal(_dtw_many(x, y, band), per_pair(x, y, band))
 
+    @pytest.mark.parametrize(
+        "p, n, m, band",
+        [(16, 128, 128, None), (40, 37, 61, 30), (1, 300, 300, None), (1, 300, 290, 12)],
+        ids=["workload-sized", "non-square-banded", "one-long-pair", "one-long-pair-banded"],
+    )
+    def test_large_shapes_bit_equal_to_reference(self, p, n, m, band):
+        """Diagonals wider than a few cells and pair blocks of one row."""
+        rng = np.random.default_rng(7 * p + n + m)
+        x = rng.normal(size=(p, n))
+        y = rng.normal(size=(p, m))
+        assert np.array_equal(_dtw_many(x, y, band), per_pair(x, y, band))
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda a: np.pad(a, ((0, 0), (2, 3)))[:, 2:-3],
+            np.asfortranarray,
+            lambda a: a[::-1, ::-1].copy()[::-1, ::-1],
+            lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+        ],
+        ids=["column-slice", "fortran-order", "reversed-view", "strided-columns"],
+    )
+    @pytest.mark.parametrize("band", [None, 3])
+    def test_non_contiguous_inputs(self, layout, band):
+        """Inputs that are not C-contiguous give the same distances as
+        their contiguous copies and the reference, and stay unmodified."""
+        rng = np.random.default_rng(11)
+        x0, y0 = rng.normal(size=(9, 14)), rng.normal(size=(9, 12))
+        x, y = layout(x0), layout(y0)
+        assert not x.flags.c_contiguous and not y.flags.c_contiguous
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+        expected = per_pair(x0, y0, band)
+        assert np.array_equal(_dtw_many(x, y, band), expected)
+        assert np.array_equal(_dtw_many(x0, y0, band), expected)
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
+    def test_inputs_untouched_and_result_owns_its_data(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(6, 10)), rng.normal(size=(6, 8))
+        x_before, y_before = x.copy(), y.copy()
+        result = _dtw_many(x, y, 4)
+        assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
+        assert result.shape == (6,) and result.dtype == np.float64
+        assert result.flags.owndata and result.base is None
+        assert result.flags.c_contiguous and result.flags.writeable
+
     def test_band_narrower_than_length_gap_rejected(self):
         x, y = np.zeros((2, 5)), np.zeros((2, 1))
         for call in (lambda: _dtw_many(x, y, 1), lambda: per_pair(x, y, 1)):
