@@ -54,7 +54,6 @@ from mvtransfer.networks import (
     evaluate,
     init_network,
     train,
-    transfer_weights,
 )
 from mvtransfer.pipeline import (
     ExperimentConfig,
@@ -106,6 +105,5 @@ __all__ = [
     "score_source_view",
     "select_density_method",
     "train",
-    "transfer_weights",
     "write_schedule_json",
 ]

@@ -29,7 +29,7 @@ class NetworkError(RuntimeError):
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Architecture hyperparameters shared by init, forward, and transfer.
+    """Architecture hyperparameters shared by init, forward, and training.
 
     ``dropout_rate`` applies to the FCN only: the MLP has no dropout layer,
     so its training does not depend on the rate.
@@ -583,25 +583,3 @@ def train(
     net.mode = "eval"
     return log
 
-
-def transfer_weights(source_net: Network, target_net: Network) -> Network:
-    """Copy every parameter and running statistic from source to target.
-
-    The two networks must share an architecture-compatible configuration;
-    a mismatch is rejected with a message naming the differing field.  The
-    target's optimizer state is implicitly reset because each call to
-    :func:`train` starts from a fresh state.
-    """
-    for name in ("arch", "input_channels", "input_length", "class_count", "fcn_kernel_sizes"):
-        source_value = getattr(source_net.config, name)
-        target_value = getattr(target_net.config, name)
-        if source_value != target_value:
-            raise ValueError(
-                f"cannot transfer weights: {name} differs "
-                f"(source {source_value!r} vs target {target_value!r})"
-            )
-    target_net.params = {name: tensor.copy() for name, tensor in source_net.params.items()}
-    target_net.running_stats = {
-        name: tensor.copy() for name, tensor in source_net.running_stats.items()
-    }
-    return target_net

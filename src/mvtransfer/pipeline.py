@@ -3,7 +3,7 @@
 An experiment scores every source view against the target view on the
 training split, converts the scores into an integer pretraining-epoch
 schedule, trains one network sequentially across the source views,
-transfers its weights, fine-tunes on the target view, and evaluates on the
+fine-tunes that network on the target view, and evaluates it on the
 held-out target split — repeating the training portion R times with derived
 seeds and aggregating accuracies.  Held-out samples never shape the
 schedule they are evaluated under.
@@ -49,7 +49,6 @@ from .networks import (
     evaluate,
     init_network,
     train,
-    transfer_weights,
 )
 
 SEED_STRIDE = 1_000_000
@@ -270,7 +269,7 @@ def _check_trainable(dataset: MultiViewDataset, config: ExperimentConfig) -> Non
     if len(set(shapes)) != 1:
         raise PipelineError(
             f"views disagree on (channels, length): {shapes}; "
-            "weight transfer requires identical shapes across views"
+            "one network trains on every view, so they must share one shape"
         )
     length = shapes[0][1]
     if config.arch == "fcn" and max(config.fcn_kernel_sizes) > length:
@@ -296,7 +295,8 @@ def score_views(config: ExperimentConfig, dataset: MultiViewDataset, artifact_di
     ``base_seed``.  A flow density needs one latent point per sample and
     at least ``MIN_TRAINING_POINTS`` of them; too few samples fail here,
     before any distance is computed.  So does a source view whose channel
-    count differs from the target view's.  With ``artifact_dir``, each
+    count differs from the target view's, and a boss ``window_length``
+    longer than the shortest aligned series.  With ``artifact_dir``, each
     view's latent set and density model are written there.
     """
     sources = _source_views(config, dataset)
@@ -318,6 +318,14 @@ def score_views(config: ExperimentConfig, dataset: MultiViewDataset, artifact_di
             f"samples, got {dataset.n_samples}"
         )
     dataset = _aligned(dataset, config)
+    if isinstance(config.measure_params, SfaParams):
+        window = config.measure_params.window_length
+        shortest = min(dataset.view_shape(v)[1] for v in range(dataset.n_views))
+        if window > shortest:
+            raise PipelineError(
+                f"measure_params.window_length {window} exceeds the shortest aligned "
+                f"series ({shortest})"
+            )
     seeds = scoring_seeds(config)
     return score_source_views(
         dataset,
@@ -378,12 +386,13 @@ def compute_schedule(
 def _run_single(config, train_part, test_part, schedule, repeat_index):
     """One repeat: a transfer run when given a schedule, else a baseline.
 
-    A transfer run visits the source views in ascending index order (or a
-    seeded permutation with ``shuffle_view_order``), training one network
-    on each for its scheduled epochs, and transfers the weights into a
-    fresh network; a baseline starts from the fresh network.  Either is
-    fine-tuned on the target view of ``train_part`` and evaluated on that
-    of ``test_part``.  Returns ``(network, accuracy, curve rows)``.
+    The repeat builds one network from its init seed and trains it through
+    its phases in order.  A transfer run first pretrains it on each source
+    view for its scheduled epochs, visiting the views in ascending index
+    order (or a seeded permutation with ``shuffle_view_order``); a baseline
+    skips that phase.  Then the same network is fine-tuned on the target
+    view of ``train_part`` and evaluated on that of ``test_part``.  Returns
+    ``(network, accuracy, curve rows)``.
     """
     mode = "baseline" if schedule is None else "transfer"
     seeds = _repeat_seeds(config.base_seed, repeat_index)
@@ -398,9 +407,9 @@ def _run_single(config, train_part, test_part, schedule, repeat_index):
         np.array([class_index[l] for l in part.labels], dtype=np.int64)
         for part in (train_part, test_part)
     )
+    net = init_network(net_config)
     logs = []
     if schedule is not None:
-        source_net = init_network(net_config)
         sources = _source_views(config, train_part)
         positions = list(range(len(sources)))
         if config.shuffle_view_order:
@@ -409,17 +418,13 @@ def _run_single(config, train_part, test_part, schedule, repeat_index):
         for position in positions:
             view = sources[position]
             log = train(
-                source_net,
+                net,
                 train_part.views[view],
                 train_labels,
                 config._train_config(seeds["pretrain"] + view),
                 epoch_budget=schedule.epochs[position],
             )
             logs.append((f"pretrain_view_{view}", log))
-        net = init_network(net_config)
-        transfer_weights(source_net, net)
-    else:
-        net = init_network(net_config)
     frozen = ()
     if config.freeze_conv and config.arch == "fcn":
         frozen = tuple(name for name in net.params if name.startswith("conv"))

@@ -14,6 +14,7 @@ import pytest
 
 from mvtransfer.cli import main
 from mvtransfer.density import fit_density, save_density_model
+from mvtransfer.distance import SfaParams
 from mvtransfer.flow import FlowConfig
 from mvtransfer.importance import SamplingConfig
 from mvtransfer.pipeline import ExperimentConfig
@@ -279,14 +280,25 @@ class TestScheduleCommand:
             {"train_fraction": 0.5, "density_override": "flow"},
             "scoring with the flow density needs at least 8 samples, got 6",
         ),
+        (
+            {"measure": "boss", "measure_params": SfaParams(window_length=64)},
+            r"measure_params\.window_length 64 exceeds the shortest aligned series \(8\)",
+        ),
     ],
-    ids=["single-class-training-part", "too-few-for-the-flow"],
+    ids=["single-class-training-part", "too-few-for-the-flow", "boss-window-too-long"],
 )
 def test_training_part_faults_fail_every_command(
-    dataset_dir, tmp_path, capsys, command, overrides, message
+    dataset_dir, tmp_path, capsys, monkeypatch, command, overrides, message
 ):
-    """A training part of one class, or too small for the flow, fails
-    every config command alike: exit 1 with one error line."""
+    """A training part of one class, too small for the flow, or shorter
+    than the boss window fails every config command alike, before any
+    latent set is built: exit 1 with one error line."""
+    import mvtransfer.importance as importance
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a latent set was built")
+
+    monkeypatch.setattr(importance, "build_latent_set", refuse)
     config = write_config(tmp_path / "config.json", dataset_dir, **overrides)
     code = run_cli([command, "--config", str(config), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err

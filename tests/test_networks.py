@@ -25,7 +25,6 @@ from mvtransfer.networks import (
     loss_and_gradients,
     softmax_cross_entropy,
     train,
-    transfer_weights,
 )
 from mvtransfer.optim import adam_update
 
@@ -770,48 +769,3 @@ class TestEvaluate:
         net = init_network(mlp_config())
         with pytest.raises(ValueError, match="at least one sample"):
             evaluate(net, np.zeros((0, 2, 5)), np.zeros(0, dtype=int))
-
-
-class TestTransferWeights:
-    def test_transfer_copies_everything(self):
-        rng = np.random.default_rng(139)
-        inputs, labels = separable_fixture(rng, count=12)
-        source = init_network(mlp_config(channels=2, length=5, classes=2, seed=0))
-        train(source, inputs, labels, TrainConfig(), epoch_budget=10)
-        target = init_network(mlp_config(channels=2, length=5, classes=2, seed=99))
-        transfer_weights(source, target)
-        for name in source.params:
-            assert np.array_equal(target.params[name], source.params[name])
-        assert evaluate(target, inputs, labels) == evaluate(source, inputs, labels)
-
-    def test_transfer_then_zero_finetune_stays_bit_equal(self):
-        rng = np.random.default_rng(140)
-        inputs, labels = separable_fixture(rng, count=10, length=12)
-        source = init_network(fcn_config(dropout=0.2, seed=1))
-        train(source, inputs, labels, TrainConfig(seed=2), epoch_budget=2)
-        target = init_network(fcn_config(dropout=0.2, seed=50))
-        transfer_weights(source, target)
-        train(target, inputs, labels, TrainConfig(seed=3), epoch_budget=0)
-        for name in source.params:
-            assert np.array_equal(target.params[name], source.params[name])
-        for name in source.running_stats:
-            assert np.array_equal(target.running_stats[name], source.running_stats[name])
-
-    def test_copies_are_independent(self):
-        source = init_network(mlp_config(seed=0))
-        target = init_network(mlp_config(seed=1))
-        transfer_weights(source, target)
-        target.params["dense1.W"][0, 0] += 1.0
-        assert target.params["dense1.W"][0, 0] != source.params["dense1.W"][0, 0]
-
-    def test_mismatched_channels_error_names_the_field(self):
-        source = init_network(mlp_config(channels=2))
-        target = init_network(mlp_config(channels=3))
-        with pytest.raises(ValueError, match="input_channels"):
-            transfer_weights(source, target)
-
-    def test_mismatched_arch_rejected(self):
-        source = init_network(mlp_config(channels=2, length=12))
-        target = init_network(fcn_config(channels=2, length=12, classes=3))
-        with pytest.raises(ValueError, match="arch"):
-            transfer_weights(source, target)

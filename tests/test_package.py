@@ -10,7 +10,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_every_export_resolves_once():
     names = mvtransfer.__all__
-    assert len(names) == len(set(names)) == 40
+    assert len(names) == len(set(names)) == 39
     for name in names:
         assert hasattr(mvtransfer, name), name
     for removed in (
@@ -32,6 +32,7 @@ def test_every_export_resolves_once():
         "schedule_to_json_dict",
         "make_synthetic_dataset",
         "build_transfer_schedule",
+        "transfer_weights",
     ):
         assert removed not in names
         assert not hasattr(mvtransfer, removed)

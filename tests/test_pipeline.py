@@ -21,10 +21,12 @@ from mvtransfer.dataset import (
 from mvtransfer.density import select_density_method
 from mvtransfer.distance import DtwParams, SfaParams
 from mvtransfer.importance import NORM_KINDS, SAMPLING_MODES, SamplingConfig, TransferSchedule
-from mvtransfer.networks import init_network, NetworkConfig
+from mvtransfer.networks import init_network, NetworkConfig, TrainConfig, train
 from mvtransfer.pipeline import (
     EXPERIMENT_MODES,
+    INIT_SEED_OFFSET,
     MEASURES,
+    PRETRAIN_SEED_OFFSET,
     SPLIT_SEED_OFFSET,
     ExperimentConfig,
     ExperimentReport,
@@ -516,6 +518,29 @@ class TestComputeSchedule:
         ):
             compute_schedule(tiny_config(target_view=2), dataset=ds)
 
+    def test_boss_window_longer_than_series_fails_before_distances(self, monkeypatch):
+        """A boss window longer than the 16-step series fails naming its key
+        path before any latent set is built; one as long as the series
+        reaches the latent set."""
+        import mvtransfer.importance as importance
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a latent set was built")
+
+        monkeypatch.setattr(importance, "build_latent_set", refuse)
+        ds = tiny_dataset(length=16)
+        fitting = tiny_config(measure="boss", measure_params=SfaParams(window_length=16))
+        with pytest.raises(AssertionError, match="a latent set was built"):
+            compute_schedule(fitting, dataset=ds)
+        for window in (17, 64):
+            config = tiny_config(measure="boss", measure_params=SfaParams(window_length=window))
+            with pytest.raises(
+                PipelineError,
+                match=rf"^measure_params\.window_length {window} exceeds the shortest "
+                r"aligned series \(16\)$",
+            ):
+                compute_schedule(config, dataset=ds)
+
     def test_ragged_views_scored_after_alignment(self):
         """Scoring aligns ragged views the way training does."""
         ds = make_random_dataset(np.random.default_rng(7), n_samples=12, ragged=True)
@@ -570,8 +595,44 @@ class TestRunTransfer:
         for name in base_net.params:
             np.testing.assert_array_equal(base_net.params[name], trans_net.params[name])
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"arch": "mlp"}, {"arch": "fcn", "fcn_kernel_sizes": (3, 3, 3), "dropout_rate": 0.2}],
+        ids=["mlp", "fcn"],
+    )
+    def test_pretrained_network_is_fine_tuned(self, overrides):
+        """Pretraining and the fine-tune run on one network: with no
+        fine-tune epochs, the network a transfer repeat returns equals its
+        init network trained on the first source view alone, bit for bit in
+        every parameter and running statistic."""
+        ds = tiny_dataset()
+        config = tiny_config(
+            forced_epochs=(2, 0), total_pretrain_epochs=2, finetune_epochs=0, **overrides
+        )
+        net, _, _ = run_once(config, compute_schedule(config, dataset=ds), ds, repeat_index=1)
+        train_part, _ = split_parts(ds, config)
+        reference = init_network(
+            NetworkConfig(
+                config.arch, 1, 8, 2, config.dropout_rate, config.fcn_kernel_sizes,
+                seed=config.base_seed + 1 + INIT_SEED_OFFSET,
+            )
+        )
+        labels = np.array([train_part.classes.index(label) for label in train_part.labels])
+        view = 0  # the first source view, scheduled for both pretraining epochs
+        pretrain_seed = config.base_seed + 1 + PRETRAIN_SEED_OFFSET + view
+        train(
+            reference, train_part.views[view], labels,
+            TrainConfig(batch_size=config.train_batch_size, seed=pretrain_seed), epoch_budget=2,
+        )
+        assert net.params.keys() == reference.params.keys()
+        for name in reference.params:
+            np.testing.assert_array_equal(net.params[name], reference.params[name])
+        assert net.running_stats.keys() == reference.running_stats.keys()
+        for name in reference.running_stats:
+            np.testing.assert_array_equal(net.running_stats[name], reference.running_stats[name])
+
     def test_pretraining_changes_finetune_start(self):
-        """A non-zero schedule actually changes the transferred weights."""
+        """A non-zero schedule changes the weights the fine-tune starts from."""
         ds = tiny_dataset()
         config = tiny_config(forced_epochs=(4, 0), total_pretrain_epochs=4)
         schedule = compute_schedule(config, dataset=ds)
@@ -625,7 +686,7 @@ class TestRunTransfer:
         assert not np.array_equal(net.params["head.W"], reference.params["head.W"])
 
     def test_mismatched_view_shapes_rejected(self, tmp_path):
-        """Weight transfer needs identical (channels, length) in every view;
+        """One network trains on every view, so all need one (channels, length);
         the shapes are checked before the split, which this 6-sample set
         would fail, and before any score."""
         base = tiny_dataset(n_samples=6)
@@ -667,6 +728,20 @@ class TestRunExperiment:
         )
         assert transfer_only.baseline is None
         assert transfer_only.schedule is not None
+
+    def test_one_network_per_repeat_and_mode(self, monkeypatch):
+        """Each repeat of each mode builds one network, from its init seed."""
+        import mvtransfer.pipeline as pipeline
+
+        built = []
+
+        def counting_init(net_config):
+            built.append(net_config.seed)
+            return init_network(net_config)
+
+        monkeypatch.setattr(pipeline, "init_network", counting_init)
+        run_experiment(tiny_config(repeats=3), dataset=tiny_dataset())
+        assert built == [INIT_SEED_OFFSET + repeat for repeat in range(3)] * 2
 
     def test_persisted_outputs_byte_identical(self, tmp_path):
         """Two runs of one config write identical report, curves, and scores."""
