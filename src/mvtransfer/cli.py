@@ -42,6 +42,7 @@ _RUNTIME_ERRORS = (
     DatasetError,
     DensityError,
     DistanceError,
+    FloatingPointError,
     FlowTrainingError,
     NetworkError,
     PipelineError,

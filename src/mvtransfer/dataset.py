@@ -506,12 +506,27 @@ def write_csv(path, header, rows) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+def as_json(value):
+    """``value`` as plain JSON data: a dataclass as an object of its fields
+    in order, a dict with each value converted, an array as nested lists;
+    :func:`from_json` reads it back."""
+    if is_dataclass(value):
+        return {f.name: as_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: as_json(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
 def from_json(cls, payload, where: str, **types_of):
-    """The config dataclass ``cls`` read from the JSON object ``payload`` at key
+    """The dataclass ``cls`` read from the JSON object ``payload`` at key
     path ``where`` ("" at the top), each value checked against its field's
     annotation or ``types_of``; a fault raises ``ValueError`` naming the path.
     A ``float`` field takes an int or a finite float, so JSON's ``NaN`` and
-    ``Infinity`` are rejected."""
+    ``Infinity`` are rejected.  An ``np.ndarray`` field takes nested lists
+    of numbers, read as a finite float64 array, and a ``dict[str, X]`` field
+    an object whose every value is read as ``X`` at ``<path>.<key>``."""
     if not isinstance(payload, dict):
         raise ValueError(f"{where or cls.__name__} must be a JSON object, got {payload!r}")
     prefix = f"{where}." if where else ""
@@ -536,6 +551,13 @@ def _from_json_value(hint, value, where: str):
         (hint,) = set(typing.get_args(hint)) - {type(None)}
     if is_dataclass(hint):
         return from_json(hint, value, where)
+    if hint is np.ndarray:
+        return _finite_float_array(value, where)
+    if typing.get_origin(hint) is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be a JSON object, got {value!r}")
+        item = typing.get_args(hint)[1]
+        return {k: _from_json_value(item, v, f"{where}.{k}") for k, v in value.items()}
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise ValueError(f"{where} must be a list, got {value!r}")
@@ -547,6 +569,20 @@ def _from_json_value(hint, value, where: str):
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{where} must be a finite number, got {value!r}")
     return value
+
+
+def _finite_float_array(value, where: str) -> np.ndarray:
+    """``value``, nested lists of numbers, as a finite float64 array."""
+    try:
+        array = np.array(value)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"{where} is not a numeric array: {exc}") from None
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{where} is not a numeric array")
+    array = array.astype(np.float64, copy=False)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{where} holds non-finite values")
+    return array
 
 
 def emit_dataset(dataset: MultiViewDataset, root_path: str | Path):

@@ -8,6 +8,11 @@ dimension rule (overridable) and returns the fitted ``KdeModel`` or
 ``log_density``: it takes an (n, d) array of points, checks it once and
 evaluates it in blocks of ``LOG_DENSITY_BLOCK_ROWS`` rows, so its working
 memory stays bounded however many points a grid holds.
+
+A density file holds the model's variant and dimension and, under the
+variant, the model's fields as ``dataset.as_json`` writes them;
+``dataset.from_json`` reads them back, so a malformed file is named by
+the dotted path of its faulty key.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mvtransfer.dataset import as_json, from_json
 from mvtransfer.flow import (
     FlowConfig,
     FlowModel,
@@ -27,7 +33,6 @@ from mvtransfer.flow import (
     fit_flow,
     flow_from_json_dict,
     flow_inverse,
-    flow_to_json_dict,
 )
 
 KDE_MAX_DIMENSION = 3
@@ -67,15 +72,19 @@ class KdeModel:
     bandwidth_diag: np.ndarray
 
     def __post_init__(self):
-        self.support_points = np.atleast_2d(np.asarray(self.support_points, dtype=np.float64))
-        self.bandwidth_diag = np.asarray(self.bandwidth_diag, dtype=np.float64).ravel()
+        self.support_points = np.asarray(self.support_points, dtype=np.float64)
+        self.bandwidth_diag = np.asarray(self.bandwidth_diag, dtype=np.float64)
+        for name, ndim in (("support_points", 2), ("bandwidth_diag", 1)):
+            shape = getattr(self, name).shape
+            if len(shape) != ndim:
+                raise DensityError(f"{name} must be a {ndim}-D array, got shape {shape}")
         if self.support_points.size == 0:
             raise DensityError("support_points must be non-empty")
         if not np.all(np.isfinite(self.support_points)):
             raise DensityError("support_points contain non-finite values")
         if self.bandwidth_diag.shape[0] != self.support_points.shape[1]:
             raise DensityError(
-                f"bandwidth has {self.bandwidth_diag.shape[0]} entries for "
+                f"bandwidth_diag has {self.bandwidth_diag.shape[0]} entries for "
                 f"{self.support_points.shape[1]} dimensions"
             )
         if not np.all(self.bandwidth_diag > 0):
@@ -184,56 +193,32 @@ def fit_density(
 
 
 def density_model_to_json_dict(model: DensityModel) -> dict:
-    if isinstance(model, KdeModel):
-        variant = "kde"
-        payload = {
-            "support_points": model.support_points.tolist(),
-            "bandwidth_diag": model.bandwidth_diag.tolist(),
-        }
-    else:
-        variant, payload = "flow", flow_to_json_dict(model)
-    return {"variant": variant, "dimension": model.dimension, variant: payload}
+    """The model's variant and dimension, and its fields under the variant."""
+    variant = "kde" if isinstance(model, KdeModel) else "flow"
+    return {"variant": variant, "dimension": model.dimension, variant: as_json(model)}
 
 
 def density_model_from_json_dict(payload: dict) -> DensityModel:
-    """The model ``density_model_to_json_dict`` wrote.  Every key, shape
-    and value is checked here, the declared ``dimension`` against the
-    model's too, so a malformed payload raises ``DensityError`` naming the
-    key instead of failing when evaluated."""
+    """The model ``density_model_to_json_dict`` wrote.  ``from_json`` reads
+    the body from the model's fields, and a flow is checked against its own
+    dimension and config, so a malformed payload raises ``DensityError``
+    naming the key's dotted path instead of failing when evaluated; the
+    declared ``dimension`` must be the model's."""
     if not isinstance(payload, dict):
         raise DensityError("a serialized model must be a JSON object")
     variant = payload.get("variant")
     if variant not in ("kde", "flow"):
         raise DensityError(f"unknown variant {variant!r} in serialized model")
-    for key in ("dimension", variant):
-        if key not in payload:
-            raise DensityError(f"no {key!r} in the serialized {variant} model")
+    missing = [key for key in ("dimension", variant) if key not in payload]
+    if missing:
+        raise DensityError(f"serialized {variant} model: missing key {missing[0]!r}")
     dimension, body = payload["dimension"], payload[variant]
     if not isinstance(dimension, int) or isinstance(dimension, bool):
         raise DensityError(f"'dimension' must be an integer, got {dimension!r}")
-    if not isinstance(body, dict):
-        raise DensityError(f"{variant!r} must be a JSON object")
-    if variant == "kde":
-        arrays = {}
-        for key, ndim in (("support_points", 2), ("bandwidth_diag", 1)):
-            if key not in body:
-                raise DensityError(f"no {key!r} in the serialized kde model")
-            try:
-                arrays[key] = np.array(body[key], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise DensityError(f"kde {key!r} is not a numeric array: {exc}") from exc
-            if arrays[key].ndim != ndim:
-                raise DensityError(
-                    f"kde {key!r} must be a {ndim}-D array, got shape {arrays[key].shape}"
-                )
-            if not np.isfinite(arrays[key]).all():
-                raise DensityError(f"kde {key!r} holds non-finite values")
-        model = KdeModel(**arrays)
-    else:
-        try:
-            model = flow_from_json_dict(body)
-        except ValueError as exc:
-            raise DensityError(f"serialized flow model: {exc}") from exc
+    try:
+        model = from_json(KdeModel, body, "kde") if variant == "kde" else flow_from_json_dict(body)
+    except ValueError as exc:
+        raise DensityError(f"serialized {variant} model: {exc}") from exc
     if model.dimension != dimension:
         raise DensityError(
             f"'dimension' is {dimension}, but the {variant} model has {model.dimension}"

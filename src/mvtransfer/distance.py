@@ -364,18 +364,6 @@ class ImportanceLatentSet:
     def size(self) -> int:
         return self.vectors.shape[0]
 
-    def to_json_dict(self) -> dict:
-        payload = {
-            "measure": self.measure,
-            "source_view": self.source_view,
-            "target_view": self.target_view,
-            "K": self.dimension,
-            "vectors": self.vectors.tolist(),
-        }
-        if self.raw_vectors is not None:
-            payload["vectors_raw"] = self.raw_vectors.tolist()
-        return payload
-
 
 def _resolve_params(measure: str, params, shortest: int):
     """Check ``params`` against ``measure`` and fill in the defaults.

@@ -23,17 +23,21 @@ same code.  ``fit_flow`` trains the whole stack as one model, one loss
 and one Adam step per iteration, while each view keeps its own seeded
 initialization, duplicate-point perturbation and noise stream,
 best-iterate snapshot and likelihoods.
+
+A saved flow is its ``FlowModel`` fields, as ``dataset.as_json`` writes
+them; ``flow_from_json_dict`` reads them back with ``dataset.from_json``
+and checks the shapes that the model's dimension and config imply.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from mvtransfer.dataset import _from_json_value, from_json
+from mvtransfer.dataset import from_json
 from mvtransfer.optim import adam_update
 
 SCALE_BOUND = 5.0
@@ -500,80 +504,39 @@ def fit_flow(latent, config: FlowConfig | None = None) -> FlowModel | list[FlowM
     return models if stacked else models[0]
 
 
-def flow_to_json_dict(model: FlowModel) -> dict:
-    return {
-        "dimension": model.dimension,
-        "masks": model.masks.astype(int).tolist(),
-        "params": {k: v.tolist() for k, v in model.params.items()},
-        "standardize_mean": model.standardize_mean.tolist(),
-        "standardize_scale": model.standardize_scale.tolist(),
-        "config": asdict(model.config),
-        "initial_log_likelihood": model.initial_log_likelihood,
-        "final_log_likelihood": model.final_log_likelihood,
-    }
-
-
-_JSON_KEYS = ("dimension", "masks", "params", "standardize_mean", "standardize_scale", "config")
-
-
-def _json_array(payload: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """``payload[key]`` as a finite float array of ``shape``."""
-    try:
-        array = np.array(payload[key], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{key!r} is not a numeric array: {exc}") from exc
-    if array.shape != shape:
-        raise ValueError(f"{key!r} has shape {array.shape}, expected {shape}")
-    if not np.isfinite(array).all():
-        raise ValueError(f"{key!r} holds non-finite values")
-    return array
-
-
-def flow_from_json_dict(payload: dict) -> FlowModel:
-    """The model ``flow_to_json_dict`` wrote.  A missing key, a config
-    ``FlowConfig`` rejects, a mask or tensor of the wrong shape, a mask
-    entry other than 0 or 1, a non-finite value or a scale that is not
-    positive raises ``ValueError`` naming the key.  Each likelihood must be
-    ``null`` or a finite number."""
-    missing = [key for key in _JSON_KEYS if key not in payload]
-    if missing:
-        raise ValueError(f"no {missing[0]!r} in the flow payload")
-    config = from_json(FlowConfig, payload["config"], "config")
-    d = payload["dimension"]
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError(f"'dimension' must be an integer, got {d!r}")
+def flow_from_json_dict(payload) -> FlowModel:
+    """The flow ``dataset.as_json`` wrote, read by ``from_json`` at key path
+    ``flow`` (where a density file holds it), then checked against its own
+    dimension and config: a dimension below 2, a mask or tensor of the
+    wrong shape, a mask entry other than 0 or 1, a missing or extra tensor
+    or a scale that is not positive raises ``ValueError`` naming the key's
+    dotted path."""
+    where = "flow"
+    model = from_json(FlowModel, payload, where)
+    d, layer_count = model.dimension, model.config.layer_count
     if d < 2:
-        raise ValueError(f"'dimension' must be >= 2, got {d}")
-    masks = _json_array(payload, "masks", (config.layer_count, d))
-    if not ((masks == 0.0) | (masks == 1.0)).all():
-        raise ValueError("'masks' entries must be 0 or 1")
-    shapes = _parameter_shapes(d, config)
-    given = payload["params"]
-    if not isinstance(given, dict):
-        raise ValueError("'params' must be an object of tensors")
-    absent = [key for key in shapes if key not in given]
+        raise ValueError(f"{where}.dimension must be >= 2, got {d}")
+
+    def check_shape(array, key, shape):
+        if array.shape != shape:
+            raise ValueError(f"{where}.{key} has shape {array.shape}, expected {shape}")
+
+    check_shape(model.masks, "masks", (layer_count, d))
+    if not ((model.masks == 0.0) | (model.masks == 1.0)).all():
+        raise ValueError(f"{where}.masks entries must be 0 or 1")
+    shapes = _parameter_shapes(d, model.config)
+    absent = [key for key in shapes if key not in model.params]
     if absent:
-        raise ValueError(f"no {absent[0]!r} in 'params'")
-    extra = [key for key in given if key not in shapes]
+        raise ValueError(f"missing key {f'{where}.params.{absent[0]}'!r}")
+    extra = [key for key in model.params if key not in shapes]
     if extra:
         raise ValueError(
-            f"'params' holds {extra[0]!r}, a tensor no {config.layer_count}-layer flow has"
+            f"unknown key {f'{where}.params.{extra[0]}'!r}: no {layer_count}-layer flow has it"
         )
-    params = {key: _json_array(given, key, shapes[key]) for key in given}
-    mean = _json_array(payload, "standardize_mean", (d,))
-    scale = _json_array(payload, "standardize_scale", (d,))
-    if not (scale > 0.0).all():
-        raise ValueError("'standardize_scale' entries must be positive")
-    likelihoods = {
-        key: _from_json_value(float | None, payload.get(key), key)
-        for key in ("initial_log_likelihood", "final_log_likelihood")
-    }
-    return FlowModel(
-        dimension=d,
-        masks=masks,
-        params=params,
-        config=config,
-        standardize_mean=mean,
-        standardize_scale=scale,
-        **likelihoods,
-    )
+    for key, tensor in model.params.items():
+        check_shape(tensor, f"params.{key}", shapes[key])
+    check_shape(model.standardize_mean, "standardize_mean", (d,))
+    check_shape(model.standardize_scale, "standardize_scale", (d,))
+    if not (model.standardize_scale > 0.0).all():
+        raise ValueError(f"{where}.standardize_scale entries must be positive")
+    return model

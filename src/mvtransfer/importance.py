@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import write_json
+from .dataset import as_json, write_json
 from .density import DensityModel, fit_density, save_density_model
 from .distance import build_latent_set
 from .flow import FlowTrainingError
@@ -238,7 +238,9 @@ def score_source_views(
     work runs in three phases: every view's latent set, then one density
     fit over all of them (a single stacked flow, or a kernel estimate per
     view), then each view's draw and norm.  A flow that diverges fails the
-    whole scoring with a ``FlowTrainingError`` naming the source view.
+    whole scoring with a ``FlowTrainingError`` naming the source view, and a
+    draw or norm that is not finite (values near the float range's end
+    overflow) with a ``FloatingPointError`` naming the view and the norm.
     """
     config = sampling if sampling is not None else SamplingConfig()
     latents = [
@@ -260,7 +262,19 @@ def score_source_views(
         ) from exc
     scores = []
     for source, latent, model in zip(source_views, latents, models):
-        score = matrix_norm(draw_importance_matrix(model, config, seed), config.norm_kind)
+        try:
+            draw = draw_importance_matrix(model, config, seed)
+        except ValueError as exc:  # a checked draw's one fault: a non-finite entry
+            raise FloatingPointError(
+                f"source view {source}: its sampled draw for the {config.norm_kind} norm "
+                "is not finite"
+            ) from exc
+        with np.errstate(over="ignore"):  # an overflow is raised below, naming the view
+            score = matrix_norm(draw, config.norm_kind)
+        if not np.isfinite(score):
+            raise FloatingPointError(
+                f"source view {source}: the {config.norm_kind} norm of its draw is not finite"
+            )
         if config.invert_importance:
             score = 1.0 / (1.0 + score)
         if artifact_dir is not None:
@@ -272,5 +286,5 @@ def score_source_views(
 def _persist_artifacts(artifact_dir, source_view: int, latent, model: DensityModel) -> None:
     directory = Path(artifact_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    write_json(directory / f"latent_view{source_view}.json", latent.to_json_dict())
+    write_json(directory / f"latent_view{source_view}.json", as_json(latent))
     save_density_model(model, directory / f"density_view{source_view}.json")

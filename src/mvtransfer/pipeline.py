@@ -295,9 +295,10 @@ def score_views(config: ExperimentConfig, dataset: MultiViewDataset, artifact_di
     ``base_seed``.  A flow density needs one latent point per sample and
     at least ``MIN_TRAINING_POINTS`` of them; too few samples fail here,
     before any distance is computed.  So does a source view whose channel
-    count differs from the target view's, and a boss ``window_length``
-    longer than the shortest aligned series.  With ``artifact_dir``, each
-    view's latent set and density model are written there.
+    count differs from the target view's, a boss ``window_length`` longer
+    than the shortest aligned series, and boss on a series of one step.
+    With ``artifact_dir``, each view's latent set and density model are
+    written there.
     """
     sources = _source_views(config, dataset)
     channels = dataset.channel_count(config.target_view)
@@ -318,13 +319,18 @@ def score_views(config: ExperimentConfig, dataset: MultiViewDataset, artifact_di
             f"samples, got {dataset.n_samples}"
         )
     dataset = _aligned(dataset, config)
-    if isinstance(config.measure_params, SfaParams):
-        window = config.measure_params.window_length
+    if config.measure == "boss":
         shortest = min(dataset.view_shape(v)[1] for v in range(dataset.n_views))
-        if window > shortest:
+        params = config.measure_params
+        if params is not None and params.window_length > shortest:
             raise PipelineError(
-                f"measure_params.window_length {window} exceeds the shortest aligned "
-                f"series ({shortest})"
+                f"measure_params.window_length {params.window_length} exceeds the shortest "
+                f"aligned series ({shortest})"
+            )
+        if shortest < 2:
+            raise PipelineError(
+                f"measure boss needs series of at least 2 steps; the shortest aligned "
+                f"series has {shortest}"
             )
     seeds = scoring_seeds(config)
     return score_source_views(

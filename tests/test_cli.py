@@ -19,7 +19,7 @@ from mvtransfer.flow import FlowConfig
 from mvtransfer.importance import SamplingConfig
 from mvtransfer.pipeline import ExperimentConfig
 from mvtransfer.synthetic import make_synthetic_dataset
-from mvtransfer.dataset import emit_dataset
+from mvtransfer.dataset import MultiViewDataset, emit_dataset
 
 
 def run_cli(argv):
@@ -36,6 +36,22 @@ def dataset_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("data") / "synthetic"
     emit_dataset(
         make_synthetic_dataset(n_samples=12, channels=1, length=8, seed=0), root
+    )
+    return root
+
+
+@pytest.fixture(scope="module")
+def one_step_dataset_dir(tmp_path_factory):
+    """``dataset_dir``'s samples cut to their first step."""
+    base = make_synthetic_dataset(n_samples=12, channels=1, length=8, seed=0)
+    root = tmp_path_factory.mktemp("data") / "one-step"
+    emit_dataset(
+        MultiViewDataset(
+            views=[view[:, :, :1] for view in base.views],
+            labels=base.labels,
+            sample_ids=base.sample_ids,
+        ),
+        root,
     )
     return root
 
@@ -284,26 +300,59 @@ class TestScheduleCommand:
             {"measure": "boss", "measure_params": SfaParams(window_length=64)},
             r"measure_params\.window_length 64 exceeds the shortest aligned series \(8\)",
         ),
+        (
+            {"measure": "boss", "dataset_path": "one-step"},
+            "measure boss needs series of at least 2 steps; the shortest aligned series has 1",
+        ),
     ],
-    ids=["single-class-training-part", "too-few-for-the-flow", "boss-window-too-long"],
+    ids=[
+        "single-class-training-part", "too-few-for-the-flow", "boss-window-too-long",
+        "boss-series-of-one-step",
+    ],
 )
 def test_training_part_faults_fail_every_command(
-    dataset_dir, tmp_path, capsys, monkeypatch, command, overrides, message
+    dataset_dir, one_step_dataset_dir, tmp_path, capsys, monkeypatch, command, overrides, message
 ):
-    """A training part of one class, too small for the flow, or shorter
-    than the boss window fails every config command alike, before any
-    latent set is built: exit 1 with one error line."""
+    """A training part of one class, too small for the flow, shorter than
+    the boss window or too short for boss's words fails every config
+    command alike, before any latent set is built: exit 1 with one error
+    line.  ``dataset_path`` "one-step" names ``one_step_dataset_dir``."""
     import mvtransfer.importance as importance
 
     def refuse(*args, **kwargs):
         raise AssertionError("a latent set was built")
 
     monkeypatch.setattr(importance, "build_latent_set", refuse)
-    config = write_config(tmp_path / "config.json", dataset_dir, **overrides)
+    overrides = dict(overrides)
+    root = {"one-step": one_step_dataset_dir}.get(overrides.pop("dataset_path", None), dataset_dir)
+    config = write_config(tmp_path / "config.json", root, **overrides)
     code = run_cli([command, "--config", str(config), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
     assert re.fullmatch(f"error: {message}\n", err), err
+
+
+@pytest.mark.parametrize("command", ["importance", "schedule", "train"])
+def test_overflowing_score_fails_every_command(tmp_path, capsys, command):
+    """A dataset whose values sit near the end of the float range loads,
+    but a source view's norm overflows: every scoring command exits 1 with
+    one error line naming the view and the norm."""
+    base = make_synthetic_dataset(n_samples=12, channels=1, length=8, seed=0)
+    emit_dataset(
+        MultiViewDataset(
+            views=[view * 1e154 for view in base.views],
+            labels=base.labels,
+            sample_ids=base.sample_ids,
+        ),
+        tmp_path / "huge",
+    )
+    config = write_config(tmp_path / "config.json", tmp_path / "huge")
+    code = run_cli([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.fullmatch(
+        "error: source view 1: the frobenius norm of its draw is not finite\n", err
+    ), err
 
 
 @pytest.mark.parametrize(
@@ -608,7 +657,7 @@ class TestDensityGridCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "'params'" in err
+        assert "missing key 'flow.params'" in err
         assert not (tmp_path / "density_grid.csv").exists()
 
     def test_malformed_bounds_and_resolution(self, tmp_path):

@@ -4,6 +4,7 @@ import csv
 import json
 import tempfile
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ from mvtransfer.dataset import (
     MultiViewDataset,
     _read_view_file,
     align_lengths,
+    as_json,
     emit_dataset,
+    from_json,
     load_dataset,
     split_indices,
     write_json,
@@ -712,6 +715,62 @@ class TestEmitRoundTrip:
         for v in range(2):
             for orig, rt in zip(ds.views[v], back.views[v]):
                 assert orig.tobytes() == rt.tobytes()
+
+
+@dataclass
+class Tensors:
+    bias: np.ndarray
+    layers: dict[str, np.ndarray]
+
+
+@dataclass
+class Holder:
+    tensors: Tensors
+
+
+class TestFromJsonArrays:
+    """``from_json`` reads ``np.ndarray`` and ``dict[str, X]`` fields, and
+    names a fault by its dotted key path."""
+
+    def test_round_trip_through_as_json(self):
+        value = Holder(Tensors(np.array([0.5, -1.0]), {"w": np.arange(6.0).reshape(2, 3)}))
+        payload = json.loads(json.dumps(as_json(value)))
+        assert payload == {
+            "tensors": {"bias": [0.5, -1.0], "layers": {"w": [[0, 1, 2], [3, 4, 5]]}}
+        }
+        back = from_json(Holder, payload, "model")
+        assert back.tensors.bias.dtype == np.float64
+        assert back.tensors.bias.tobytes() == value.tensors.bias.tobytes()
+        assert back.tensors.layers["w"].tobytes() == value.tensors.layers["w"].tobytes()
+
+    @pytest.mark.parametrize(
+        "tensors, message",
+        [
+            ({"bias": "x", "layers": {}}, "^model.tensors.bias is not a numeric array$"),
+            ({"bias": [1.0, None], "layers": {}}, "^model.tensors.bias is not a numeric array$"),
+            (
+                {"bias": [0.0], "layers": {"w": [[1.0], 2.0]}},
+                "^model.tensors.layers.w is not a numeric array: .*inhomogeneous",
+            ),
+            (
+                {"bias": [0.0], "layers": {"w": [[1.0, float("inf")]]}},
+                "^model.tensors.layers.w holds non-finite values$",
+            ),
+            ({"bias": [float("nan")], "layers": {}}, "^model.tensors.bias holds non-finite values$"),
+            (
+                {"bias": [0.0], "layers": {"w": [["1.5"]]}},
+                "^model.tensors.layers.w is not a numeric array$",
+            ),
+            (
+                {"bias": [0.0], "layers": [[1.0]]},
+                r"^model.tensors.layers must be a JSON object, got \[\[1.0\]\]$",
+            ),
+        ],
+        ids=["string", "null-entry", "ragged", "infinite", "nan", "numeric-string", "list-for-dict"],
+    )
+    def test_fault_named_by_path(self, tensors, message):
+        with pytest.raises(ValueError, match=message):
+            from_json(Holder, {"tensors": tensors}, "model")
 
 
 def ragged_pair_dataset(lengths=(3, 5), extra=None):

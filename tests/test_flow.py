@@ -15,6 +15,7 @@ from conftest import (
     reference_log_density_batch,
 )
 from mvtransfer import flow
+from mvtransfer.dataset import as_json
 from mvtransfer.flow import (
     FlowConfig,
     FlowTrainingError,
@@ -22,7 +23,6 @@ from mvtransfer.flow import (
     flow_from_json_dict,
     flow_inverse,
     flow_loss_and_gradients,
-    flow_to_json_dict,
     init_flow_model,
     sample_flow,
 )
@@ -296,7 +296,7 @@ class TestSerialization:
     def test_json_round_trip_preserves_densities(self):
         rng = np.random.default_rng(59)
         model, data = small_trained_model(rng, iterations=30)
-        payload = flow_to_json_dict(model)
+        payload = as_json(model)
         back = flow_from_json_dict(payload)
         assert np.allclose(
             flow._log_density_batch(back, data[:10]),
@@ -370,8 +370,8 @@ class TestFittedFlowProperties:
     @given(fitted=fitted_flows())
     def test_json_round_trip_is_byte_identical(self, fitted):
         model, _ = fitted
-        text = json.dumps(flow_to_json_dict(model))
-        again = json.dumps(flow_to_json_dict(flow_from_json_dict(json.loads(text))))
+        text = json.dumps(as_json(model))
+        again = json.dumps(as_json(flow_from_json_dict(json.loads(text))))
         assert again == text
 
     @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """Tests for kernel density estimation and what both density models share:
 fitting, the checked log-density, density files and grids."""
 
+import json
 import math
 import tempfile
 import tracemalloc
@@ -84,6 +85,18 @@ class TestFitKde:
     def test_single_point_rejected_by_fit(self):
         with pytest.raises(DensityError, match="at least 2"):
             fit_kde(np.zeros((1, 2)))
+
+    def test_construction_rejects_wrong_array_ranks(self):
+        """Support points must be (n, d) and the bandwidth (d,); neither is
+        reshaped into place."""
+        with pytest.raises(
+            DensityError, match=r"^support_points must be a 2-D array, got shape \(2,\)$"
+        ):
+            KdeModel(support_points=[0.5, 0.7], bandwidth_diag=[1.0])
+        with pytest.raises(
+            DensityError, match=r"^bandwidth_diag must be a 1-D array, got shape \(1, 1\)$"
+        ):
+            KdeModel(support_points=[[0.5], [0.7]], bandwidth_diag=[[1.0]])
 
 
 class TestKdeLogDensity:
@@ -237,53 +250,80 @@ class TestDensityModelWrapper:
     @pytest.mark.parametrize(
         "break_payload, named",
         [
-            (lambda p: p["flow"].pop("params"), "'params'"),
-            (lambda p: p["flow"].pop("config"), "'config'"),
-            (lambda p: p["flow"]["params"].update({"layer0.W1": [[1.0, 2.0]]}), "'layer0.W1'"),
-            (lambda p: p["flow"]["params"].update({"layer1.b3": "x"}), "'layer1.b3'"),
-            (lambda p: p["flow"].update(params=[]), "'params'"),
-            (lambda p: p["flow"]["params"].pop("layer1.W2"), "'layer1.W2' in 'params'"),
-            (lambda p: p["flow"]["params"].update({"layer2.W1": [[0.0]]}), "'params' holds 'layer2.W1'"),
-            (lambda p: p["flow"].update(masks=p["flow"]["masks"][:1]), "'masks'"),
-            (lambda p: p["flow"]["masks"][0].__setitem__(0, 0.5), "'masks'"),
+            (lambda p: p["flow"].pop("params"), "missing key 'flow.params'"),
+            (lambda p: p["flow"].pop("config"), "missing key 'flow.config'"),
+            (
+                lambda p: p["flow"]["params"].update({"layer0.W1": [[1.0, 2.0]]}),
+                r"flow.params.layer0.W1 has shape \(1, 2\), expected \(4, 3\)",
+            ),
+            (
+                lambda p: p["flow"]["params"].update({"layer1.b3": "x"}),
+                "flow.params.layer1.b3 is not a numeric array",
+            ),
+            (lambda p: p["flow"].update(params=[]), "flow.params must be a JSON object"),
+            (lambda p: p["flow"]["params"].pop("layer1.W2"), "missing key 'flow.params.layer1.W2'"),
+            (
+                lambda p: p["flow"]["params"].update({"layer2.W1": [[0.0]]}),
+                "unknown key 'flow.params.layer2.W1': no 2-layer flow has it",
+            ),
+            (
+                lambda p: p["flow"].update(masks=p["flow"]["masks"][:1]),
+                r"flow.masks has shape \(1, 4\), expected \(2, 4\)",
+            ),
+            (lambda p: p["flow"]["masks"][0].__setitem__(0, 0.5), "flow.masks entries must be 0 or 1"),
             # layer_count 3 with two layers' tensors: the masks are checked first
-            (lambda p: p["flow"]["config"].update(layer_count=3), "'masks'"),
+            (
+                lambda p: p["flow"]["config"].update(layer_count=3),
+                r"flow.masks has shape \(2, 4\), expected \(3, 4\)",
+            ),
             (
                 lambda p: (
                     p["flow"]["config"].update(layer_count=3),
                     p["flow"]["masks"].append([1, 0, 1, 0]),
                 ),
-                "no 'layer2.W1' in 'params'",
+                "missing key 'flow.params.layer2.W1'",
             ),
-            (lambda p: p["flow"]["config"].update(layer_count=2.0), "config.layer_count must be an integer"),
-            (lambda p: p["flow"]["config"].update(width=4), "unknown key 'config.width'"),
+            (
+                lambda p: p["flow"]["config"].update(layer_count=2.0),
+                "flow.config.layer_count must be an integer",
+            ),
+            (lambda p: p["flow"]["config"].update(width=4), "unknown key 'flow.config.width'"),
             (
                 lambda p: p["flow"]["config"].update(learning_rate=math.nan),
-                "config.learning_rate must be a finite number, got nan",
+                "flow.config.learning_rate must be a finite number, got nan",
             ),
-            (lambda p: p["flow"]["standardize_scale"].__setitem__(1, math.nan), "standardize_scale"),
-            (lambda p: p["flow"]["standardize_scale"].__setitem__(1, -1.0), "standardize_scale"),
-            (lambda p: p["flow"]["standardize_mean"].pop(), "'standardize_mean'"),
-            (lambda p: p["flow"].update(dimension=4.0), "'dimension'"),
+            (
+                lambda p: p["flow"]["standardize_scale"].__setitem__(1, math.nan),
+                "flow.standardize_scale holds non-finite values",
+            ),
+            (
+                lambda p: p["flow"]["standardize_scale"].__setitem__(1, -1.0),
+                "flow.standardize_scale entries must be positive",
+            ),
+            (
+                lambda p: p["flow"]["standardize_mean"].pop(),
+                r"flow.standardize_mean has shape \(3,\), expected \(4,\)",
+            ),
+            (lambda p: p["flow"].update(dimension=4.0), "flow.dimension must be an integer, got 4.0"),
             (
                 lambda p: p["flow"].update(initial_log_likelihood="abc"),
-                "initial_log_likelihood must be a number, got 'abc'",
+                "flow.initial_log_likelihood must be a number, got 'abc'",
             ),
             (
                 lambda p: p["flow"].update(final_log_likelihood=[1, 2]),
-                r"final_log_likelihood must be a number, got \[1, 2\]",
+                r"flow.final_log_likelihood must be a number, got \[1, 2\]",
             ),
             (
                 lambda p: p["flow"].update(final_log_likelihood=True),
-                "final_log_likelihood must be a number, got True",
+                "flow.final_log_likelihood must be a number, got True",
             ),
             (
                 lambda p: p["flow"].update(initial_log_likelihood=math.nan),
-                "initial_log_likelihood must be a finite number, got nan",
+                "flow.initial_log_likelihood must be a finite number, got nan",
             ),
-            (lambda p: p.pop("flow"), "'flow'"),
-            (lambda p: p.pop("dimension"), "'dimension'"),
-            (lambda p: p.update(flow=[]), "'flow'"),
+            (lambda p: p.pop("flow"), "missing key 'flow'"),
+            (lambda p: p.pop("dimension"), "missing key 'dimension'"),
+            (lambda p: p.update(flow=[]), "flow must be a JSON object"),
             (lambda p: p.update(dimension=5), "'dimension' is 5, but the flow model has 4"),
         ],
     )
@@ -298,21 +338,27 @@ class TestDensityModelWrapper:
     @pytest.mark.parametrize(
         "break_payload, named",
         [
-            (lambda p: p.pop("kde"), "'kde'"),
-            (lambda p: p["kde"].pop("support_points"), "'support_points'"),
-            (lambda p: p["kde"].update(bandwidth_diag=[[1.0], 2.0]), "'bandwidth_diag'"),
-            (lambda p: p["kde"].update(bandwidth_diag=[1.0, math.inf]), "'bandwidth_diag'"),
+            (lambda p: p.pop("kde"), "missing key 'kde'"),
+            (lambda p: p["kde"].pop("support_points"), "missing key 'kde.support_points'"),
+            (
+                lambda p: p["kde"].update(bandwidth_diag=[[1.0], 2.0]),
+                "kde.bandwidth_diag is not a numeric array",
+            ),
+            (
+                lambda p: p["kde"].update(bandwidth_diag=[1.0, math.inf]),
+                "kde.bandwidth_diag holds non-finite values",
+            ),
             (
                 lambda p: p["kde"].update(support_points=[[[0.5, 0.1]], [[0.7, 0.2]]]),
-                r"kde 'support_points' must be a 2-D array, got shape \(2, 1, 2\)",
+                r"kde.support_points must be a 2-D array, got shape \(2, 1, 2\)",
             ),
             (
                 lambda p: p["kde"].update(support_points=[0.5, 0.7]),
-                r"kde 'support_points' must be a 2-D array, got shape \(2,\)",
+                r"kde.support_points must be a 2-D array, got shape \(2,\)",
             ),
             (
                 lambda p: p["kde"].update(bandwidth_diag=[[1.0, 2.0]]),
-                r"kde 'bandwidth_diag' must be a 1-D array, got shape \(1, 2\)",
+                r"kde.bandwidth_diag must be a 1-D array, got shape \(1, 2\)",
             ),
             (lambda p: p.update(dimension="2"), "'dimension'"),
             (lambda p: p.update(dimension=3), "'dimension' is 3, but the kde model has 2"),
@@ -328,6 +374,41 @@ class TestDensityModelWrapper:
         with pytest.raises(DensityError, match="JSON object"):
             density_model_from_json_dict([1, 2])
 
+    def test_flow_file_in_the_older_layout_loads(self):
+        """A flow file as written before density files came from the model's
+        fields (integer masks, ``config`` after the scales) loads to the
+        model that wrote it, bit for bit."""
+        data = np.random.default_rng(5).normal(size=(8, 2))
+        config = FlowConfig(layer_count=2, coupling_net_width=1, training_iterations=2)
+        model = fit_density(data, override="flow", flow_config=config)
+        back = density_model_from_json_dict(json.loads(OLDER_FLOW_FILE))
+        assert back.config == config
+        assert back.final_log_likelihood == model.final_log_likelihood
+        probe = np.random.default_rng(7).normal(size=(16, 2))
+        assert back.log_density(probe).tobytes() == model.log_density(probe).tobytes()
+
+    def test_kde_file_in_the_older_layout_loads(self):
+        model = fit_density(np.random.default_rng(6).normal(size=(3, 2)))
+        back = density_model_from_json_dict(json.loads(OLDER_KDE_FILE))
+        probe = np.random.default_rng(8).normal(size=(16, 2))
+        assert back.log_density(probe).tobytes() == model.log_density(probe).tobytes()
+
+    def test_file_keys_are_the_model_fields(self):
+        flow = fit_density(
+            np.random.default_rng(5).normal(size=(8, 2)),
+            override="flow",
+            flow_config=FlowConfig(layer_count=2, coupling_net_width=1, training_iterations=2),
+        )
+        payload = density_model_to_json_dict(flow)
+        assert list(payload) == ["variant", "dimension", "flow"]
+        assert list(payload["flow"]) == [
+            "dimension", "masks", "params", "config", "standardize_mean",
+            "standardize_scale", "initial_log_likelihood", "final_log_likelihood",
+        ]
+        assert payload["flow"]["masks"] == [[1.0, 0.0], [0.0, 1.0]]
+        kde = density_model_to_json_dict(fit_density(np.random.default_rng(6).normal(size=(3, 2))))
+        assert list(kde["kde"]) == ["support_points", "bandwidth_diag"]
+
     def test_round_trip_preserves_serialized_bytes(self, tmp_path):
         rng = np.random.default_rng(81)
         model = fit_density(rng.normal(size=(10, 2)))
@@ -335,6 +416,26 @@ class TestDensityModelWrapper:
         save_density_model(model, a)
         save_density_model(load_density_model(a), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# Density files as written before they came from the model's fields.
+OLDER_FLOW_FILE = """{"variant": "flow", "dimension": 2, "flow": {"dimension": 2, "masks": [[1, \
+0], [0, 1]], "params": {"layer0.W1": [[0.08964871930706222], [-0.09341224466100137]], \
+"layer0.b1": [-0.0007403659512233092], "layer0.W2": [[0.6411660187596802]], "layer0.b2": \
+[-0.0007355672495403924], "layer0.W3": [[0.0, 0.001999983110152581, 0.0, -0.001999924643687853]], \
+"layer0.b3": [0.0, 0.000743983238058672, 0.0, -0.0007388244990432175], "layer1.W1": \
+[[0.07417558418617765], [-0.3795195101869838]], "layer1.b1": [-0.0007422351597094109], \
+"layer1.W2": [[0.3623391293878836]], "layer1.b2": [-0.000737827918323148], "layer1.W3": \
+[[0.001999983742667434, 0.0, 0.0019999483275505957, 0.0]], "layer1.b3": [0.0007440411079640574, \
+0.0, 0.0007428478638009979, 0.0]}, "standardize_mean": [-0.02509525671793165, \
+-0.16370613601222017], "standardize_scale": [0.6973357009560996, 1.2297452197800356], "config": \
+{"layer_count": 2, "coupling_net_width": 1, "training_iterations": 2, "learning_rate": 0.001, \
+"perturbation": 1e-06, "seed": 0}, "initial_log_likelihood": -2.684195728728673, \
+"final_log_likelihood": -2.684055134574793}}"""
+OLDER_KDE_FILE = """{"variant": "kde", "dimension": 2, "kde": {"support_points": \
+[[1.0531157544867582, 1.776491303816993], [-2.5532918384570134, -0.13796506137840808], \
+[1.0137194090532766, 1.3521418253819912]], "bandwidth_diag": [2.9735141508664618, \
+0.7009459750625492]}}"""
 
 
 def kde_and_flow_models(d: int = 4) -> list[DensityModel]:

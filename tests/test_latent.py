@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mvtransfer.dataset import DatasetError, MultiViewDataset
+from mvtransfer.dataset import DatasetError, MultiViewDataset, as_json, from_json
 from mvtransfer.distance import (
     DistanceError,
     DtwParams,
@@ -309,12 +309,15 @@ class TestLatentSerialization:
         rng = np.random.default_rng(31)
         ds = two_view_dataset(rng)
         latent = build_latent_set(ds, 0, 1, "dtw")
-        payload = json.loads(json.dumps(latent.to_json_dict()))
-        assert set(payload) >= {"measure", "source_view", "target_view", "K", "vectors"}
+        payload = json.loads(json.dumps(as_json(latent)))
+        assert list(payload) == [
+            "measure", "source_view", "target_view", "vectors", "raw_vectors"
+        ]
         assert payload["measure"] == latent.measure
         assert payload["source_view"] == 0 and payload["target_view"] == 1
-        assert payload["K"] == latent.dimension
+        assert {len(row) for row in payload["vectors"]} == {latent.dimension}
         assert np.array_equal(payload["vectors"], latent.vectors)
+        assert np.array_equal(payload["raw_vectors"], latent.raw_vectors)
 
     @settings(max_examples=60, deadline=None)
     @given(data=distance_arrays(), with_raw=st.booleans())
@@ -323,12 +326,18 @@ class TestLatentSerialization:
         latent = ImportanceLatentSet(
             "boss", 1, 0, vectors=vectors, raw_vectors=raw if with_raw else None
         )
-        payload = json.loads(json.dumps(latent.to_json_dict()))
+        payload = json.loads(json.dumps(as_json(latent)))
         assert np.array(payload["vectors"]).tobytes() == vectors.tobytes()
         if with_raw:
-            assert np.array(payload["vectors_raw"]).tobytes() == raw.tobytes()
+            assert np.array(payload["raw_vectors"]).tobytes() == raw.tobytes()
         else:
-            assert "vectors_raw" not in payload
+            assert payload["raw_vectors"] is None
+        back = from_json(ImportanceLatentSet, payload, "latent")
+        assert back.vectors.tobytes() == vectors.tobytes()
+        if with_raw:
+            assert back.raw_vectors.tobytes() == raw.tobytes()
+        else:
+            assert back.raw_vectors is None
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -541,6 +541,64 @@ class TestComputeSchedule:
             ):
                 compute_schedule(config, dataset=ds)
 
+    def test_one_step_boss_series_fails_before_distances(self, monkeypatch):
+        """Boss's default words need two steps: a one-step series fails
+        naming the measure before any latent set is built; a two-step
+        series reaches the latent set."""
+        import mvtransfer.importance as importance
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a latent set was built")
+
+        monkeypatch.setattr(importance, "build_latent_set", refuse)
+        base = tiny_dataset()
+        config = tiny_config(measure="boss")
+        for steps in (1, 2):
+            ds = MultiViewDataset(
+                views=[view[:, :, :steps] for view in base.views],
+                labels=base.labels,
+                sample_ids=base.sample_ids,
+            )
+            if steps == 2:
+                with pytest.raises(AssertionError, match="a latent set was built"):
+                    compute_schedule(config, dataset=ds)
+                continue
+            with pytest.raises(
+                PipelineError,
+                match=r"^measure boss needs series of at least 2 steps; the shortest aligned "
+                r"series has 1$",
+            ):
+                compute_schedule(config, dataset=ds)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scale, norm_kind, message",
+        [
+            (1e154, "frobenius", "source view 1: the frobenius norm of its draw is not finite"),
+            (1e154, "spectral", "source view 1: the spectral norm of its draw is not finite"),
+            (
+                1e160,
+                "entrywise_l1",
+                "source view 0: its sampled draw for the entrywise_l1 norm is not finite",
+            ),
+        ],
+        ids=["frobenius-norm", "spectral-norm", "entrywise_l1-draw"],
+    )
+    def test_overflowing_score_names_view_and_norm(self, scale, norm_kind, message):
+        """Values near the end of the float range pass validation, but a
+        view's draw or its norm overflows: scoring fails naming the view,
+        the norm and which of the two was not finite, where an inverted
+        infinite score used to read as a silent 0."""
+        base = tiny_dataset()
+        ds = MultiViewDataset(
+            views=[view * scale for view in base.views],
+            labels=base.labels,
+            sample_ids=base.sample_ids,
+        )
+        sampling = SamplingConfig(batch_size=128, norm_kind=norm_kind, invert_importance=True)
+        with pytest.raises(FloatingPointError, match=f"^{message}$"):
+            compute_schedule(tiny_config(sampling=sampling), dataset=ds)
+
     def test_ragged_views_scored_after_alignment(self):
         """Scoring aligns ragged views the way training does."""
         ds = make_random_dataset(np.random.default_rng(7), n_samples=12, ragged=True)
